@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Round-trip a strong table through max-norm chain columns.
 
-Each column solves one small LP; evaluating the stack at p = infinity
-gives the original distances back, and no single column ever exceeds them.
+Each column is the dual of one tuple's bounding-chain LP; evaluating the
+stack at p = infinity gives the original distances back, and no single
+column ever exceeds them.
 """
 
 import math

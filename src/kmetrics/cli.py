@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 
@@ -105,8 +104,8 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=os.cpu_count() or 1,
-        help="parallel solver fan-out (results do not depend on this)",
+        default=1,
+        help="worker threads for the per-tuple LPs (results do not depend on this)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

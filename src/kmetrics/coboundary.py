@@ -3,23 +3,23 @@
 A collection of m chains one dimension below the tuples (columns of a
 ChainMatrix) induces the arity-k table d(t) = || row t of coboundary(F) ||_p.
 Tables of this shape always satisfy the strong chain inequality.  The reverse
-direction is computed here as well: every strong table is realised exactly by
-one LP-built column per tuple, evaluated under the max norm.  Gaussian random
-projection shrinks the number of columns at a controlled distortion.
+direction is computed here as well: every strong table is realised exactly
+under the max norm by one column per tuple, the dual of that tuple's
+bounding-chain LP.  Gaussian random projection shrinks the number of columns
+at a controlled distortion.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .lp import DEFAULT_TOL, solve_bounded_free
-from .metric import KMetric, VALUE_TOL
+from .lp import DEFAULT_TOL, LPError
+from .metric import KMetric, VALUE_TOL, _bounding_lp, map_tuples, tuple_boundary
 from .simplicial import (
     Chain,
     SimplexKey,
@@ -116,13 +116,15 @@ def eval_coboundary_metric(F: ChainMatrix, norm: NormSpec) -> KMetric:
 
 
 def frechet_column(d: KMetric, t: Sequence[int], tol: float = VALUE_TOL):
-    """One embedding column: the chain realising d(t) without expanding anywhere.
+    """One embedding column: a chain realising d(t) without expanding anywhere.
 
-    Maximises the coboundary at t over chains f with |coboundary(f)| <= d
-    entrywise; for arity >= 3 the search is restricted to the cycle space
-    (boundary of f zero), which the optimum can always be taken from.  The
-    maximum equals the minimum bounding-chain cost at t, so it reaches d(t)
-    exactly when no cheaper chain exists; anything lower raises.
+    The column is the dual y of the bounding-chain LP for the boundary of t
+    (min sum_s d(s)|alpha(s)| subject to boundary(alpha) = boundary(e_t)).
+    Its dual program is max <boundary(e_t), f> subject to
+    |coboundary(f)| <= d, so y never expands and its coboundary at t equals
+    the cheapest bounding-chain cost.  That reaches d(t) exactly when no
+    cheaper chain exists; anything lower raises NotStrongError.  The column
+    need not be a cycle.
 
     Returns:
         (chain, achieved) where achieved is the attained coboundary value.
@@ -130,37 +132,34 @@ def frechet_column(d: KMetric, t: Sequence[int], tol: float = VALUE_TOL):
     key = validate_simplex(d.n, t)
     if len(key) != d.k:
         raise ValueError(f"expected a {d.k}-tuple, got {key}")
-    delta = coboundary_operator(d.n, d.k - 2).matrix.astype(float)
-    if d.k >= 3:
-        E = boundary_operator(d.n, d.k - 2).matrix.astype(float)
-    else:
-        # 0-chains have no boundary here; the constraint block is empty and
-        # the optimality argument is unaffected.
-        E = np.zeros((0, comb(d.n, d.k - 1)))
     idx = simplex_index(d.n, key)
-    objective = boundary_operator(d.n, d.k - 1).matrix[:, idx].astype(float)
-    sol = solve_bounded_free(delta, -d.values, d.values, E, objective)
+    cost, _, y = _bounding_lp(
+        d.values, tuple_boundary(d.n, d.k, idx), np.arange(d.values.size), DEFAULT_TOL
+    )
     value = float(d.values[idx])
-    achieved = float(sol.objective)
-    if achieved < value - tol * max(1.0, value):
-        raise NotStrongError(key, value, achieved)
-    return Chain(n=d.n, dim=d.k - 2, coeffs=sol.x), achieved
+    if cost < value * (1.0 - tol):
+        raise NotStrongError(key, value, cost)
+    # The solver keeps dual feasibility to DEFAULT_TOL of the largest value,
+    # which is what a zero entry of a pseudo table can be held to.
+    rows = boundary_operator(d.n, d.k - 1).matrix.T @ y
+    slack = d.values * (1.0 + tol) + DEFAULT_TOL * d.values.max()
+    if (np.abs(rows) > slack).any():
+        raise LPError(f"dual column for {key} expands beyond the table")
+    return Chain(n=d.n, dim=d.k - 2, coeffs=y), float(rows[idx])
 
 
 def frechet_embed(d: KMetric, jobs: int = 1) -> ChainMatrix:
     """One column per k-tuple, in canonical order; eval at p=inf returns d.
 
-    Raises NotStrongError at the first tuple (canonical order) that some
-    chain bounds more cheaply than its table value.
+    Column t is the LP dual from frechet_column.  Raises NotStrongError at
+    the first tuple (canonical order) that some chain bounds more cheaply
+    than its table value.
     """
     simplices = enumerate_simplices(d.n, d.k - 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            columns = list(pool.map(lambda t: frechet_column(d, t)[0], simplices))
-    else:
-        columns = [frechet_column(d, t)[0] for t in simplices]
-    data = np.column_stack([c.coeffs for c in columns])
-    return ChainMatrix(n=d.n, k=d.k, data=data)
+    columns = map_tuples(
+        lambda i: frechet_column(d, simplices[i])[0].coeffs, len(simplices), jobs
+    )
+    return ChainMatrix(n=d.n, k=d.k, data=np.column_stack(columns))
 
 
 def _abs_moment_root(p: float) -> float:

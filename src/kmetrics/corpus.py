@@ -16,7 +16,7 @@ import numpy as np
 from .coboundary import ChainMatrix
 from .hypertree import WeightedComplex, mbc_metric
 from .metric import KMetric
-from .simplicial import Chain, chain_from_dict, simplex_index
+from .simplicial import Chain, chain_from_dict, enumerate_simplices, simplex_index
 from .volume import PointCloud
 
 # The seven small triangles of an edgewise-subdivided triangle: 0,1,2 are the
@@ -131,8 +131,6 @@ def six_point_apex_discrete() -> CorpusInstance:
     base = discrete_metric(5, 3)
     payload = apex_extend_chain_matrix(base.aux["inducing_chain_matrix"])
     values = {}
-    from .simplicial import enumerate_simplices
-
     for s in enumerate_simplices(6, 3):
         values[s] = 1.0 if s[-1] == 5 else 0.0
     return CorpusInstance(
@@ -156,8 +154,6 @@ def _pairwise_distances(cloud: PointCloud) -> np.ndarray:
 
 def perimeter_metric(cloud: PointCloud) -> CorpusInstance:
     """Arity-3 table summing the three pairwise distances of each triple."""
-    from .simplicial import enumerate_simplices
-
     dist = _pairwise_distances(cloud)
     values = [
         dist[a, b] + dist[a, c] + dist[b, c]
@@ -171,8 +167,6 @@ def perimeter_metric(cloud: PointCloud) -> CorpusInstance:
 
 def max_side_metric(cloud: PointCloud) -> CorpusInstance:
     """Arity-3 table taking the longest pairwise distance of each triple."""
-    from .simplicial import enumerate_simplices
-
     dist = _pairwise_distances(cloud)
     values = [
         max(dist[a, b], dist[a, c], dist[b, c])
@@ -192,8 +186,6 @@ def random_strong_metric(
     Tables built this way satisfy the strong inequality by construction;
     equal costs everywhere reduce to a scaled discrete table.
     """
-    from .simplicial import enumerate_simplices
-
     rng = np.random.default_rng(seed)
     facets = enumerate_simplices(n, k - 1)
     weights = rng.uniform(*weight_range, size=len(facets))

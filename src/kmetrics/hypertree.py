@@ -12,14 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Sequence
 
 import numpy as np
 
-from .coboundary import ChainMatrix, NormSpec, eval_coboundary_metric
-from .metric import KMetric, UnfillableBoundaryError, min_bounding_chain
+from .coboundary import ChainMatrix
+from .metric import (
+    KMetric,
+    UnfillableBoundaryError,
+    map_tuples,
+    min_bounding_chain,
+    tuple_boundary,
+)
 from .simplicial import (
-    Chain,
     boundary_operator,
     coboundary_operator,
     enumerate_simplices,
@@ -122,13 +126,11 @@ def mbc_metric(K: WeightedComplex, jobs: int = 1) -> KMetric:
     weights = np.zeros(count)
     idx = K.facet_indices()
     weights[idx] = K.weights
-    bd = boundary_operator(K.n, K.k - 1)
     simplices = enumerate_simplices(K.n, K.k - 1)
 
     def solve_one(i: int) -> float:
-        target = Chain(n=K.n, dim=K.k - 2, coeffs=bd.matrix[:, i].astype(float))
         try:
-            cost, _ = min_bounding_chain(weights, target, mask=idx)
+            cost, _ = min_bounding_chain(weights, tuple_boundary(K.n, K.k, i), mask=idx)
         except UnfillableBoundaryError as exc:
             raise UnfillableBoundaryError(
                 f"complex does not fill all boundaries: no facet chain bounds "
@@ -136,13 +138,7 @@ def mbc_metric(K: WeightedComplex, jobs: int = 1) -> KMetric:
             ) from exc
         return cost
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(solve_one, range(len(simplices))))
-    else:
-        values = [solve_one(i) for i in range(len(simplices))]
+    values = map_tuples(solve_one, len(simplices), jobs)
     return KMetric(n=K.n, k=K.k, values=np.array(values))
 
 

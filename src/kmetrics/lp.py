@@ -3,7 +3,10 @@
 Programs are minimisation over nonnegative variables with equality rows.
 Pivoting follows Bland's rule (lowest eligible index) so runs are
 deterministic and never cycle.  Sizes stay in the hundreds of rows/columns,
-so the full tableau is kept as one float array.
+so the full tableau is kept as one float array.  The package solves one kind
+of program, the bounding-chain LP of ``metric``: its primal solution is the
+cheapest bounding chain and its dual ``y`` is a max-norm embedding column.
+Tolerances are absolute, so callers scale their costs to order one.
 """
 
 from __future__ import annotations
@@ -152,55 +155,3 @@ def solve(lp: StandardFormLP, tol: float = DEFAULT_TOL) -> LPSolution:
     y.flags.writeable = False
     return LPSolution("optimal", x, y, objective)
 
-
-def solve_bounded_free(
-    C: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    E: np.ndarray,
-    objective: np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> LPSolution:
-    """max objective.f  subject to  lower <= C f <= upper,  E f = 0,  f free.
-
-    Free variables are split into positive and negative parts and the bound
-    pair becomes two slack systems, which yields a standard-form program with
-    basic (vertex) optima.  The reported x is the recombined f; y stacks the
-    duals of the upper rows, lower rows, then the E rows.
-    """
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    nc, nf = C.shape
-    E = np.asarray(E, dtype=float).reshape(-1, nf) if np.size(E) else np.zeros((0, nf))
-    ne = E.shape[0]
-    lower = np.asarray(lower, dtype=float).reshape(-1)
-    upper = np.asarray(upper, dtype=float).reshape(-1)
-    obj = np.asarray(objective, dtype=float).reshape(-1)
-    if lower.size != nc or upper.size != nc or obj.size != nf:
-        raise ValueError("bound or objective length does not match C")
-    if (lower > upper + tol).any():
-        raise ValueError("lower bound exceeds upper bound")
-
-    rows = 2 * nc + ne
-    cols = 2 * nf + 2 * nc
-    A = np.zeros((rows, cols))
-    A[:nc, :nf] = C
-    A[:nc, nf : 2 * nf] = -C
-    A[:nc, 2 * nf : 2 * nf + nc] = np.eye(nc)
-    A[nc : 2 * nc, :nf] = C
-    A[nc : 2 * nc, nf : 2 * nf] = -C
-    A[nc : 2 * nc, 2 * nf + nc :] = -np.eye(nc)
-    A[2 * nc :, :nf] = E
-    A[2 * nc :, nf : 2 * nf] = -E
-    b = np.concatenate([upper, lower, np.zeros(ne)])
-    cost = np.concatenate([-obj, obj, np.zeros(2 * nc)])
-
-    sol = solve(StandardFormLP(A, b, cost), tol=tol)
-    if sol.status == "infeasible":
-        # With lower <= 0 <= upper the origin is feasible; anything else is
-        # a solver-level failure rather than a caller error.
-        raise LPError("bounded-free program reported infeasible")
-    if sol.status == "unbounded":
-        raise LPError("objective unbounded on the feasible region")
-    f = sol.x[:nf] - sol.x[nf : 2 * nf]
-    f.flags.writeable = False
-    return LPSolution("optimal", f, sol.y, float(obj @ f))

@@ -12,13 +12,13 @@ program per tuple.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .lp import DEFAULT_TOL, LPSolution, StandardFormLP, solve
+from .lp import DEFAULT_TOL, StandardFormLP, solve
 from .simplicial import (
     Chain,
     SimplexKey,
@@ -129,6 +129,65 @@ def check_weak(d: KMetric, tol: float = VALUE_TOL) -> VerificationReport:
     )
 
 
+def map_tuples(solve_one: Callable, count: int, jobs: int = 1,
+               stop: Optional[Callable] = None) -> list:
+    """solve_one(i) for the tuples i = 0..count-1, in canonical order.
+
+    This is the one per-tuple loop.  It runs serially and ends after the
+    first i where stop(i, result) holds.  With jobs > 1 every tuple is solved
+    on a thread pool, stop is not applied, and the first exception in
+    canonical order is the one raised.
+    """
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(solve_one, range(count)))
+    results = []
+    for i in range(count):
+        results.append(solve_one(i))
+        if stop is not None and stop(i, results[-1]):
+            break
+    return results
+
+
+def tuple_boundary(n: int, k: int, i: int) -> Chain:
+    """Boundary of the indicator of the i-th k-tuple in canonical order."""
+    return Chain(n=n, dim=k - 2, coeffs=boundary_operator(n, k - 1).matrix[:, i])
+
+
+def _bounding_lp(w: np.ndarray, target: Chain, cols: np.ndarray, tol: float):
+    """(cost, chain, y): the bounding-chain LP on the columns cols, and its dual.
+
+    The costs are divided by their max before the solve and cost and y are
+    multiplied back, so every tolerance inside the solver is relative to the
+    table.  The dual y satisfies |coboundary(y)| <= w on cols (up to the
+    solver tolerance) and <target, y> = cost.
+    """
+    n, dim = target.n, target.dim + 1
+    B = boundary_operator(n, dim).matrix
+    scale = float(w[cols].max())
+    if scale <= 0.0:
+        scale = 1.0
+    c = w[cols] / scale
+    sol = solve(
+        StandardFormLP(A=np.hstack([B[:, cols], -B[:, cols]]), b=target.coeffs,
+                       c=np.concatenate([c, c])),
+        tol=tol,
+    )
+    if sol.status == "infeasible":
+        raise UnfillableBoundaryError("boundary not fillable on the allowed simplices")
+    if sol.status != "optimal":
+        raise UnfillableBoundaryError(f"bounding-chain solve ended {sol.status}")
+
+    coeffs = np.zeros(B.shape[1])
+    coeffs[cols] = sol.x[: cols.size] - sol.x[cols.size :]
+    residual = np.abs(B @ coeffs - target.coeffs).max(initial=0.0)
+    if residual > RESIDUAL_TOL:
+        raise UnfillableBoundaryError(
+            f"bounding chain residual {residual:.3e} exceeds {RESIDUAL_TOL}"
+        )
+    return sol.objective * scale, Chain(n=n, dim=dim, coeffs=coeffs), sol.y * scale
+
+
 def min_bounding_chain(
     weights: np.ndarray,
     target: Chain,
@@ -177,26 +236,8 @@ def min_bounding_chain(
             return 0.0, zero_chain(n, dim)
         raise UnfillableBoundaryError("boundary not fillable: empty simplex mask")
 
-    B = boundary_operator(n, dim).matrix[:, cols].astype(float)
-    nc = cols.size
-    A = np.hstack([B, -B])
-    c = np.concatenate([w[cols], w[cols]])
-    sol = solve(StandardFormLP(A=A, b=target.coeffs, c=c), tol=tol)
-    if sol.status == "infeasible":
-        raise UnfillableBoundaryError("boundary not fillable on the allowed simplices")
-    if sol.status != "optimal":
-        raise UnfillableBoundaryError(f"bounding-chain solve ended {sol.status}")
-
-    alpha = sol.x[:nc] - sol.x[nc:]
-    coeffs = np.zeros(count)
-    coeffs[cols] = alpha
-    chain = Chain(n=n, dim=dim, coeffs=coeffs)
-    residual = boundary_operator(n, dim).matrix.astype(float) @ coeffs - target.coeffs
-    if np.abs(residual).max(initial=0.0) > RESIDUAL_TOL:
-        raise UnfillableBoundaryError(
-            f"bounding chain residual {np.abs(residual).max():.3e} exceeds {RESIDUAL_TOL}"
-        )
-    return float(sol.objective), chain
+    cost, chain, _ = _bounding_lp(w, target, cols, tol)
+    return cost, chain
 
 
 def check_strong(
@@ -208,39 +249,24 @@ def check_strong(
     """Compare each table value with its minimum bounding-chain cost.
 
     The table is strong when no chain bounds the boundary of a tuple more
-    cheaply than the tuple's own value (up to a relative tolerance).  By
+    cheaply than the tuple's own value, up to the relative tolerance tol.  By
     default the scan stops at the first failing tuple in canonical order;
     exhaustive mode records the margin of every tuple.  The result does not
     depend on the number of worker threads.
     """
     weak = check_weak(d, tol=tol)
     simplices = d.simplices()
-    bd = boundary_operator(d.n, d.k - 1)
 
     def solve_one(i: int):
-        target = Chain(n=d.n, dim=d.k - 2, coeffs=bd.matrix[:, i].astype(float))
-        cost, chain = min_bounding_chain(d.values, target)
-        return cost, chain
+        return min_bounding_chain(d.values, tuple_boundary(d.n, d.k, i))
 
     def is_failure(i: int, cost: float) -> bool:
-        value = float(d.values[i])
-        return cost < value - tol * max(1.0, value)
+        return cost < float(d.values[i]) * (1.0 - tol)
 
+    stop = None if exhaustive else lambda i, result: is_failure(i, result[0])
+    results = map_tuples(solve_one, len(simplices), jobs, stop)
     margins = []
     witness = None
-    indices = range(len(simplices))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(solve_one, indices))
-    elif exhaustive:
-        results = [solve_one(i) for i in indices]
-    else:
-        results = []
-        for i in indices:
-            results.append(solve_one(i))
-            if is_failure(i, results[-1][0]):
-                break
-
     for i, (cost, chain) in enumerate(results):
         margins.append((simplices[i], cost, float(d.values[i])))
         if witness is None and is_failure(i, cost):
@@ -251,7 +277,6 @@ def check_strong(
                 chain=chain,
             )
             if not exhaustive:
-                margins = margins[: i + 1]  # same truncation as the serial scan
                 break
 
     return VerificationReport(

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from kmetrics.cli import main
+from kmetrics.cli import build_parser, main
 from kmetrics.coboundary import NormSpec, eval_coboundary_metric, jl_target_dim
 from kmetrics.corpus import SUBDIVISION_TRIANGLES
 from kmetrics.fileio import (
@@ -108,6 +108,23 @@ def test_verify_results_do_not_depend_on_jobs(tmp_path, capsys):
     _, one = _run(["--jobs", "1", "verify", out, "--strong", "--exhaustive"], capsys)
     _, four = _run(["--jobs", "4", "verify", out, "--strong", "--exhaustive"], capsys)
     assert one["results"] == four["results"]
+
+
+def test_jobs_defaults_to_one():
+    assert build_parser().parse_args(["verify", "d.json"]).jobs == 1
+
+
+def test_embed_frechet_chains_do_not_depend_on_jobs(tmp_path, capsys):
+    d = str(tmp_path / "d.json")
+    _run(["gen", "random-strong", "--n", "6", "--k", "3", "--seed", "11",
+          "-o", d], capsys)
+    written = []
+    for jobs in ("1", "2"):
+        out = str(tmp_path / f"F{jobs}.json")
+        code, _ = _run(["--jobs", jobs, "embed", "frechet", d, "-o", out], capsys)
+        assert code == 0
+        written.append(read_chain_matrix(out).data)
+    assert np.array_equal(written[0], written[1])
 
 
 # --- min-chain ---------------------------------------------------------------

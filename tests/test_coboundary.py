@@ -27,7 +27,7 @@ from kmetrics import (
     simplex_index,
 )
 from kmetrics import WeightedComplex
-from kmetrics.corpus import four_point_equilateral, subdivided_triangle
+from kmetrics.corpus import four_point_equilateral, random_strong_metric, subdivided_triangle
 from kmetrics.hypertree import mbc_metric
 from oracles import random_closure_2metric, relabel_chain_matrix, relabel_kmetric
 
@@ -129,6 +129,22 @@ def test_frechet_round_trip_2metric():
     F = frechet_embed(d)
     back = eval_coboundary_metric(F, NormSpec(math.inf))
     assert np.allclose(back.values, d.values, rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-9])
+def test_frechet_round_trip_at_small_scale(scale):
+    d = random_strong_metric(7, 3, 1).payload
+    small = KMetric(n=d.n, k=d.k, values=d.values * scale)
+    back = eval_coboundary_metric(frechet_embed(small), NormSpec(math.inf))
+    assert np.abs(back.values / small.values - 1.0).max() <= 1e-6
+
+
+def test_frechet_round_trip_with_zero_entries():
+    # an inf-norm coboundary table with zeros; roundoff in a column's
+    # coboundary at a zero entry must not count as expansion
+    d = KMetric(n=5, k=3, values=np.array([0, 1, 1, 2, 1, 3, 1, 1, 1, 0.0]))
+    back = eval_coboundary_metric(frechet_embed(d), NormSpec(math.inf))
+    assert np.allclose(back.values, d.values, rtol=1e-9, atol=1e-12)
 
 
 def test_frechet_round_trip_discrete():

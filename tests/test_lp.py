@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from kmetrics import LPError, StandardFormLP, solve, solve_bounded_free
+from kmetrics import (
+    StandardFormLP,
+    boundary_operator,
+    coboundary_operator,
+    frechet_column,
+    min_bounding_chain,
+    solve,
+)
+from kmetrics.corpus import discrete_metric, random_strong_metric
+from kmetrics.metric import tuple_boundary
 from oracles import lp_min_by_vertex_enumeration
 
 
@@ -120,34 +129,39 @@ def test_determinism_bit_for_bit():
     assert first.objective == second.objective
 
 
-def test_bounded_free_single_row():
-    sol = solve_bounded_free([[1.0]], [-1.0], [1.0], [], [1.0])
-    assert sol.x[0] == pytest.approx(1.0)
-    assert sol.objective == pytest.approx(1.0)
+@pytest.mark.parametrize(
+    "table",
+    [
+        random_strong_metric(6, 2, 31).payload,
+        random_strong_metric(6, 3, 32).payload,
+        random_strong_metric(6, 4, 33).payload,
+        discrete_metric(5, 3).payload,
+    ],
+    ids=["k2", "k3", "k4", "discrete-k3"],
+)
+def test_bounding_chain_strong_duality(table):
+    # Per tuple t: primal bounding-chain cost = b.y = frechet_column's
+    # achieved value = d(t), and the dual y never expands: |coboundary y| <= d.
+    # HiGHS (scipy) is an independent oracle for the primal cost.
+    from scipy.optimize import linprog
 
-
-def test_bounded_free_zero_objective():
-    sol = solve_bounded_free([[1.0]], [-1.0], [1.0], [], [0.0])
-    assert sol.objective == pytest.approx(0.0)
-    assert -1.0 - 1e-9 <= sol.x[0] <= 1.0 + 1e-9
-
-
-def test_bounded_free_box_maximum():
-    sol = solve_bounded_free(
-        np.eye(2), [-1.0, -2.0], [1.0, 2.0], [], [1.0, 1.0]
-    )
-    assert sol.objective == pytest.approx(3.0)
-    assert sol.x == pytest.approx([1.0, 2.0])
-
-
-def test_bounded_free_with_equality_constraint():
-    # maximize f1 + f2 with f1 + f2 = 0 inside the unit box: optimum 0
-    sol = solve_bounded_free(
-        np.eye(2), [-1.0, -1.0], [1.0, 1.0], [[1.0, 1.0]], [1.0, 1.0]
-    )
-    assert sol.objective == pytest.approx(0.0)
-
-
-def test_bounded_free_rejects_crossed_bounds():
-    with pytest.raises(ValueError):
-        solve_bounded_free([[1.0]], [2.0], [1.0], [], [1.0])
+    d = table
+    B = boundary_operator(d.n, d.k - 1).matrix.astype(float)
+    delta = coboundary_operator(d.n, d.k - 2).matrix.astype(float)
+    A = np.hstack([B, -B])
+    c = np.concatenate([d.values, d.values])
+    for i, t in enumerate(d.simplices()):
+        b = tuple_boundary(d.n, d.k, i).coeffs
+        sol = solve(_lp(A, b, c))
+        cost, _ = min_bounding_chain(d.values, tuple_boundary(d.n, d.k, i))
+        column, achieved = frechet_column(d, t)
+        y = column.coeffs
+        assert sol.objective == pytest.approx(float(b @ sol.y), rel=1e-9)
+        assert cost == pytest.approx(sol.objective, rel=1e-9)
+        assert float(b @ y) == pytest.approx(cost, rel=1e-9)
+        assert achieved == pytest.approx(cost, rel=1e-9)
+        assert achieved == pytest.approx(d.values[i], rel=1e-9)
+        assert (np.abs(delta @ y) <= d.values * (1 + 1e-9)).all()
+        oracle = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        assert oracle.status == 0
+        assert cost == pytest.approx(oracle.fun, rel=1e-9)

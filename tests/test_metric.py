@@ -162,6 +162,16 @@ def test_strong_finds_subdivision_witness():
     assert sorted(w.chain.support()) == sorted(tuple(sorted(t)) for t in SUBDIVISION)
 
 
+def test_strong_verdict_survives_tiny_scale():
+    # a tolerance of tol * max(1, value) is absolute below 1 and hid the witness
+    d = subdivided_triangle().payload
+    tiny = KMetric(n=d.n, k=d.k, values=d.values * 1e-9)
+    report = check_strong(tiny)
+    assert report.is_strong is False
+    assert report.strong_witness.simplex == (0, 1, 2)
+    assert report.strong_witness.cost == pytest.approx(7e-9, rel=1e-9)
+
+
 def test_strong_on_weighted_triangle_graph():
     # shortest-path metric of a 3-cycle satisfies the triangle inequality
     d = KMetric(n=3, k=2, values=np.array([1.0, 1.5, 2.0]))
