@@ -3,7 +3,9 @@
 Every run prints one JSON report to stdout: either the command's results or
 an error object.  Exit codes: 0 success, 1 negative verification verdict,
 2 unusable input (parse, schema, or precondition), 3 solver failure.  The
-results of a run depend only on the inputs and flags, never on --jobs.
+per-tuple bounding-chain LPs of verify --strong, embed frechet and
+gen random-strong run as one warm-started sweep over the tuples, so --jobs
+has no effect; it is still accepted so existing command lines keep working.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def build_parser() -> _Parser:
         "--jobs",
         type=int,
         default=1,
-        help="worker threads for the per-tuple LPs (results do not depend on this)",
+        help="accepted and ignored: the per-tuple LPs run as one sequential sweep",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -188,9 +190,7 @@ def _cmd_verify(args, inputs, outputs):
     d = read_kmetric(args.metric)
     inputs[args.metric] = _sha256(args.metric)
     if args.strong:
-        report = check_strong(
-            d, exhaustive=args.exhaustive, tol=args.tol, jobs=args.jobs
-        )
+        report = check_strong(d, exhaustive=args.exhaustive, tol=args.tol)
     else:
         report = check_weak(d, tol=args.tol)
     results = {
@@ -259,7 +259,7 @@ def _cmd_embed(args, inputs, outputs):
     if args.mode == "frechet":
         d = read_kmetric(args.metric)
         inputs[args.metric] = _sha256(args.metric)
-        F = frechet_embed(d, jobs=args.jobs)
+        F = frechet_embed(d)
         write_chain_matrix(F, args.output)
         outputs["chains"] = args.output
         return {"n": F.n, "k": F.k, "columns": F.m}, OK

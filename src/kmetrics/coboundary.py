@@ -19,13 +19,12 @@ from typing import Sequence
 import numpy as np
 
 from .lp import DEFAULT_TOL, LPError
-from .metric import KMetric, VALUE_TOL, _bounding_lp, map_tuples, tuple_boundary
+from .metric import KMetric, VALUE_TOL, _bounding_lp, bounding_sweep, tuple_boundary
 from .simplicial import (
     Chain,
     SimplexKey,
     boundary_operator,
     coboundary_operator,
-    enumerate_simplices,
     simplex_index,
     validate_simplex,
 )
@@ -115,6 +114,24 @@ def eval_coboundary_metric(F: ChainMatrix, norm: NormSpec) -> KMetric:
     return KMetric(n=F.n, k=F.k, values=norm.row_norms(rows))
 
 
+def _dual_column(d: KMetric, idx: int, cost: float, y: np.ndarray, tol: float):
+    """(chain, achieved) for tuple idx from its bounding-chain LP's cost and dual.
+
+    Raises NotStrongError when a chain bounds the tuple below its value and
+    LPError when y expands the table anywhere.
+    """
+    value = float(d.values[idx])
+    if cost < value * (1.0 - tol):
+        raise NotStrongError(d.simplices()[idx], value, cost)
+    # The solver keeps dual feasibility to DEFAULT_TOL of the largest value,
+    # which is what a zero entry of a pseudo table can be held to.
+    rows = boundary_operator(d.n, d.k - 1).matrix.T @ y
+    slack = d.values * (1.0 + tol) + DEFAULT_TOL * d.values.max()
+    if (np.abs(rows) > slack).any():
+        raise LPError(f"dual column for {d.simplices()[idx]} expands beyond the table")
+    return Chain(n=d.n, dim=d.k - 2, coeffs=y), float(rows[idx])
+
+
 def frechet_column(d: KMetric, t: Sequence[int], tol: float = VALUE_TOL):
     """One embedding column: a chain realising d(t) without expanding anywhere.
 
@@ -136,29 +153,23 @@ def frechet_column(d: KMetric, t: Sequence[int], tol: float = VALUE_TOL):
     cost, _, y = _bounding_lp(
         d.values, tuple_boundary(d.n, d.k, idx), np.arange(d.values.size), DEFAULT_TOL
     )
-    value = float(d.values[idx])
-    if cost < value * (1.0 - tol):
-        raise NotStrongError(key, value, cost)
-    # The solver keeps dual feasibility to DEFAULT_TOL of the largest value,
-    # which is what a zero entry of a pseudo table can be held to.
-    rows = boundary_operator(d.n, d.k - 1).matrix.T @ y
-    slack = d.values * (1.0 + tol) + DEFAULT_TOL * d.values.max()
-    if (np.abs(rows) > slack).any():
-        raise LPError(f"dual column for {key} expands beyond the table")
-    return Chain(n=d.n, dim=d.k - 2, coeffs=y), float(rows[idx])
+    return _dual_column(d, idx, cost, y, tol)
 
 
 def frechet_embed(d: KMetric, jobs: int = 1) -> ChainMatrix:
     """One column per k-tuple, in canonical order; eval at p=inf returns d.
 
-    Column t is the LP dual from frechet_column.  Raises NotStrongError at
-    the first tuple (canonical order) that some chain bounds more cheaply
-    than its table value.
+    Column t is the LP dual of t's bounding-chain program, as in
+    frechet_column, taken from one warm-started sweep over the tuples (so
+    on degenerate duals it may differ from frechet_column's).  Raises
+    NotStrongError at the first tuple (canonical order) that some chain
+    bounds more cheaply than its table value.  The sweep is sequential, so
+    jobs has no effect; it is kept for callers that pass it.
     """
-    simplices = enumerate_simplices(d.n, d.k - 1)
-    columns = map_tuples(
-        lambda i: frechet_column(d, simplices[i])[0].coeffs, len(simplices), jobs
-    )
+    columns = [
+        _dual_column(d, i, cost, y, VALUE_TOL)[0].coeffs
+        for i, (cost, _, y) in enumerate(bounding_sweep(d.values, d.n, d.k))
+    ]
     return ChainMatrix(n=d.n, k=d.k, data=np.column_stack(columns))
 
 

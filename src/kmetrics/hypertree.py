@@ -19,9 +19,7 @@ from .coboundary import ChainMatrix
 from .metric import (
     KMetric,
     UnfillableBoundaryError,
-    map_tuples,
-    min_bounding_chain,
-    tuple_boundary,
+    bounding_sweep,
 )
 from .simplicial import (
     boundary_operator,
@@ -121,24 +119,24 @@ def is_hypertree(K: WeightedComplex) -> HypertreeReport:
 
 
 def mbc_metric(K: WeightedComplex, jobs: int = 1) -> KMetric:
-    """Minimum bounding-chain cost of every k-tuple, chains on facets only."""
+    """Minimum bounding-chain cost of every k-tuple, chains on facets only.
+
+    The tuples are one sequential sweep, so jobs has no effect; it is kept
+    for callers that pass it.
+    """
     count = comb(K.n, K.k)
     weights = np.zeros(count)
     idx = K.facet_indices()
     weights[idx] = K.weights
-    simplices = enumerate_simplices(K.n, K.k - 1)
-
-    def solve_one(i: int) -> float:
-        try:
-            cost, _ = min_bounding_chain(weights, tuple_boundary(K.n, K.k, i), mask=idx)
-        except UnfillableBoundaryError as exc:
-            raise UnfillableBoundaryError(
-                f"complex does not fill all boundaries: no facet chain bounds "
-                f"{simplices[i]}"
-            ) from exc
-        return cost
-
-    values = map_tuples(solve_one, len(simplices), jobs)
+    values = []
+    try:
+        for cost, _, _ in bounding_sweep(weights, K.n, K.k, np.unique(idx)):
+            values.append(cost)
+    except UnfillableBoundaryError as exc:
+        raise UnfillableBoundaryError(
+            f"complex does not fill all boundaries: no facet chain bounds "
+            f"{enumerate_simplices(K.n, K.k - 1)[len(values)]}"
+        ) from exc
     return KMetric(n=K.n, k=K.k, values=np.array(values))
 
 

@@ -1,12 +1,24 @@
-"""Dense two-phase primal simplex for the small equality-form programs here.
+"""Dense tableau simplex for the small equality-form programs here.
 
-Programs are minimisation over nonnegative variables with equality rows.
-Pivoting follows Bland's rule (lowest eligible index) so runs are
-deterministic and never cycle.  Sizes stay in the hundreds of rows/columns,
-so the full tableau is kept as one float array.  The package solves one kind
-of program, the bounding-chain LP of ``metric``: its primal solution is the
-cheapest bounding chain and its dual ``y`` is a max-norm embedding column.
-Tolerances are absolute, so callers scale their costs to order one.
+Programs are minimisation over nonnegative variables with equality rows.  A
+``Simplex`` keeps one tableau ``[B^-1 A | B^-1 | B^-1 b]`` for fixed ``A``
+and ``c``, with the reduced-cost row inside it, and solves it for a sequence
+of right-hand sides:
+
+- the first by two phases (artificial start);
+- every later one by the dual simplex from the last optimal basis.  That
+  basis stays dual feasible when only ``b`` changes, so only the column
+  ``B^-1 b`` is recomputed before pivoting.
+
+Pivoting is deterministic and never cycles.  The primal simplex follows
+Bland's rule (lowest entering index, lowest basic index among ratio ties);
+the dual simplex its counterpart (the infeasible row with the lowest basic
+index leaves, the lowest index among ratio-test ties enters).  Sizes stay in
+the hundreds of rows, so the tableau is one dense float array.  The package
+solves one kind of program, the bounding-chain LP of ``metric``: its primal
+solution is the cheapest bounding chain and its dual ``y`` is a max-norm
+embedding column.  Tolerances are absolute, so callers scale their costs to
+order one.
 """
 
 from __future__ import annotations
@@ -51,7 +63,7 @@ class StandardFormLP:
 class LPSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: Optional[np.ndarray]
-    y: Optional[np.ndarray]  # dual of the equality rows (zero on dropped rows)
+    y: Optional[np.ndarray]  # dual of the equality rows
     objective: Optional[float]
 
 
@@ -65,93 +77,132 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run_simplex(
-    T: np.ndarray, basis: np.ndarray, c: np.ndarray, tol: float, n_entering: int
-) -> str:
-    """Minimise c over the tableau T = [B^-1 A | B^-1 b] in place.
+def _feasibility_tol(b: np.ndarray) -> float:
+    return 1e-7 * max(1.0, float(np.abs(b).max(initial=0.0)))
 
-    Only the first n_entering columns may enter the basis; the artificial
-    block beyond them stays out once left.
+
+def _ratio_ties(ratios: np.ndarray, tol: float) -> np.ndarray:
+    best = ratios.min()
+    return ratios <= best + tol * (1.0 + abs(best))
+
+
+class Simplex:
+    """min c.x s.t. A x = b, x >= 0 for fixed A and c and changing b.
+
+    The tableau has m constraint rows and then the reduced-cost row.  Its
+    columns are the nv variables, the m columns of B^-1 and the right-hand
+    side.  Artificial variables (basis entries >= nv) have no column: once
+    one leaves the basis it cannot return.
     """
-    rhs = T.shape[1] - 1
-    for _ in range(_MAX_PIVOTS):
-        reduced = c[:n_entering] - c[basis] @ T[:, :n_entering]
-        entering = np.nonzero(reduced < -tol)[0]
-        if entering.size == 0:
-            return "optimal"
-        col = int(entering[0])
-        column = T[:, col]
-        eligible = np.nonzero(column > tol)[0]
-        if eligible.size == 0:
-            return "unbounded"
-        ratios = T[eligible, rhs] / column[eligible]
-        best = ratios.min()
-        tied = eligible[ratios <= best + tol * (1.0 + abs(best))]
-        row = int(tied[np.argmin(basis[tied])])
-        _pivot(T, basis, row, col)
-    raise LPError("pivot limit exceeded; simplex did not terminate")
+
+    def __init__(self, A: np.ndarray, c: np.ndarray, tol: float = DEFAULT_TOL):
+        self.A = np.asarray(A, dtype=float)
+        self.c = np.asarray(c, dtype=float)
+        self.tol = tol
+        self.T = None
+        self.basis = None
+        self._dual_feasible = False  # an optimal basis to warm-start from
+
+    def solve(self, b: np.ndarray) -> LPSolution:
+        """Cold solve for b by two phases.
+
+        Phase one starts from artificials and drops the redundant equality
+        rows it finds; their artificials stay basic at level zero.
+        """
+        A, c, tol = self.A, self.c, self.tol
+        m, nv = A.shape
+        b = np.asarray(b, dtype=float)
+        self._dual_feasible = False
+        self.basis = np.arange(nv, nv + m)
+        # artificial i is sign(b_i) e_i, so B^-1 is diagonal
+        rows = np.diag(np.where(b < 0, -1.0, 1.0)) @ np.hstack([A, np.eye(m), b[:, None]])
+        cost = np.concatenate([c, np.zeros(m + 1)])  # artificials cost 0 here
+        self.T = np.vstack([rows, cost - cost[self.basis] @ rows])
+
+        # Phase one minimises the artificial mass, in a second cost row.
+        self.T = np.vstack([self.T, -rows.sum(axis=0)])
+        if self._primal(m + 1) == "unbounded":
+            raise LPError("phase one reported unbounded")
+        infeasibility = -self.T[m + 1, -1]
+        self.T = self.T[: m + 1]
+        if infeasibility > _feasibility_tol(b):
+            return LPSolution("infeasible", None, None, None)
+        # Pivot leftover artificials out where possible.  A row with no
+        # usable pivot is a redundant constraint: zero on every column.
+        for i in range(m):
+            if self.basis[i] >= nv:
+                pivots = np.nonzero(np.abs(self.T[i, :nv]) > tol)[0]
+                if pivots.size:
+                    _pivot(self.T, self.basis, i, int(pivots[0]))
+
+        if self._primal(m) == "unbounded":
+            return LPSolution("unbounded", None, None, None)
+        return self._solution()
+
+    def resolve(self, b: np.ndarray) -> LPSolution:
+        """Warm solve for a new b by the dual simplex from the current basis.
+
+        Needs an earlier optimal solve: the reduced costs do not depend on b,
+        so that basis stays dual feasible and only B^-1 b is recomputed.  The
+        dual simplex keeps it dual feasible, also when b is infeasible.
+        """
+        if not self._dual_feasible:
+            raise LPError("no optimal basis to warm-start from")
+        T, basis, tol = self.T, self.basis, self.tol
+        m, nv = self.A.shape
+        b = np.asarray(b, dtype=float)
+        T[:, -1] = T[:, nv : nv + m] @ b
+        # A redundant row (its artificial still basic) is zero on every
+        # column, so b is infeasible unless B^-1 b vanishes there.
+        if (np.abs(T[:m, -1][basis >= nv]) > _feasibility_tol(b)).any():
+            return LPSolution("infeasible", None, None, None)
+        for _ in range(_MAX_PIVOTS):
+            infeasible = np.nonzero(T[:m, -1] < -tol)[0]
+            if infeasible.size == 0:
+                return self._solution()
+            row = int(infeasible[np.argmin(basis[infeasible])])
+            eligible = np.nonzero(T[row, :nv] < -tol)[0]
+            if eligible.size == 0:
+                return LPSolution("infeasible", None, None, None)
+            ratios = T[m, eligible] / -T[row, eligible]
+            _pivot(T, basis, row, int(eligible[_ratio_ties(ratios, tol)][0]))
+        raise LPError("pivot limit exceeded; dual simplex did not terminate")
+
+    def _primal(self, cost_row: int) -> str:
+        """Primal simplex on the given cost row; only real columns enter."""
+        T, basis, tol = self.T, self.basis, self.tol
+        m, nv = self.A.shape
+        for _ in range(_MAX_PIVOTS):
+            entering = np.nonzero(T[cost_row, :nv] < -tol)[0]
+            if entering.size == 0:
+                return "optimal"
+            col = int(entering[0])
+            eligible = np.nonzero(T[:m, col] > tol)[0]
+            if eligible.size == 0:
+                return "unbounded"
+            tied = eligible[_ratio_ties(T[eligible, -1] / T[eligible, col], tol)]
+            _pivot(T, basis, int(tied[np.argmin(basis[tied])]), col)
+        raise LPError("pivot limit exceeded; simplex did not terminate")
+
+    def _solution(self) -> LPSolution:
+        m, nv = self.A.shape
+        x = np.zeros(nv)
+        real = self.basis < nv
+        x[self.basis[real]] = np.maximum(self.T[:m, -1][real], 0.0)
+        y = -self.T[m, nv : nv + m]
+        self._dual_feasible = True
+        x.flags.writeable = False
+        y.flags.writeable = False
+        return LPSolution("optimal", x, y, float(self.c @ x))
 
 
 def solve(lp: StandardFormLP, tol: float = DEFAULT_TOL) -> LPSolution:
-    """Two-phase simplex.  Returns a basic optimal solution and its dual.
+    """Two-phase simplex for one program.  Returns a basic optimum and its dual.
 
-    Redundant equality rows are detected in phase one and dropped; their dual
-    entries are reported as zero.  At an optimal solution the residual
-    ``A x - b`` and the duality gap ``c.x - b.y`` are within solver tolerance.
+    Redundant equality rows are detected in phase one and dropped.  At an
+    optimal solution the residual ``A x - b`` and the duality gap
+    ``c.x - b.y`` are within solver tolerance.
     """
-    A0 = np.array(lp.A, dtype=float)
-    b0 = np.array(lp.b, dtype=float)
-    c = np.array(lp.c, dtype=float)
-    m, nv = A0.shape
-    if nv == 0:
+    if lp.c.size == 0:
         raise ValueError("LP has no variables")
-
-    flip = np.where(b0 < 0, -1.0, 1.0)
-    A = A0 * flip[:, None]
-    b = b0 * flip
-
-    if m == 0:
-        if (c < -tol).any():
-            return LPSolution("unbounded", None, None, None)
-        x = np.zeros(nv)
-        x.flags.writeable = False
-        y = np.zeros(0)
-        y.flags.writeable = False
-        return LPSolution("optimal", x, y, 0.0)
-
-    # Phase one: artificial basis, minimise the artificial mass.  The
-    # artificial block doubles as an explicit B^-1, so it is kept through
-    # phase two (barred from re-entering) and yields the dual at the end.
-    T = np.hstack([A, np.eye(m), b[:, None]])
-    basis = np.arange(nv, nv + m)
-    c1 = np.concatenate([np.zeros(nv), np.ones(m)])
-    if _run_simplex(T, basis, c1, tol, n_entering=nv) == "unbounded":
-        raise LPError("phase one reported unbounded")
-    infeasibility = float(c1[basis] @ T[:, -1])
-    if infeasibility > 1e-7 * max(1.0, float(np.abs(b).max(initial=0.0))):
-        return LPSolution("infeasible", None, None, None)
-
-    # Pivot leftover artificials out where possible.  A row with no usable
-    # pivot is a redundant constraint; it is zero on every real column and
-    # stays inert, with its artificial basic at level zero.
-    for i in range(m):
-        if basis[i] >= nv:
-            pivots = np.nonzero(np.abs(T[i, :nv]) > tol)[0]
-            if pivots.size:
-                _pivot(T, basis, i, int(pivots[0]))
-
-    c2 = np.concatenate([c, np.zeros(m)])
-    if _run_simplex(T, basis, c2, tol, n_entering=nv) == "unbounded":
-        return LPSolution("unbounded", None, None, None)
-
-    x = np.zeros(nv)
-    for i, col in enumerate(basis):
-        if col < nv:
-            x[col] = max(T[i, -1], 0.0)
-    objective = float(c @ x)
-    y = (c2[basis] @ T[:, nv : nv + m]) * flip
-
-    x.flags.writeable = False
-    y.flags.writeable = False
-    return LPSolution("optimal", x, y, objective)
-
+    return Simplex(lp.A, lp.c, tol).solve(lp.b)

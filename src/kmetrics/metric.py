@@ -6,19 +6,19 @@ is stored over canonical (k-1)-simplices.  The weak property is the simplex
 inequality (replace one point at a time); the strong property bounds the
 value at t by the weighted mass of every chain whose boundary matches the
 boundary of the indicator of t, and is decided here by one small linear
-program per tuple.
+program per tuple.  The programs differ only in their right-hand side, so
+all of them are solved as one warm-started sweep.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .lp import DEFAULT_TOL, StandardFormLP, solve
+from .lp import DEFAULT_TOL, LPError, Simplex
 from .simplicial import (
     Chain,
     SimplexKey,
@@ -102,9 +102,10 @@ def check_weak(d: KMetric, tol: float = VALUE_TOL) -> VerificationReport:
     """Test the one-point replacement inequality at every tuple.
 
     For each k-subset t and outside point y the value at t must not exceed
-    the sum of the values with one vertex of t swapped for y.  Zero values on
-    distinct tuples do not fail the check but are reported so callers can see
-    the table is pseudo rather than positive.
+    the sum of the values with one vertex of t swapped for y, up to the
+    relative tolerance tol.  Zero values on distinct tuples do not fail the
+    check but are reported so callers can see the table is pseudo rather
+    than positive.
     """
     simplices = d.simplices()
     table = d.values
@@ -119,7 +120,7 @@ def check_weak(d: KMetric, tol: float = VALUE_TOL) -> VerificationReport:
             for i in range(d.k):
                 swapped = tuple(sorted(t[:i] + t[i + 1 :] + (y,)))
                 total += table[index[swapped]]
-            if value > total + tol * max(1.0, value):
+            if value > total + tol * value:
                 violations.append((t, y))
     pseudo = tuple(t for t, v in zip(simplices, table) if v == 0.0)
     return VerificationReport(
@@ -129,63 +130,84 @@ def check_weak(d: KMetric, tol: float = VALUE_TOL) -> VerificationReport:
     )
 
 
-def map_tuples(solve_one: Callable, count: int, jobs: int = 1,
-               stop: Optional[Callable] = None) -> list:
-    """solve_one(i) for the tuples i = 0..count-1, in canonical order.
-
-    This is the one per-tuple loop.  It runs serially and ends after the
-    first i where stop(i, result) holds.  With jobs > 1 every tuple is solved
-    on a thread pool, stop is not applied, and the first exception in
-    canonical order is the one raised.
-    """
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(solve_one, range(count)))
-    results = []
-    for i in range(count):
-        results.append(solve_one(i))
-        if stop is not None and stop(i, results[-1]):
-            break
-    return results
-
-
 def tuple_boundary(n: int, k: int, i: int) -> Chain:
     """Boundary of the indicator of the i-th k-tuple in canonical order."""
     return Chain(n=n, dim=k - 2, coeffs=boundary_operator(n, k - 1).matrix[:, i])
 
 
-def _bounding_lp(w: np.ndarray, target: Chain, cols: np.ndarray, tol: float):
-    """(cost, chain, y): the bounding-chain LP on the columns cols, and its dual.
+def _bounding_chains(w: np.ndarray, n: int, dim: int, cols: np.ndarray,
+                     targets: Iterable, tol: float = DEFAULT_TOL):
+    """Yield (cost, chain, y) per target: one warm-started bounding-chain sweep.
 
-    The costs are divided by their max before the solve and cost and y are
+    Every program min sum_s w(s)|alpha(s)| s.t. boundary(alpha) = target on
+    the dim-simplices cols shares A and c, so the first is solved cold and
+    each later one by the dual simplex from the previous optimal basis.  Only
+    the rows of faces that miss vertex 0 are kept: they are independent, and
+    because the boundary of a boundary vanishes they imply the others for
+    every target that is a boundary.  Phase one runs for the first target
+    only.
+
+    The costs are divided by their max before solving and cost and y are
     multiplied back, so every tolerance inside the solver is relative to the
-    table.  The dual y satisfies |coboundary(y)| <= w on cols (up to the
-    solver tolerance) and <target, y> = cost.
+    table.  Each answer is certified against rounding drift in the
+    warm-started tableau: the chain passes a residual check against the full
+    boundary, and the dual y, zero on the dropped rows, must satisfy
+    |coboundary(y)| <= w (1 + tol) + tol max(w) on cols and
+    <target, y> = cost to tol, or LPError is raised.
     """
-    n, dim = target.n, target.dim + 1
     B = boundary_operator(n, dim).matrix
+    faces = enumerate_simplices(n, dim - 1)
+    rows = np.array([r for r, face in enumerate(faces) if face[0] != 0])
     scale = float(w[cols].max())
     if scale <= 0.0:
         scale = 1.0
     c = w[cols] / scale
-    sol = solve(
-        StandardFormLP(A=np.hstack([B[:, cols], -B[:, cols]]), b=target.coeffs,
-                       c=np.concatenate([c, c])),
-        tol=tol,
-    )
-    if sol.status == "infeasible":
-        raise UnfillableBoundaryError("boundary not fillable on the allowed simplices")
-    if sol.status != "optimal":
-        raise UnfillableBoundaryError(f"bounding-chain solve ended {sol.status}")
+    Br = B[np.ix_(rows, cols)].astype(float)
+    simplex = Simplex(np.hstack([Br, -Br]), np.concatenate([c, c]), tol)
+    for i, target in enumerate(targets):
+        b = target[rows]
+        sol = simplex.resolve(b) if i else simplex.solve(b)
+        if sol.status == "infeasible":
+            raise UnfillableBoundaryError("boundary not fillable on the allowed simplices")
+        if sol.status != "optimal":
+            raise UnfillableBoundaryError(f"bounding-chain solve ended {sol.status}")
+        expansion = (np.abs(Br.T @ sol.y) - c * (1.0 + tol)).max(initial=0.0)
+        gap = abs(float(b @ sol.y) - sol.objective)
+        if expansion > tol or gap > tol * max(1.0, sol.objective):
+            raise LPError(
+                f"bounding-chain optimum not certified: dual excess {expansion:.3e}, "
+                f"duality gap {gap:.3e} (relative to the largest weight)"
+            )
 
-    coeffs = np.zeros(B.shape[1])
-    coeffs[cols] = sol.x[: cols.size] - sol.x[cols.size :]
-    residual = np.abs(B @ coeffs - target.coeffs).max(initial=0.0)
-    if residual > RESIDUAL_TOL:
-        raise UnfillableBoundaryError(
-            f"bounding chain residual {residual:.3e} exceeds {RESIDUAL_TOL}"
-        )
-    return sol.objective * scale, Chain(n=n, dim=dim, coeffs=coeffs), sol.y * scale
+        coeffs = np.zeros(B.shape[1])
+        coeffs[cols] = sol.x[: cols.size] - sol.x[cols.size :]
+        residual = np.abs(B @ coeffs - target).max(initial=0.0)
+        if residual > RESIDUAL_TOL:
+            raise UnfillableBoundaryError(
+                f"bounding chain residual {residual:.3e} exceeds {RESIDUAL_TOL}"
+            )
+        y = np.zeros(len(faces))
+        y[rows] = sol.y * scale
+        yield sol.objective * scale, Chain(n=n, dim=dim, coeffs=coeffs), y
+
+
+def bounding_sweep(weights: np.ndarray, n: int, k: int, cols: Optional[np.ndarray] = None):
+    """(cost, chain, y) for every k-tuple in canonical order, as one sweep.
+
+    The chains bound the boundary of each tuple's indicator on the allowed
+    (k-1)-simplices cols (all of them by default).  Stop early by leaving
+    the loop.
+    """
+    B = boundary_operator(n, k - 1).matrix
+    if cols is None:
+        cols = np.arange(B.shape[1])
+    return _bounding_chains(np.asarray(weights, dtype=float), n, k - 1, cols,
+                            (B[:, i] for i in range(B.shape[1])))
+
+
+def _bounding_lp(w: np.ndarray, target: Chain, cols: np.ndarray, tol: float):
+    """(cost, chain, y) of the one bounding-chain LP for target on cols."""
+    return next(_bounding_chains(w, target.n, target.dim + 1, cols, [target.coeffs], tol))
 
 
 def min_bounding_chain(
@@ -251,31 +273,19 @@ def check_strong(
     The table is strong when no chain bounds the boundary of a tuple more
     cheaply than the tuple's own value, up to the relative tolerance tol.  By
     default the scan stops at the first failing tuple in canonical order;
-    exhaustive mode records the margin of every tuple.  The result does not
-    depend on the number of worker threads.
+    exhaustive mode records the margin of every tuple.  The tuples are one
+    sequential sweep, so jobs has no effect; it is kept for callers that
+    pass it.
     """
     weak = check_weak(d, tol=tol)
     simplices = d.simplices()
-
-    def solve_one(i: int):
-        return min_bounding_chain(d.values, tuple_boundary(d.n, d.k, i))
-
-    def is_failure(i: int, cost: float) -> bool:
-        return cost < float(d.values[i]) * (1.0 - tol)
-
-    stop = None if exhaustive else lambda i, result: is_failure(i, result[0])
-    results = map_tuples(solve_one, len(simplices), jobs, stop)
     margins = []
     witness = None
-    for i, (cost, chain) in enumerate(results):
-        margins.append((simplices[i], cost, float(d.values[i])))
-        if witness is None and is_failure(i, cost):
-            witness = StrongWitness(
-                simplex=simplices[i],
-                value=float(d.values[i]),
-                cost=cost,
-                chain=chain,
-            )
+    for i, (cost, chain, _) in enumerate(bounding_sweep(d.values, d.n, d.k)):
+        value = float(d.values[i])
+        margins.append((simplices[i], cost, value))
+        if witness is None and cost < value * (1.0 - tol):
+            witness = StrongWitness(simplex=simplices[i], value=value, cost=cost, chain=chain)
             if not exhaustive:
                 break
 

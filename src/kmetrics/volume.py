@@ -165,7 +165,8 @@ def min_max_side_bound_check(points: Sequence[Sequence[float]]):
     """Shortest side of a triangle against twice its area over the longest side.
 
     For any three points, min side >= 2 * area / max side; the inequality is
-    asserted (up to round-off) and (min side, bound) is returned.
+    checked (up to round-off), ArithmeticError is raised if it fails, and
+    (min side, bound) is returned.
     """
     arr = np.asarray(points, dtype=float)
     if arr.shape[0] != 3:
@@ -177,5 +178,8 @@ def min_max_side_bound_check(points: Sequence[Sequence[float]]):
     if longest == 0.0:
         return 0.0, 0.0
     bound = 2.0 * gram_volume(arr) / longest
-    assert shortest >= bound - 1e-9, (shortest, bound)
+    if shortest < bound - 1e-9:
+        raise ArithmeticError(
+            f"shortest side {shortest!r} is below the area bound {bound!r}"
+        )
     return shortest, bound

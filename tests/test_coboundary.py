@@ -139,6 +139,12 @@ def test_frechet_round_trip_at_small_scale(scale):
     assert np.abs(back.values / small.values - 1.0).max() <= 1e-6
 
 
+def test_frechet_round_trip_n11():
+    d = random_strong_metric(11, 3, 1).payload
+    back = eval_coboundary_metric(frechet_embed(d), NormSpec(math.inf))
+    assert np.abs(back.values / d.values - 1.0).max() <= 1e-9
+
+
 def test_frechet_round_trip_with_zero_entries():
     # an inf-norm coboundary table with zeros; roundoff in a column's
     # coboundary at a zero entry must not count as expansion

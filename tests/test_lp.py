@@ -1,18 +1,27 @@
-"""Two-phase simplex solver: examples, duality, and brute-force agreement."""
+"""Simplex solver: examples, duality, warm starts, and oracle agreement."""
+
+from math import comb
 
 import numpy as np
 import pytest
 
+import kmetrics.lp
 from kmetrics import (
+    KMetric,
+    LPError,
+    LPSolution,
     StandardFormLP,
     boundary_operator,
+    check_strong,
     coboundary_operator,
     frechet_column,
     min_bounding_chain,
     solve,
 )
 from kmetrics.corpus import discrete_metric, random_strong_metric
-from kmetrics.metric import tuple_boundary
+from kmetrics.hypertree import mbc_metric, random_2hypertree
+from kmetrics.lp import Simplex
+from kmetrics.metric import bounding_sweep, tuple_boundary
 from oracles import lp_min_by_vertex_enumeration
 
 
@@ -136,13 +145,16 @@ def test_determinism_bit_for_bit():
         random_strong_metric(6, 3, 32).payload,
         random_strong_metric(6, 4, 33).payload,
         discrete_metric(5, 3).payload,
+        KMetric(n=5, k=3, values=np.array([0, 1, 1, 2, 1, 3, 1, 1, 1, 0.0])),
     ],
-    ids=["k2", "k3", "k4", "discrete-k3"],
+    ids=["k2", "k3", "k4", "discrete-k3", "pseudo-k3"],
 )
 def test_bounding_chain_strong_duality(table):
     # Per tuple t: primal bounding-chain cost = b.y = frechet_column's
     # achieved value = d(t), and the dual y never expands: |coboundary y| <= d.
-    # HiGHS (scipy) is an independent oracle for the primal cost.
+    # The warm-started sweep (dual simplex from tuple to tuple) gives the
+    # same cost with its own chain and dual.  HiGHS (scipy) is an independent
+    # oracle for the primal cost.
     from scipy.optimize import linprog
 
     d = table
@@ -150,7 +162,12 @@ def test_bounding_chain_strong_duality(table):
     delta = coboundary_operator(d.n, d.k - 2).matrix.astype(float)
     A = np.hstack([B, -B])
     c = np.concatenate([d.values, d.values])
-    for i, t in enumerate(d.simplices()):
+    slack = d.values * (1 + 1e-9)
+    if (d.values == 0).any():
+        # a zero entry is held to the solver's dual tolerance of the max
+        slack = slack + 1e-9 * d.values.max()
+    sweep = bounding_sweep(d.values, d.n, d.k)
+    for i, (t, (swept, chain, y_swept)) in enumerate(zip(d.simplices(), sweep)):
         b = tuple_boundary(d.n, d.k, i).coeffs
         sol = solve(_lp(A, b, c))
         cost, _ = min_bounding_chain(d.values, tuple_boundary(d.n, d.k, i))
@@ -161,7 +178,97 @@ def test_bounding_chain_strong_duality(table):
         assert float(b @ y) == pytest.approx(cost, rel=1e-9)
         assert achieved == pytest.approx(cost, rel=1e-9)
         assert achieved == pytest.approx(d.values[i], rel=1e-9)
-        assert (np.abs(delta @ y) <= d.values * (1 + 1e-9)).all()
+        assert (np.abs(delta @ y) <= slack).all()
+        assert swept == pytest.approx(cost, rel=1e-9)
+        assert np.abs(B @ chain.coeffs - b).max() < 1e-9
+        assert float(d.values @ np.abs(chain.coeffs)) == pytest.approx(swept, rel=1e-9)
+        assert float(b @ y_swept) == pytest.approx(swept, rel=1e-9)
+        assert (np.abs(delta @ y_swept) <= slack).all()
         oracle = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
         assert oracle.status == 0
         assert cost == pytest.approx(oracle.fun, rel=1e-9)
+
+
+def test_sweep_refuses_an_uncertified_optimum(monkeypatch):
+    # A warm solve whose dual drifted (here: doubled) no longer proves its
+    # cost optimal; the sweep must raise rather than report that cost.
+    resolve = Simplex.resolve
+
+    def drifted(self, b):
+        sol = resolve(self, b)
+        return LPSolution(sol.status, sol.x, 2.0 * sol.y, sol.objective)
+
+    d = random_strong_metric(6, 3, 32).payload
+    monkeypatch.setattr(Simplex, "resolve", drifted)
+    with pytest.raises(LPError, match="not certified"):
+        check_strong(d, exhaustive=True)
+
+
+def test_resolve_needs_an_optimal_basis():
+    with pytest.raises(LPError):
+        Simplex(np.eye(2), np.ones(2)).resolve(np.ones(2))
+    simplex = Simplex(np.array([[1.0, 1.0]]), np.array([0.0, 0.0]))
+    assert simplex.solve(np.array([-1.0])).status == "infeasible"
+    with pytest.raises(LPError):
+        simplex.resolve(np.array([1.0]))
+
+
+def test_dual_simplex_detects_infeasible_and_recovers():
+    simplex = Simplex(np.array([[1.0, 1.0]]), np.array([1.0, 2.0]))
+    assert simplex.solve(np.array([1.0])).objective == pytest.approx(1.0)
+    assert simplex.resolve(np.array([-1.0])).status == "infeasible"
+    again = simplex.resolve(np.array([2.0]))
+    assert again.status == "optimal"
+    assert again.objective == pytest.approx(2.0)
+
+
+def test_dual_simplex_warm_starts_match_cold_solves():
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(m, 8))
+        A = rng.normal(size=(m, n))
+        c = rng.uniform(0, 3, size=n)
+        simplex = Simplex(A, c)
+        assert simplex.solve(A @ rng.uniform(0, 2, size=n)).status == "optimal"
+        for _ in range(4):
+            b = A @ rng.uniform(0, 2, size=n)
+            warm = simplex.resolve(b)
+            cold = solve(_lp(A, b, c))
+            assert warm.status == "optimal"
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+            assert np.abs(A @ warm.x - b).max() < 1e-7
+            assert warm.x.min() >= 0.0
+            assert abs(c @ warm.x - b @ warm.y) < 1e-7
+            assert (c - A.T @ warm.y).min() > -1e-7
+
+
+def test_masked_sweep_matches_cold_solves_and_highs():
+    # a 2-hypertree is not the complete complex: phase one runs once
+    from scipy.optimize import linprog
+
+    K = random_2hypertree(7, 3)
+    idx = np.sort(K.facet_indices())
+    assert idx.size < comb(7, 3)
+    weights = np.zeros(comb(7, 3))
+    weights[K.facet_indices()] = K.weights
+    B = boundary_operator(K.n, K.k - 1).matrix.astype(float)
+    A = np.hstack([B[:, idx], -B[:, idx]])
+    c = np.concatenate([weights[idx], weights[idx]])
+    for i, value in enumerate(mbc_metric(K).values):
+        assert value == pytest.approx(solve(_lp(A, B[:, i], c)).objective, rel=1e-9)
+        oracle = linprog(c, A_eq=A, b_eq=B[:, i], bounds=(0, None), method="highs")
+        assert oracle.status == 0
+        assert value == pytest.approx(oracle.fun, rel=1e-9)
+
+
+def test_sweep_pivots_far_fewer_than_cold_solves(monkeypatch):
+    # n=9, k=3: 9,229 pivots solved cold tuple by tuple, 523 as one sweep
+    pivots = []
+    pivot = kmetrics.lp._pivot
+    monkeypatch.setattr(kmetrics.lp, "_pivot", lambda *a: pivots.append(1) or pivot(*a))
+    d = random_strong_metric(9, 3, 1).payload
+    pivots.clear()
+    for _ in bounding_sweep(d.values, d.n, d.k):
+        pass
+    assert 0 < len(pivots) < 1000

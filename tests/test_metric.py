@@ -17,7 +17,7 @@ from kmetrics import (
     simplex_index,
     zero_chain,
 )
-from kmetrics.corpus import subdivided_triangle
+from kmetrics.corpus import random_strong_metric, subdivided_triangle
 from oracles import random_closure_2metric, relabel_kmetric
 
 SUBDIVISION = ((0, 1, 4), (0, 4, 3), (1, 2, 5), (1, 5, 4), (0, 3, 2), (2, 3, 5), (3, 4, 5))
@@ -65,6 +65,17 @@ def test_weak_violation_found():
     report = check_weak(d)
     assert not report.is_weak
     assert ((0, 1, 2), 3) in report.weak_violations
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1e-9])
+def test_weak_verdict_survives_tiny_scale(scale):
+    # a tolerance of tol * max(1, value) is absolute below 1: it hid this
+    # violation, and the table read weak but not strong
+    d = KMetric(n=3, k=2, values=np.array([1.0, 3.0, 1.0]) * scale)
+    report = check_strong(d)
+    assert report.is_weak is False
+    assert report.weak_violations == (((0, 2), 1),)
+    assert report.is_strong is False
 
 
 def test_weak_on_subdivided_triangle():
@@ -170,6 +181,29 @@ def test_strong_verdict_survives_tiny_scale():
     assert report.is_strong is False
     assert report.strong_witness.simplex == (0, 1, 2)
     assert report.strong_witness.cost == pytest.approx(7e-9, rel=1e-9)
+
+
+def test_scan_stops_at_the_witness_of_a_refuted_copy():
+    # Raise one tuple above its cheapest one-point-replacement chain (the
+    # cone over its boundary from an outside vertex).  The scan must stop
+    # there, with a witness no cheaper than the original value (the rest of
+    # the table is still strong) and no dearer than that chain.
+    d = random_strong_metric(8, 3, 5).payload
+    i = 30
+    t = d.simplices()[i]
+    bound = min(
+        sum(d.value(t[:j] + t[j + 1 :] + (y,)) for j in range(d.k))
+        for y in range(d.n)
+        if y not in t
+    )
+    values = d.values.copy()
+    values[i] = 1.5 * bound
+    report = check_strong(KMetric(n=d.n, k=d.k, values=values))
+    witness = report.strong_witness
+    assert report.is_strong is False
+    assert witness.simplex == t
+    assert len(report.strong_margins) == i + 1
+    assert d.values[i] * (1 - 1e-9) <= witness.cost <= bound * (1 + 1e-9)
 
 
 def test_strong_on_weighted_triangle_graph():

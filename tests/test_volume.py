@@ -7,6 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import kmetrics.volume
 from kmetrics import (
     NormSpec,
     PointCloud,
@@ -217,6 +218,13 @@ def test_min_max_side_bound_random():
     for _ in range(100):
         shortest, bound = min_max_side_bound_check(rng.normal(size=(3, 2)))
         assert shortest >= bound - 1e-9
+
+
+def test_min_max_side_bound_failure_raises(monkeypatch):
+    # an explicit exception, not an assert, so the check survives python -O
+    monkeypatch.setattr(kmetrics.volume, "gram_volume", lambda points: 10.0)
+    with pytest.raises(ArithmeticError, match="below the area bound"):
+        min_max_side_bound_check([[0, 0], [1, 0], [0, 1]])
 
 
 def test_no_planar_triple_has_three_equal_positive_gaps():
