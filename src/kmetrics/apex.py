@@ -17,22 +17,20 @@ import numpy as np
 
 from .coboundary import ChainMatrix
 from .metric import KMetric
-from .simplicial import (
-    LinearChainOperator,
-    enumerate_simplices,
-    simplex_index,
-)
+from .simplicial import LinearChainOperator, enumerate_simplices, simplex_index
+
+
+def _apex_positions(n: int, dim: int) -> np.ndarray:
+    """Positions on n+1 vertices of every dim-simplex on n with the apex appended."""
+    base = np.array(enumerate_simplices(n, dim))
+    return simplex_index(n + 1, np.column_stack([base, np.full(len(base), n)]))
 
 
 def apex_extend(d: KMetric) -> KMetric:
     """Arity k+1 table on n+1 vertices; apex-free tuples get zero."""
-    n2, k2 = d.n + 1, d.k + 1
-    apex = d.n
-    values = np.zeros(comb(n2, k2))
-    for i, s in enumerate(enumerate_simplices(n2, k2 - 1)):
-        if s[-1] == apex:
-            values[i] = d.values[simplex_index(d.n, s[:-1])]
-    return KMetric(n=n2, k=k2, values=values)
+    values = np.zeros(comb(d.n + 1, d.k + 1))
+    values[_apex_positions(d.n, d.k - 1)] = d.values
+    return KMetric(n=d.n + 1, k=d.k + 1, values=values)
 
 
 def project_operator(n: int, h: int) -> LinearChainOperator:
@@ -44,12 +42,9 @@ def project_operator(n: int, h: int) -> LinearChainOperator:
     """
     if h < 1 or h > n:
         raise ValueError(f"need 1 <= h <= n, got h={h}, n={n}")
-    apex = n
-    src = enumerate_simplices(n + 1, h)
-    mat = np.zeros((comb(n, h), comb(n + 1, h + 1)), dtype=np.int64)
-    for j, s in enumerate(src):
-        if s[-1] == apex:
-            mat[simplex_index(n, s[:-1]), j] = 1
+    rows = comb(n, h)
+    mat = np.zeros((rows, comb(n + 1, h + 1)), dtype=np.int64)
+    mat[np.arange(rows), _apex_positions(n, h - 1)] = 1
     return LinearChainOperator(n=n + 1, src_dim=h, dst_dim=h - 1, matrix=mat, dst_n=n)
 
 

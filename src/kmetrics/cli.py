@@ -2,10 +2,7 @@
 
 Every run prints one JSON report to stdout: either the command's results or
 an error object.  Exit codes: 0 success, 1 negative verification verdict,
-2 unusable input (parse, schema, or precondition), 3 solver failure.  The
-per-tuple bounding-chain LPs of verify --strong, embed frechet and
-gen random-strong run as one warm-started sweep over the tuples, so --jobs
-has no effect; it is still accepted so existing command lines keep working.
+2 unusable input (parse, schema, or precondition), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from .coboundary import (
     eval_coboundary_metric,
     frechet_embed,
     jl_target_dim,
-    l2_to_lp_dim,
     max_distortion,
     random_project,
 )
@@ -42,11 +38,9 @@ from .fileio import (
     read_kmetric,
     write_chain,
     write_chain_matrix,
-    write_cloud,
-    write_complex,
     write_kmetric,
 )
-from .hypertree import NotHypertreeError, hypertree_to_l1, is_hypertree, mbc_metric
+from .hypertree import NotHypertreeError, hypertree_to_l1, is_hypertree
 from .lp import LPError
 from .metric import (
     KMetric,
@@ -56,7 +50,7 @@ from .metric import (
     min_bounding_chain,
 )
 from .simplicial import apply_operator, boundary_operator, indicator_chain
-from .volume import PointCloud, volume_metric, volume_to_coboundary
+from .volume import volume_metric, volume_to_coboundary
 
 OK, VERIFY_FAIL, INPUT_FAIL, SOLVER_FAIL = 0, 1, 2, 3
 
@@ -101,14 +95,16 @@ def _simplex_list(s) -> list:
     return [int(v) for v in s]
 
 
+def _chain_support(chain) -> list:
+    """The nonzero coefficients of a chain, one entry per simplex."""
+    return [
+        {"s": _simplex_list(s), "coeff": float(c)}
+        for s, c in zip(chain.support(), chain.coeffs[chain.coeffs != 0])
+    ]
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="kmetrics", description=__doc__)
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted and ignored: the per-tuple LPs run as one sequential sweep",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check the weak/strong chain inequalities")
@@ -212,10 +208,7 @@ def _cmd_verify(args, inputs, outputs):
                 "s": _simplex_list(w.simplex),
                 "value": w.value,
                 "cost": w.cost,
-                "chain_support": [
-                    {"s": _simplex_list(s), "coeff": float(c)}
-                    for s, c in zip(w.chain.support(), w.chain.coeffs[w.chain.coeffs != 0])
-                ],
+                "chain_support": _chain_support(w.chain),
             }
         if args.exhaustive:
             results["margins"] = [
@@ -243,14 +236,10 @@ def _cmd_min_chain(args, inputs, outputs):
     if args.output:
         write_chain(chain, args.output)
         outputs["chain"] = args.output
-    support = chain.support()
     results = {
         "target": list(target),
         "cost": cost,
-        "chain_support": [
-            {"s": _simplex_list(s), "coeff": float(c)}
-            for s, c in zip(support, chain.coeffs[chain.coeffs != 0])
-        ],
+        "chain_support": _chain_support(chain),
     }
     return results, OK
 

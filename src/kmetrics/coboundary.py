@@ -26,7 +26,6 @@ from .simplicial import (
     boundary_operator,
     coboundary_operator,
     simplex_index,
-    validate_simplex,
 )
 
 # Seed sentinel: random_project uses the identity instead of a Gaussian draw.
@@ -146,10 +145,9 @@ def frechet_column(d: KMetric, t: Sequence[int], tol: float = VALUE_TOL):
     Returns:
         (chain, achieved) where achieved is the attained coboundary value.
     """
-    key = validate_simplex(d.n, t)
-    if len(key) != d.k:
-        raise ValueError(f"expected a {d.k}-tuple, got {key}")
-    idx = simplex_index(d.n, key)
+    if len(t) != d.k:
+        raise ValueError(f"expected a {d.k}-tuple, got {tuple(t)}")
+    idx = simplex_index(d.n, t)
     cost, _, y = _bounding_lp(
         d.values, tuple_boundary(d.n, d.k, idx), np.arange(d.values.size), DEFAULT_TOL
     )

@@ -17,7 +17,7 @@ import numpy as np
 from .coboundary import ChainMatrix
 from .hypertree import WeightedComplex
 from .metric import KMetric
-from .simplicial import Chain, enumerate_simplices
+from .simplicial import Chain, enumerate_simplices, simplex_index, validate_simplex
 from .volume import PointCloud
 
 
@@ -87,21 +87,13 @@ def _as_number(value, path: str, field: str) -> float:
     return float(value)
 
 
-def _simplex_entry(entry, path: str, field: str, n: int, size: int) -> tuple:
+def _read_simplex(entry, path: str, field: str, n: int, size: int) -> tuple:
     if not isinstance(entry, list) or len(entry) != size:
         raise InputError(path, f"expected a list of {size} vertices", field=field)
-    verts = []
-    for v in entry:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise InputError(path, f"expected integer vertices, got {v!r}", field=field)
-        verts.append(v)
-    key = tuple(verts)
-    if any(b <= a for a, b in zip(key, key[1:])) or key[0] < 0 or key[-1] >= n:
-        raise InputError(
-            path, f"not a strictly increasing tuple in range 0..{n - 1}: {key}",
-            field=field,
-        )
-    return key
+    try:
+        return validate_simplex(n, entry)
+    except ValueError as exc:
+        raise InputError(path, str(exc), field=field) from None
 
 
 # --- arity-k tables -------------------------------------------------------
@@ -121,19 +113,23 @@ def read_kmetric(path: str) -> KMetric:
     if n < k:
         raise InputError(path, f"need n >= k, got n={n}, k={k}", field="n")
     entries = _get_list(obj, "values", path)
-    count = comb(n, k)
-    values = np.full(count, np.nan)
-    index = {s: i for i, s in enumerate(enumerate_simplices(n, k - 1))}
+    verts, numbers = [], []
     for pos, entry in enumerate(entries):
         field = f"values[{pos}]"
         if not isinstance(entry, dict) or "s" not in entry or "d" not in entry:
             raise InputError(path, "expected an object with s and d", field=field)
-        key = _simplex_entry(entry["s"], path, field + ".s", n, k)
-        value = _as_number(entry["d"], path, field + ".d")
-        i = index[key]
-        if not np.isnan(values[i]):
-            raise InputError(path, f"duplicate entry for {key}", field=field + ".s")
-        values[i] = value
+        verts.extend(_read_simplex(entry["s"], path, field + ".s", n, k))
+        numbers.append(_as_number(entry["d"], path, field + ".d"))
+    rows = np.array(verts, dtype=np.int64).reshape(-1, k)
+    index = simplex_index(n, rows)
+    first = np.unique(index, return_index=True)[1]
+    if first.size < index.size:
+        pos = int(np.setdiff1d(np.arange(index.size), first)[0])
+        key = tuple(rows[pos].tolist())
+        raise InputError(path, f"duplicate entry for {key}", field=f"values[{pos}].s")
+    count = comb(n, k)
+    values = np.full(count, np.nan)
+    values[index] = numbers
     missing = np.isnan(values)
     if missing.any():
         first = enumerate_simplices(n, k - 1)[int(np.nonzero(missing)[0][0])]
@@ -205,7 +201,7 @@ def read_complex(path: str) -> WeightedComplex:
         field = f"facets[{pos}]"
         if not isinstance(entry, dict) or "s" not in entry or "w" not in entry:
             raise InputError(path, "expected an object with s and w", field=field)
-        facets.append(_simplex_entry(entry["s"], path, field + ".s", n, k))
+        facets.append(_read_simplex(entry["s"], path, field + ".s", n, k))
         weights.append(_as_number(entry["w"], path, field + ".w"))
     try:
         return WeightedComplex(n=n, k=k, facets=tuple(facets), weights=np.array(weights))

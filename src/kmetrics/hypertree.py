@@ -68,7 +68,7 @@ class WeightedComplex:
         object.__setattr__(self, "weights", w)
 
     def facet_indices(self) -> np.ndarray:
-        return np.array([simplex_index(self.n, f) for f in self.facets], dtype=int)
+        return simplex_index(self.n, np.array(self.facets))
 
 
 @dataclass(frozen=True)

@@ -64,14 +64,14 @@ class KMetric:
 
     def value(self, vertices: Sequence[int]) -> float:
         """Evaluate at an arbitrary k-tuple; repeats give zero."""
-        key = tuple(int(v) for v in vertices)
+        key = tuple(sorted(vertices))
         if len(key) != self.k:
             raise ValueError(f"expected {self.k} vertices, got {len(key)}")
-        if any(v < 0 or v >= self.n for v in key):
-            raise ValueError(f"vertex out of range 0..{self.n - 1}: {key}")
-        if len(set(key)) < self.k:
-            return 0.0
-        return float(self.values[simplex_index(self.n, tuple(sorted(key)))])
+        if len(set(key)) == self.k:
+            return float(self.values[simplex_index(self.n, key)])
+        for v in key:
+            validate_simplex(self.n, (v,))
+        return 0.0
 
     def simplices(self) -> tuple:
         return enumerate_simplices(self.n, self.k - 1)
@@ -109,20 +109,20 @@ def check_weak(d: KMetric, tol: float = VALUE_TOL) -> VerificationReport:
     """
     simplices = d.simplices()
     table = d.values
-    index = {s: i for i, s in enumerate(simplices)}
-    violations = []
-    for t, value in zip(simplices, table):
-        members = set(t)
-        for y in range(d.n):
-            if y in members:
-                continue  # replacement recreates t or hits a repeat
-            total = 0.0
-            for i in range(d.k):
-                swapped = tuple(sorted(t[:i] + t[i + 1 :] + (y,)))
-                total += table[index[swapped]]
-            if value > total + tol * value:
-                violations.append((t, y))
-    pseudo = tuple(t for t, v in zip(simplices, table) if v == 0.0)
+    rows = np.array(simplices)
+    failed = np.zeros((len(simplices), d.n), dtype=bool)
+    for y in range(d.n):
+        outside = (rows != y).all(axis=1)
+        value = table[outside]
+        total = np.zeros(value.size)
+        for i in range(d.k):  # summed in the order of i, as the inequality reads
+            swapped = rows[outside]
+            swapped[:, i] = y
+            swapped.sort(axis=1)
+            total += table[simplex_index(d.n, swapped)]
+        failed[outside, y] = value > total + tol * value
+    violations = [(simplices[t], int(y)) for t, y in zip(*np.nonzero(failed))]
+    pseudo = tuple(simplices[t] for t in np.flatnonzero(table == 0.0))
     return VerificationReport(
         is_weak=not violations,
         weak_violations=tuple(violations),
@@ -248,7 +248,7 @@ def min_bounding_chain(
             if isinstance(item, (int, np.integer)):
                 idx.append(int(item))
             else:
-                idx.append(simplex_index(n, validate_simplex(n, item)))
+                idx.append(simplex_index(n, item))
         cols = np.unique(np.asarray(idx, dtype=int))
         if cols.size and (cols[0] < 0 or cols[-1] >= count):
             raise ValueError("mask index out of range")

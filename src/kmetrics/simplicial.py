@@ -4,15 +4,20 @@ Vertices are integers 0..n-1.  A simplex of dimension d is stored canonically
 as a strictly increasing tuple of d+1 vertices, and the simplices of one
 dimension are ordered lexicographically.  All boundary matrices are dense with
 integer entries.
+
+simplex_index alone maps a canonical s_1 < ... < s_k to its position, the
+combinadic rank C(n, k) - 1 - sum_{j=1..k} C(n - 1 - s_j, k + 1 - j): the
+mirror v -> n - 1 - v turns lexicographic order into reversed colex order, in
+which c_1 > ... > c_k has rank sum_j C(c_j, k + 1 - j) (Knuth, TAOCP 4A §7.2.1.3).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,26 +49,45 @@ def enumerate_simplices(n: int, dim: int) -> tuple:
     return tuple(itertools.combinations(range(n), dim + 1))
 
 
-@lru_cache(maxsize=None)
-def _index_map(n: int, dim: int) -> dict:
-    return {s: i for i, s in enumerate(enumerate_simplices(n, dim))}
+def simplex_index(n: int, verts: Sequence[int] | np.ndarray) -> int | np.ndarray:
+    """Position of a canonical simplex in the lexicographic order.
 
-
-def simplex_index(n: int, verts: Sequence[int]) -> int:
-    """Position of a canonical simplex in the lexicographic order."""
-    key = tuple(verts)
-    try:
-        return _index_map(n, len(key) - 1)[key]
-    except KeyError:
-        raise ValueError(f"{key} is not a canonical simplex on {n} vertices") from None
+    verts is one tuple of k vertices, or an (m, k) integer array of rows, for
+    which an array of m positions is returned.  Anything but a strictly
+    increasing run of integer vertices in 0..n-1 raises ValueError.
+    """
+    if not (isinstance(verts, np.ndarray) and verts.ndim == 2):
+        key = validate_simplex(n, verts)
+        k = len(key)
+        rank = comb(n, k) - 1
+        for j, s in enumerate(key):
+            rank -= comb(n - 1 - s, k - j)
+        return rank
+    m, k = verts.shape
+    if verts.dtype.kind not in "iu":
+        raise ValueError(f"vertices must be integers, got an array of {verts.dtype}")
+    count = _check_counts(n, k - 1)  # every binomial below is at most count
+    bad = (verts[:, 1:] <= verts[:, :-1]).any(axis=1) | (verts[:, 0] < 0) | (verts[:, -1] >= n)
+    if bad.any():
+        raise ValueError(f"{tuple(verts[bad][0].tolist())} is not canonical on {n} vertices")
+    rank = np.full(m, count - 1, dtype=np.int64)
+    for j in range(k):
+        # column j holds vertices >= j, so n - 1 - s_j < n - j
+        binomials = np.array([comb(c, k - j) for c in range(n - j)], dtype=np.int64)
+        rank -= binomials[n - 1 - verts[:, j]]
+    return rank
 
 
 def validate_simplex(n: int, verts: Sequence[int]) -> SimplexKey:
-    """Check strict monotonicity and vertex range; return the tuple."""
-    key = tuple(int(v) for v in verts)
+    """Check integer vertices, strict monotonicity and range; return the tuple."""
+    key = tuple(verts)
     if not key:
         raise ValueError("empty simplex")
-    if any(b <= a for a, b in zip(key, key[1:])):
+    for v in key:
+        if type(v) is not int and not isinstance(v, np.integer):  # bool is refused too
+            raise ValueError(f"vertices must be integers, got {key}")
+    key = tuple(map(int, key))
+    if key != tuple(sorted(set(key))):
         raise ValueError(f"vertices must be strictly increasing, got {key}")
     if key[0] < 0 or key[-1] >= n:
         raise ValueError(f"vertex out of range 0..{n - 1}: {key}")
@@ -98,7 +122,7 @@ class OrientedSimplex:
 
     @classmethod
     def from_sequence(cls, sequence: Sequence[int]) -> "OrientedSimplex":
-        seq = tuple(int(v) for v in sequence)
+        seq = tuple(sequence)
         return cls(sequence=seq, sign=orientation_sign(seq))
 
     @property
@@ -204,14 +228,10 @@ def boundary_operator(n: int, dim: int) -> LinearChainOperator:
         raise ValueError(f"boundary is defined for dimension >= 1, got {dim}")
     rows = _check_counts(n, dim - 1)
     cols = _check_counts(n, dim)
-    faces = _index_map(n, dim - 1)
+    simplices = np.array(enumerate_simplices(n, dim))
     mat = np.zeros((rows, cols), dtype=np.int64)
-    for j, simplex in enumerate(enumerate_simplices(n, dim)):
-        sign = 1
-        for i in range(dim + 1):
-            face = simplex[:i] + simplex[i + 1 :]
-            mat[faces[face], j] = sign
-            sign = -sign
+    for i in range(dim + 1):
+        mat[simplex_index(n, np.delete(simplices, i, axis=1)), np.arange(cols)] = (-1) ** i
     return LinearChainOperator(n=n, src_dim=dim, dst_dim=dim - 1, matrix=mat)
 
 

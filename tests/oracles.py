@@ -106,6 +106,40 @@ def relabel_chain_matrix(F: ChainMatrix, perm) -> ChainMatrix:
     return ChainMatrix(n=F.n, k=F.k, data=new_data)
 
 
+def check_weak_loop(d: KMetric, tol: float = 1e-6):
+    """(violations, pseudo tuples) of the one-point replacement inequality.
+
+    A dictionary from tuple to position and a loop over every (t, y, i):
+    value(t) must not exceed the sum over i of the value with t's i-th vertex
+    swapped for y, up to the relative tolerance tol.
+    """
+    simplices = enumerate_simplices(d.n, d.k - 1)
+    index = {s: i for i, s in enumerate(simplices)}
+    violations = []
+    for t, value in zip(simplices, d.values):
+        for y in range(d.n):
+            if y in t:
+                continue
+            total = 0.0
+            for i in range(d.k):
+                total += d.values[index[tuple(sorted(t[:i] + t[i + 1 :] + (y,)))]]
+            if value > total + tol * value:
+                violations.append((t, y))
+    pseudo = tuple(t for t, v in zip(simplices, d.values) if v == 0.0)
+    return tuple(violations), pseudo
+
+
+def boundary_matrix_reference(n: int, dim: int) -> np.ndarray:
+    """Boundary of dim-chains with each face's row found by searching the face list."""
+    faces = enumerate_simplices(n, dim - 1)
+    simplices = enumerate_simplices(n, dim)
+    mat = np.zeros((len(faces), len(simplices)), dtype=np.int64)
+    for j, s in enumerate(simplices):
+        for i in range(dim + 1):
+            mat[faces.index(s[:i] + s[i + 1 :]), j] = (-1) ** i
+    return mat
+
+
 def gram_volume_reference(points) -> float:
     """Volume via the QR factorization instead of the Gram determinant."""
     pts = np.asarray(points, dtype=float)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from kmetrics.cli import build_parser, main
+from kmetrics.cli import main
 from kmetrics.coboundary import NormSpec, eval_coboundary_metric, jl_target_dim
 from kmetrics.corpus import SUBDIVISION_TRIANGLES
 from kmetrics.fileio import (
@@ -99,32 +99,6 @@ def test_verify_strong_pass_and_exhaustive_margins(tmp_path, capsys):
     assert len(results["margins"]) == math.comb(5, 3)
     for row in results["margins"]:
         assert row["cost"] >= row["value"] - 1e-6
-
-
-def test_verify_results_do_not_depend_on_jobs(tmp_path, capsys):
-    out = str(tmp_path / "d.json")
-    _run(["gen", "random-strong", "--n", "6", "--k", "3", "--seed", "11",
-          "-o", out], capsys)
-    _, one = _run(["--jobs", "1", "verify", out, "--strong", "--exhaustive"], capsys)
-    _, four = _run(["--jobs", "4", "verify", out, "--strong", "--exhaustive"], capsys)
-    assert one["results"] == four["results"]
-
-
-def test_jobs_defaults_to_one():
-    assert build_parser().parse_args(["verify", "d.json"]).jobs == 1
-
-
-def test_embed_frechet_chains_do_not_depend_on_jobs(tmp_path, capsys):
-    d = str(tmp_path / "d.json")
-    _run(["gen", "random-strong", "--n", "6", "--k", "3", "--seed", "11",
-          "-o", d], capsys)
-    written = []
-    for jobs in ("1", "2"):
-        out = str(tmp_path / f"F{jobs}.json")
-        code, _ = _run(["--jobs", jobs, "embed", "frechet", d, "-o", out], capsys)
-        assert code == 0
-        written.append(read_chain_matrix(out).data)
-    assert np.array_equal(written[0], written[1])
 
 
 # --- min-chain ---------------------------------------------------------------
@@ -343,9 +317,10 @@ def test_schema_error_names_field(tmp_path, capsys):
 
 
 def test_bare_invocation_is_a_usage_error(capsys):
-    code, report = _run([], capsys)
-    assert code == 2
-    assert report["error"]["kind"] == "usage"
+    for argv in ([], ["--jobs", "2", "verify", "d.json"]):  # --jobs is not an option
+        code, report = _run(argv, capsys)
+        assert code == 2
+        assert report["error"]["kind"] == "usage"
 
 
 def test_gen_requires_shape_arguments(tmp_path, capsys):

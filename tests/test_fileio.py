@@ -183,6 +183,17 @@ def test_kmetric_rejects_out_of_range_vertex(tmp_path):
         read_kmetric(path)
 
 
+def test_kmetric_rejects_non_integer_vertex(tmp_path):
+    for s in ([0, 1.0], [0, 1.5], [False, 1], ["0", 1]):
+        path = _write_json(
+            tmp_path / "d.json", {"n": 3, "k": 2, "values": [{"s": s, "d": 1.0}]}
+        )
+        with pytest.raises(InputError) as info:
+            read_kmetric(path)
+        assert info.value.field == "values[0].s"
+        assert "integer" in info.value.message
+
+
 def test_kmetric_value_must_be_numeric(tmp_path):
     path = _write_json(
         tmp_path / "d.json", {"n": 2, "k": 2, "values": [{"s": [0, 1], "d": "x"}]}

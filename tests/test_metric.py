@@ -49,6 +49,9 @@ def test_value_lookup_rules():
         d.value((0, 1))
     with pytest.raises(ValueError):
         d.value((0, 1, 4))
+    for bad in [[0, 1.9, 2], (True, 2, 3), (1, True, 2), (0, 1.0, 1), (1, 1, 4)]:
+        with pytest.raises(ValueError):
+            d.value(bad)
 
 
 def test_weak_all_zeros_is_pseudo():

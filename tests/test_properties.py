@@ -1,14 +1,16 @@
-"""Property tests of the strong check on small random strong tables."""
+"""Property tests of the weak and strong checks on small random tables."""
+
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmetrics import KMetric, boundary_operator, check_strong, simplex_index
+from kmetrics import KMetric, boundary_operator, check_strong, check_weak, simplex_index
 from kmetrics.corpus import random_strong_metric
 from kmetrics.metric import RESIDUAL_TOL
-from oracles import relabel_kmetric
+from oracles import check_weak_loop, relabel_kmetric
 
 # Few, reproducible examples: tier-1 stays fast and never writes a database.
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -62,3 +64,19 @@ def test_verdicts_agree_and_witnesses_fill_their_boundary(d, data):
         assert np.abs(B @ witness.chain.coeffs - target).max() <= RESIDUAL_TOL
         assert witness.cost == pytest.approx(table.values @ np.abs(witness.chain.coeffs), rel=1e-9)
         assert witness.cost < witness.value
+
+
+@PROPERTY
+@given(st.data())
+def test_weak_check_matches_the_loop_oracle(data):
+    k = data.draw(st.sampled_from([2, 3, 4]))
+    n = data.draw(st.integers(k + 1, 9))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    values = rng.uniform(0.0, 1.0, size=comb(n, k))
+    values[rng.uniform(size=values.size) < data.draw(st.floats(0.0, 0.5))] = 0.0
+    d = KMetric(n=n, k=k, values=values * 10.0 ** data.draw(st.floats(-12.0, 12.0)))
+    report = check_weak(d)
+    violations, pseudo = check_weak_loop(d)
+    assert report.weak_violations == violations
+    assert report.pseudo_violations == pseudo
+    assert report.is_weak == (not violations)

@@ -16,6 +16,8 @@ from kmetrics import (
     simplex_index,
     zero_chain,
 )
+from kmetrics.simplicial import validate_simplex
+from oracles import boundary_matrix_reference
 
 SUBDIVISION = ((0, 1, 4), (0, 4, 3), (1, 2, 5), (1, 5, 4), (0, 3, 2), (2, 3, 5), (3, 4, 5))
 
@@ -37,13 +39,25 @@ def test_index_round_trip():
     for n, dim in [(5, 1), (6, 2), (7, 3), (4, 0)]:
         for i, s in enumerate(enumerate_simplices(n, dim)):
             assert simplex_index(n, s) == i
+    for n in range(1, 10):
+        for dim in range(n):
+            rows = np.array(enumerate_simplices(n, dim))
+            assert np.array_equal(simplex_index(n, rows), np.arange(len(rows)))
 
 
 def test_index_rejects_non_canonical():
+    for bad in [(1, 0), (0, 4), (1, 1), (), (0, 1.7, 3), (0, 2.0), (True, 2), (-1, 2)]:
+        with pytest.raises(ValueError):
+            simplex_index(4, bad)
+        with pytest.raises(ValueError):
+            validate_simplex(4, bad)
+    for rows in [np.array([[0, 1], [1, 0]]), np.array([[0, 4]]), np.array([[0.0, 1.0]]),
+                 np.array([[2, 2]])]:
+        with pytest.raises(ValueError):
+            simplex_index(4, rows)
     with pytest.raises(ValueError):
-        simplex_index(4, (1, 0))
-    with pytest.raises(ValueError):
-        simplex_index(4, (0, 4))
+        indicator_chain(5, (0, 1.7, 3))
+    assert validate_simplex(5, (np.int64(1), np.int32(3))) == (1, 3)
 
 
 def test_orientation_sign_basics():
@@ -84,6 +98,13 @@ def test_boundary_column_of_edge():
     op = boundary_operator(2, 1)
     col = op.matrix[:, 0]
     assert list(col) == [-1, 1]  # vertices (0), (1)
+
+
+def test_boundary_matches_the_search_oracle():
+    for n in range(2, 9):
+        for dim in range(1, n):
+            assert np.array_equal(boundary_operator(n, dim).matrix,
+                                  boundary_matrix_reference(n, dim))
 
 
 def test_boundary_rejects_dim_zero():
