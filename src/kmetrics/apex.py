@@ -53,13 +53,15 @@ def lift_operator(n: int, h: int) -> LinearChainOperator:
 
     Each simplex is sent to itself with the apex appended.
     """
-    proj = project_operator(n, h)
-    return LinearChainOperator(
-        n=n, src_dim=h - 1, dst_dim=h, matrix=proj.matrix.T, dst_n=n + 1
-    )
+    mat = project_operator(n, h).matrix.T
+    return LinearChainOperator(n=n, src_dim=h - 1, dst_dim=h, matrix=mat, dst_n=n + 1)
 
 
 def apex_extend_chain_matrix(F: ChainMatrix) -> ChainMatrix:
-    """Lift every column through the apex; evaluation commutes with apex_extend."""
-    lift = lift_operator(F.n, F.k - 1)
-    return ChainMatrix(n=F.n + 1, k=F.k + 1, data=lift.matrix.astype(float) @ F.data)
+    """Lift every column through the apex; evaluation commutes with apex_extend.
+
+    Rows move as lift_operator moves them (+ 0.0 clears -0.0, as its product does).
+    """
+    data = np.zeros((comb(F.n + 1, F.k), F.m))
+    data[_apex_positions(F.n, F.k - 2)] = F.data + 0.0
+    return ChainMatrix(n=F.n + 1, k=F.k + 1, data=data)

@@ -226,12 +226,10 @@ def _cmd_min_chain(args, inputs, outputs):
     target = _parse_target(args.target)
     if len(target) != K.k:
         raise _UsageError(f"target needs {K.k} vertices, got {len(target)}")
-    weights = np.zeros(boundary_operator(K.n, K.k - 1).matrix.shape[1])
+    weights = np.zeros(math.comb(K.n, K.k))
     idx = K.facet_indices()
     weights[idx] = K.weights
-    boundary = apply_operator(
-        boundary_operator(K.n, K.k - 1), indicator_chain(K.n, target)
-    )
+    boundary = apply_operator(boundary_operator(K.n, K.k - 1), indicator_chain(K.n, target))
     cost, chain = min_bounding_chain(weights, boundary, mask=idx)
     if args.output:
         write_chain(chain, args.output)

@@ -20,13 +20,7 @@ import numpy as np
 
 from .lp import DEFAULT_TOL, LPError
 from .metric import KMetric, VALUE_TOL, _bounding_lp, bounding_sweep, tuple_boundary
-from .simplicial import (
-    Chain,
-    SimplexKey,
-    boundary_operator,
-    coboundary_operator,
-    simplex_index,
-)
+from .simplicial import Chain, SimplexKey, coboundary_rows, face_ranks, simplex_index
 
 # Seed sentinel: random_project uses the identity instead of a Gaussian draw.
 IDENTITY_SEED = -1
@@ -108,23 +102,22 @@ class ChainMatrix:
 
 def eval_coboundary_metric(F: ChainMatrix, norm: NormSpec) -> KMetric:
     """Arity-k table whose entry at t is the p-norm of row t of coboundary(F)."""
-    delta = coboundary_operator(F.n, F.k - 2).matrix.astype(float)
-    rows = delta @ F.data
+    rows = coboundary_rows(face_ranks(F.n, F.k - 1), F.data)
     return KMetric(n=F.n, k=F.k, values=norm.row_norms(rows))
 
 
-def _dual_column(d: KMetric, idx: int, cost: float, y: np.ndarray, tol: float):
+def _dual_column(d: KMetric, faces, idx: int, cost: float, y: np.ndarray, tol: float):
     """(chain, achieved) for tuple idx from its bounding-chain LP's cost and dual.
 
-    Raises NotStrongError when a chain bounds the tuple below its value and
-    LPError when y expands the table anywhere.
+    faces is face_ranks(d.n, d.k - 1).  Raises NotStrongError when a chain
+    bounds the tuple below its value and LPError when y expands the table.
     """
     value = float(d.values[idx])
     if cost < value * (1.0 - tol):
         raise NotStrongError(d.simplices()[idx], value, cost)
     # The solver keeps dual feasibility to DEFAULT_TOL of the largest value,
     # which is what a zero entry of a pseudo table can be held to.
-    rows = boundary_operator(d.n, d.k - 1).matrix.T @ y
+    rows = coboundary_rows(faces, y)
     slack = d.values * (1.0 + tol) + DEFAULT_TOL * d.values.max()
     if (np.abs(rows) > slack).any():
         raise LPError(f"dual column for {d.simplices()[idx]} expands beyond the table")
@@ -151,7 +144,7 @@ def frechet_column(d: KMetric, t: Sequence[int], tol: float = VALUE_TOL):
     cost, _, y = _bounding_lp(
         d.values, tuple_boundary(d.n, d.k, idx), np.arange(d.values.size), DEFAULT_TOL
     )
-    return _dual_column(d, idx, cost, y, tol)
+    return _dual_column(d, face_ranks(d.n, d.k - 1), idx, cost, y, tol)
 
 
 def frechet_embed(d: KMetric, jobs: int = 1) -> ChainMatrix:
@@ -164,8 +157,9 @@ def frechet_embed(d: KMetric, jobs: int = 1) -> ChainMatrix:
     bounds more cheaply than its table value.  The sweep is sequential, so
     jobs has no effect; it is kept for callers that pass it.
     """
+    faces = face_ranks(d.n, d.k - 1)
     columns = [
-        _dual_column(d, i, cost, y, VALUE_TOL)[0].coeffs
+        _dual_column(d, faces, i, cost, y, VALUE_TOL)[0].coeffs
         for i, (cost, _, y) in enumerate(bounding_sweep(d.values, d.n, d.k))
     ]
     return ChainMatrix(n=d.n, k=d.k, data=np.column_stack(columns))
@@ -243,11 +237,8 @@ def max_distortion(d1: KMetric, d2: KMetric) -> float:
         raise ValueError(
             f"tables disagree in shape: ({d1.n}, {d1.k}) vs ({d2.n}, {d2.k})"
         )
-    worst = 0.0
-    for a, b in zip(d1.values, d2.values):
-        if a == 0.0 and b == 0.0:
-            continue
-        if a == 0.0 or b == 0.0:
-            return math.inf
-        worst = max(worst, a / b - 1.0, b / a - 1.0)
-    return worst
+    a, b = d1.values, d2.values
+    if ((a == 0.0) != (b == 0.0)).any():
+        return math.inf
+    a, b = a[a != 0.0], b[b != 0.0]
+    return float(np.maximum(a / b - 1.0, b / a - 1.0).max(initial=0.0))

@@ -22,9 +22,11 @@ from .metric import (
     bounding_sweep,
 )
 from .simplicial import (
+    _check_counts,
     boundary_operator,
-    coboundary_operator,
+    coboundary_rows,
     enumerate_simplices,
+    face_ranks,
     simplex_index,
     validate_simplex,
 )
@@ -82,23 +84,22 @@ class HypertreeReport:
 
 
 def cycle_space_dim(n: int, dim: int) -> int:
-    """Dimension of the boundaryless dim-chains of the complete complex.
+    """Dimension of the boundaryless dim-chains of the complete complex: C(n-1, dim+1).
 
     In dimension zero these are the chains with coefficients summing to
     zero, matching the convention that a connected graph has no unbounded
-    0-cycles.
+    0-cycles.  The complex is a cone over vertex 0, so each cycle z equals
+    boundary(0*z) = sum of z(s) boundary(0*s) over the s that miss vertex 0,
+    and these boundaries, each the only one nonzero at its s, are a basis.
     """
-    if dim == 0:
-        return n - 1
-    count = comb(n, dim + 1)
-    rank = int(
-        np.linalg.matrix_rank(boundary_operator(n, dim).matrix.astype(float), tol=RANK_TOL)
-    )
-    return count - rank
+    _check_counts(n, dim)
+    return comb(n - 1, dim + 1)
 
 
 def _facet_boundary(K: WeightedComplex) -> np.ndarray:
-    return boundary_operator(K.n, K.k - 1).matrix[:, K.facet_indices()].astype(float)
+    """The facet columns of the boundary: the coboundary of the identity, transposed."""
+    faces = face_ranks(K.n, K.k - 1)[:, K.facet_indices()]
+    return coboundary_rows(faces, np.eye(comb(K.n, K.k - 1))).T
 
 
 def is_hypertree(K: WeightedComplex) -> HypertreeReport:
@@ -154,8 +155,7 @@ def hypertree_to_l1(K: WeightedComplex) -> ChainMatrix:
             f"not a hypertree: rank {report.facet_rank} vs "
             f"{report.facet_count} facets and cycle space {report.cycle_space_dim}"
         )
-    delta = coboundary_operator(K.n, K.k - 2).matrix.astype(float)
-    rows = delta[K.facet_indices(), :]
+    rows = _facet_boundary(K).T
     target = np.diag(K.weights)
     F, *_ = np.linalg.lstsq(rows, target, rcond=None)
     residual = float(np.abs(rows @ F - target).max())

@@ -144,8 +144,8 @@ def _bounding_chains(w: np.ndarray, n: int, dim: int, cols: np.ndarray,
     each later one by the dual simplex from the previous optimal basis.  Only
     the rows of faces that miss vertex 0 are kept: they are independent, and
     because the boundary of a boundary vanishes they imply the others for
-    every target that is a boundary.  Phase one runs for the first target
-    only.
+    every target that is a boundary; they are the last C(n-1, dim) faces in
+    canonical order.  Phase one runs for the first target only.
 
     The costs are divided by their max before solving and cost and y are
     multiplied back, so every tolerance inside the solver is relative to the
@@ -156,8 +156,7 @@ def _bounding_chains(w: np.ndarray, n: int, dim: int, cols: np.ndarray,
     <target, y> = cost to tol, or LPError is raised.
     """
     B = boundary_operator(n, dim).matrix
-    faces = enumerate_simplices(n, dim - 1)
-    rows = np.array([r for r, face in enumerate(faces) if face[0] != 0])
+    rows = np.arange(comb(n - 1, dim - 1), comb(n, dim))
     scale = float(w[cols].max())
     if scale <= 0.0:
         scale = 1.0
@@ -186,7 +185,7 @@ def _bounding_chains(w: np.ndarray, n: int, dim: int, cols: np.ndarray,
             raise UnfillableBoundaryError(
                 f"bounding chain residual {residual:.3e} exceeds {RESIDUAL_TOL}"
             )
-        y = np.zeros(len(faces))
+        y = np.zeros(B.shape[0])
         y[rows] = sol.y * scale
         yield sol.objective * scale, Chain(n=n, dim=dim, coeffs=coeffs), y
 
@@ -245,6 +244,8 @@ def min_bounding_chain(
     else:
         idx = []
         for item in mask:
+            if isinstance(item, (bool, np.bool_)):
+                raise ValueError(f"mask items must be simplices or flat indices, got {item!r}")
             if isinstance(item, (int, np.integer)):
                 idx.append(int(item))
             else:

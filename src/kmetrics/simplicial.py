@@ -2,8 +2,8 @@
 
 Vertices are integers 0..n-1.  A simplex of dimension d is stored canonically
 as a strictly increasing tuple of d+1 vertices, and the simplices of one
-dimension are ordered lexicographically.  All boundary matrices are dense with
-integer entries.
+dimension are ordered lexicographically.  face_ranks states the incidence once:
+coboundary_rows gathers over it, and the dense int64 operators are built from it.
 
 simplex_index alone maps a canonical s_1 < ... < s_k to its position, the
 combinadic rank C(n, k) - 1 - sum_{j=1..k} C(n - 1 - s_j, k + 1 - j): the
@@ -217,33 +217,41 @@ class LinearChainOperator:
         object.__setattr__(self, "matrix", _freeze(np.array(arr)))
 
 
-@lru_cache(maxsize=None)
+def face_ranks(n: int, dim: int) -> np.ndarray:
+    """Face positions of each dim-simplex (a column): row i drops vertex i, sign (-1)**i."""
+    if dim < 1:
+        raise ValueError(f"boundary is defined for dimension >= 1, got {dim}")
+    simplices = np.array(enumerate_simplices(n, dim))
+    return np.stack([simplex_index(n, np.delete(simplices, i, 1)) for i in range(dim + 1)])
+
+
+def coboundary_rows(faces: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sum_i (-1)**i X[faces[i]]: coboundary of X (a value or row per face) at each column."""
+    out = X[faces[0]].astype(float, copy=False)
+    for i, face in enumerate(faces[1:], 1):
+        (np.subtract if i % 2 else np.add)(out, X[face], out=out)
+    return out
+
+
 def boundary_operator(n: int, dim: int) -> LinearChainOperator:
     """Boundary of dim-chains: alternating sum of facets, leading face positive.
 
     The column of a simplex (x1, ..., x_{dim+1}) holds (-1)**(i+1) at the face
     that omits x_i (1-based i).  Entries are exact integers.
     """
-    if dim < 1:
-        raise ValueError(f"boundary is defined for dimension >= 1, got {dim}")
-    rows = _check_counts(n, dim - 1)
-    cols = _check_counts(n, dim)
-    simplices = np.array(enumerate_simplices(n, dim))
-    mat = np.zeros((rows, cols), dtype=np.int64)
-    for i in range(dim + 1):
-        mat[simplex_index(n, np.delete(simplices, i, axis=1)), np.arange(cols)] = (-1) ** i
+    faces = face_ranks(n, dim)
+    mat = np.zeros((comb(n, dim), faces.shape[1]), dtype=np.int64)
+    for i, face in enumerate(faces):
+        mat[face, np.arange(faces.shape[1])] = (-1) ** i
     return LinearChainOperator(n=n, src_dim=dim, dst_dim=dim - 1, matrix=mat)
 
 
-@lru_cache(maxsize=None)
 def coboundary_operator(n: int, dim: int) -> LinearChainOperator:
     """Adjoint of the boundary: maps dim-chains to (dim+1)-chains."""
     if dim < 0 or dim >= n - 1:
         raise ValueError(f"coboundary needs 0 <= dim < n-1, got dim={dim}, n={n}")
-    partial = boundary_operator(n, dim + 1)
-    return LinearChainOperator(
-        n=n, src_dim=dim, dst_dim=dim + 1, matrix=partial.matrix.T
-    )
+    mat = boundary_operator(n, dim + 1).matrix.T
+    return LinearChainOperator(n=n, src_dim=dim, dst_dim=dim + 1, matrix=mat)
 
 
 def apply_operator(op: LinearChainOperator, chain: Chain) -> Chain:

@@ -140,6 +140,14 @@ def boundary_matrix_reference(n: int, dim: int) -> np.ndarray:
     return mat
 
 
+def cycle_space_dim_by_rank(n: int, dim: int) -> int:
+    """Boundaryless dim-chains as the simplex count minus the SVD rank of the boundary."""
+    if dim == 0:
+        return n - 1
+    rank = np.linalg.matrix_rank(boundary_matrix_reference(n, dim).astype(float), tol=1e-9)
+    return comb(n, dim + 1) - int(rank)
+
+
 def gram_volume_reference(points) -> float:
     """Volume via the QR factorization instead of the Gram determinant."""
     pts = np.asarray(points, dtype=float)

@@ -116,6 +116,16 @@ def test_chain_matrix_extension_matches_table_extension():
             assert np.abs(via_chains.values - via_table.values).max() <= 1e-9
 
 
+def test_chain_matrix_lift_is_the_lift_operator():
+    rng = np.random.default_rng(12)
+    for n, k in [(3, 2), (5, 3), (6, 3), (6, 4)]:
+        data = rng.standard_normal((comb(n, k - 1), 3))
+        data[0, 0] = -0.0
+        out = apex_extend_chain_matrix(ChainMatrix(n=n, k=k, data=data)).data
+        assert np.array_equal(out, lift_operator(n, k - 1).matrix @ data)
+        assert not np.signbit(out[out == 0.0]).any()
+
+
 def test_all_ones_lift_gives_apex_quadruple_table():
     F = ChainMatrix(n=5, k=3, data=np.ones((10, 1)))
     lifted = apex_extend_chain_matrix(F)

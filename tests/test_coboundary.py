@@ -1,6 +1,7 @@
 """Coboundary tables, the max-norm embedding, and random projections."""
 
 import math
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -78,6 +79,32 @@ def test_single_column_norms_coincide():
     tables = [eval_coboundary_metric(F, NormSpec(p)).values for p in (1, 2, math.inf)]
     assert np.allclose(tables[0], tables[1])
     assert np.allclose(tables[0], tables[2])
+
+
+def test_eval_matches_the_dense_coboundary():
+    rng = np.random.default_rng(21)
+    for n, k in [(9, 3), (8, 4), (7, 2)]:
+        F = ChainMatrix(n=n, k=k, data=rng.standard_normal((comb(n, k - 1), 4)))
+        rows = coboundary_operator(n, k - 2).matrix @ F.data
+        for p in (1, 2, 3, math.inf):
+            got = eval_coboundary_metric(F, NormSpec(p)).values
+            want = NormSpec(p).row_norms(rows)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0), (n, k, p)
+
+
+def test_eval_memory_stays_with_the_chains():
+    # The dense int64 coboundary alone is C(40, 3) x C(40, 2) x 8 bytes = 62 MB;
+    # the gather needs a few arrays of C(40, 3) x 10 floats (0.8 MB each).
+    rng = np.random.default_rng(40)
+    F = ChainMatrix(n=40, k=3, data=rng.standard_normal((comb(40, 2), 10)))
+    tracemalloc.start()
+    try:
+        d = eval_coboundary_metric(F, NormSpec(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.values.size == comb(40, 3)
+    assert peak < 16 * 2**20, peak
 
 
 def test_coboundary_tables_are_strong():
@@ -173,6 +200,18 @@ def test_frechet_columns_never_expand():
     delta = coboundary_operator(d.n, d.k - 2).matrix.astype(float)
     rows = np.abs(delta @ F.data)
     assert (rows <= d.values[:, None] + 1e-6).all()
+
+
+def test_frechet_columns_vanish_on_faces_through_vertex_zero():
+    # the bounding-chain LP keeps only the rows of faces that miss vertex 0,
+    # the last C(n-1, k-1) in canonical order, and its dual is zero elsewhere
+    for n, k in [(7, 3), (6, 4)]:
+        F = frechet_embed(random_strong_metric(n, k, 2).payload)
+        first_free = comb(n - 1, k - 2)
+        assert all(s[0] == 0 for s in enumerate_simplices(n, k - 2)[:first_free])
+        assert all(s[0] != 0 for s in enumerate_simplices(n, k - 2)[first_free:])
+        assert not F.data[:first_free].any()
+        assert F.data[first_free:].any(axis=0).all()
 
 
 def test_frechet_jobs_identical_output():

@@ -24,7 +24,7 @@ from kmetrics import (
     random_2hypertree,
     random_spanning_tree,
 )
-from oracles import dijkstra_all_pairs
+from oracles import cycle_space_dim_by_rank, dijkstra_all_pairs
 
 SUBDIVISION = ((0, 1, 4), (0, 3, 4), (1, 2, 5), (1, 4, 5), (0, 2, 3), (2, 3, 5), (3, 4, 5))
 
@@ -159,6 +159,12 @@ def test_cycle_space_dims():
     assert cycle_space_dim(5, 0) == 4
     assert cycle_space_dim(5, 1) == comb(4, 2)
     assert cycle_space_dim(6, 2) == comb(5, 3)
+    for n in range(1, 10):
+        for dim in range(n):
+            assert cycle_space_dim(n, dim) == cycle_space_dim_by_rank(n, dim)
+    for n, dim in [(4, 4), (4, -1), (0, 0)]:
+        with pytest.raises(ValueError):
+            cycle_space_dim(n, dim)
 
 
 def test_star_tree_l1_table():

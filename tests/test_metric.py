@@ -122,6 +122,13 @@ def test_min_chain_infeasible_mask():
         min_bounding_chain(np.ones(3), _boundary_of(3, (0, 2)), mask=[(0, 1)])
 
 
+def test_min_chain_mask_refuses_bools():
+    # a bool would otherwise be read as flat column 0 or 1
+    for mask in ([False], [np.True_]):
+        with pytest.raises(ValueError):
+            min_bounding_chain(np.ones(6), _boundary_of(4, (0, 1)), mask=mask)
+
+
 def test_min_chain_mask_accepts_indices_and_keys():
     w = np.array([1.0, 2.0, 1.0])
     target = _boundary_of(3, (0, 2))
