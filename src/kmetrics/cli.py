@@ -49,7 +49,7 @@ from .metric import (
     check_weak,
     min_bounding_chain,
 )
-from .simplicial import apply_operator, boundary_operator, indicator_chain
+from .simplicial import Chain, boundary_rows, face_ranks, indicator_chain
 from .volume import volume_metric, volume_to_coboundary
 
 OK, VERIFY_FAIL, INPUT_FAIL, SOLVER_FAIL = 0, 1, 2, 3
@@ -229,7 +229,9 @@ def _cmd_min_chain(args, inputs, outputs):
     weights = np.zeros(math.comb(K.n, K.k))
     idx = K.facet_indices()
     weights[idx] = K.weights
-    boundary = apply_operator(boundary_operator(K.n, K.k - 1), indicator_chain(K.n, target))
+    rows = boundary_rows(face_ranks(K.n, K.k - 1), indicator_chain(K.n, target).coeffs,
+                         math.comb(K.n, K.k - 1))
+    boundary = Chain(n=K.n, dim=K.k - 2, coeffs=rows)
     cost, chain = min_bounding_chain(weights, boundary, mask=idx)
     if args.output:
         write_chain(chain, args.output)

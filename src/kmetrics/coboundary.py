@@ -19,11 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .lp import DEFAULT_TOL, LPError
-from .metric import KMetric, VALUE_TOL, _bounding_lp, bounding_sweep, tuple_boundary
-from .simplicial import Chain, SimplexKey, coboundary_rows, face_ranks, simplex_index
-
-# Seed sentinel: random_project uses the identity instead of a Gaussian draw.
-IDENTITY_SEED = -1
+from .metric import KMetric, VALUE_TOL, _bounding_chains, bounding_sweep
+from .simplicial import Chain, SimplexKey, boundary_rows, coboundary_rows, face_ranks, simplex_index
 
 
 class NotStrongError(Exception):
@@ -56,14 +53,7 @@ class NormSpec:
         return math.isinf(self.p)
 
     def row_norms(self, matrix: np.ndarray) -> np.ndarray:
-        absval = np.abs(matrix)
-        if self.is_inf:
-            return absval.max(axis=1)
-        if self.p == 1.0:
-            return absval.sum(axis=1)
-        if self.p == 2.0:
-            return np.sqrt((absval * absval).sum(axis=1))
-        return (absval**self.p).sum(axis=1) ** (1.0 / self.p)
+        return np.linalg.norm(matrix, ord=self.p, axis=1)
 
 
 @dataclass(frozen=True)
@@ -141,10 +131,10 @@ def frechet_column(d: KMetric, t: Sequence[int], tol: float = VALUE_TOL):
     if len(t) != d.k:
         raise ValueError(f"expected a {d.k}-tuple, got {tuple(t)}")
     idx = simplex_index(d.n, t)
-    cost, _, y = _bounding_lp(
-        d.values, tuple_boundary(d.n, d.k, idx), np.arange(d.values.size), DEFAULT_TOL
-    )
-    return _dual_column(d, face_ranks(d.n, d.k - 1), idx, cost, y, tol)
+    faces = face_ranks(d.n, d.k - 1)
+    target = boundary_rows(faces[:, [idx]], np.ones(1), comb(d.n, d.k - 1))
+    cost, _, y = next(_bounding_chains(d.values, d.n, faces, np.arange(d.values.size), [target]))
+    return _dual_column(d, faces, idx, cost, y, tol)
 
 
 def frechet_embed(d: KMetric, jobs: int = 1) -> ChainMatrix:
@@ -179,19 +169,12 @@ def random_project(
     Entries are scaled by 1/(c_p * m_target^(1/p)) where c_p is the p-th
     absolute moment root of the standard normal, so the expected p-norm of a
     projected row matches its Euclidean length (for p=2 this is the familiar
-    1/sqrt(m') scaling).  seed=IDENTITY_SEED substitutes the identity matrix,
-    which requires m_target == F.m.
+    1/sqrt(m') scaling).
     """
     if m_target < 1:
         raise ValueError(f"target dimension must be positive, got {m_target}")
     if norm_out.is_inf:
         raise ValueError("projection requires a finite p")
-    if seed == IDENTITY_SEED:
-        if m_target != F.m:
-            raise ValueError(
-                f"identity projection needs m_target == m ({F.m}), got {m_target}"
-            )
-        return ChainMatrix(n=F.n, k=F.k, data=F.data)
     rng = np.random.default_rng(seed)
     R = rng.standard_normal((m_target, F.m))
     scale = 1.0 / (_abs_moment_root(norm_out.p) * m_target ** (1.0 / norm_out.p))

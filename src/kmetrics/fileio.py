@@ -84,7 +84,10 @@ def _get_list(obj: dict, key: str, path: str) -> list:
 def _as_number(value, path: str, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(path, f"expected a number, got {value!r}", field=field)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(path, "number too large for a float", field=field) from None
 
 
 def _read_simplex(entry, path: str, field: str, n: int, size: int) -> tuple:

@@ -23,7 +23,6 @@ from .metric import (
 )
 from .simplicial import (
     _check_counts,
-    boundary_operator,
     coboundary_rows,
     enumerate_simplices,
     face_ranks,
@@ -159,10 +158,9 @@ def hypertree_to_l1(K: WeightedComplex) -> ChainMatrix:
     target = np.diag(K.weights)
     F, *_ = np.linalg.lstsq(rows, target, rcond=None)
     residual = float(np.abs(rows @ F - target).max())
-    if residual > L1_RESIDUAL_TOL:
-        raise NotHypertreeError(
-            f"facet system residual {residual:.3e} exceeds {L1_RESIDUAL_TOL}"
-        )
+    limit = L1_RESIDUAL_TOL * float(K.weights.max())  # relative: weights may be any scale
+    if residual > limit:
+        raise NotHypertreeError(f"facet system residual {residual:.3e} exceeds {limit:.3e}")
     return ChainMatrix(n=K.n, k=K.k, data=F)
 
 
@@ -184,25 +182,31 @@ def random_spanning_tree(
 def random_2hypertree(
     n: int, seed: int, weight_range: tuple = (0.5, 2.0)
 ) -> WeightedComplex:
-    """Random triangle hypertree: greedy deletion from the complete triangle set.
+    """Random triangle hypertree: a greedy basis of the triangle boundaries.
 
-    Triangles are visited in random order and removed whenever the remaining
-    set still bounds every 1-cycle; one pass ends in an acyclic spanning set.
+    Triangles are visited in reversed random order and kept when their
+    boundary is independent of the kept ones (one Gram-Schmidt pass, each
+    projection applied twice).  By matroid reverse-delete this is the set
+    left by deleting triangles in random order while the rest still bound
+    every 1-cycle: acyclic and spanning.
     """
     if n < 3:
         raise ValueError(f"need at least 3 vertices, got {n}")
     rng = np.random.default_rng(seed)
-    full = boundary_operator(n, 2).matrix.astype(float)
-    count = full.shape[1]
-    cyc = cycle_space_dim(n, 1)
-    alive = np.ones(count, dtype=bool)
-    for j in rng.permutation(count):
-        if alive.sum() <= cyc:
+    faces = face_ranks(n, 2)
+    Q = np.zeros((comb(n, 2), cycle_space_dim(n, 1)))
+    kept = []
+    for j in rng.permutation(faces.shape[1])[::-1]:
+        if len(kept) == Q.shape[1]:
             break
-        alive[j] = False
-        if np.linalg.matrix_rank(full[:, alive], tol=RANK_TOL) < cyc:
-            alive[j] = True  # deleting j breaks a cycle's filling
-    simplices = enumerate_simplices(n, 2)
-    facets = tuple(simplices[j] for j in np.nonzero(alive)[0])
+        v = np.zeros(Q.shape[0])
+        v[faces[:, j]] = (1.0, -1.0, 1.0)
+        for _ in range(2):
+            v -= Q @ (Q.T @ v)
+        norm = float(np.linalg.norm(v))
+        if norm > RANK_TOL:
+            Q[:, len(kept)] = v / norm
+            kept.append(j)
+    facets = tuple(enumerate_simplices(n, 2)[j] for j in sorted(kept))
     weights = rng.uniform(*weight_range, size=len(facets))
     return WeightedComplex(n=n, k=3, facets=facets, weights=weights)

@@ -6,8 +6,9 @@ is stored over canonical (k-1)-simplices.  The weak property is the simplex
 inequality (replace one point at a time); the strong property bounds the
 value at t by the weighted mass of every chain whose boundary matches the
 boundary of the indicator of t, and is decided here by one small linear
-program per tuple.  The programs differ only in their right-hand side, so
-all of them are solved as one warm-started sweep.
+program per tuple, all solved as one warm-started sweep.  Both checks read
+the incidence from face_ranks alone: the weak one through a coface table,
+the programs for their rows, targets and residuals.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from .lp import DEFAULT_TOL, LPError, Simplex
 from .simplicial import (
     Chain,
     SimplexKey,
-    boundary_operator,
+    boundary_rows,
+    coboundary_rows,
     enumerate_simplices,
+    face_ranks,
     simplex_index,
     validate_simplex,
     zero_chain,
@@ -106,23 +109,26 @@ def check_weak(d: KMetric, tol: float = VALUE_TOL) -> VerificationReport:
     relative tolerance tol.  Zero values on distinct tuples do not fail the
     check but are reported so callers can see the table is pseudo rather
     than positive.
+
+    Swapping t_i for y gives the face of t that drops t_i, plus y, so the
+    totals are gathers through one coface table: coface[f, y] is the tuple
+    f + y, or a NaN slot, which never fails, when y is in f.
     """
     simplices = d.simplices()
-    table = d.values
-    rows = np.array(simplices)
-    failed = np.zeros((len(simplices), d.n), dtype=bool)
+    count = len(simplices)
+    faces = face_ranks(d.n, d.k - 1)
+    coface = np.full((comb(d.n, d.k - 1), d.n), count)
+    for face, vertex in zip(faces, np.array(simplices).T):
+        coface[face, vertex] = np.arange(count)
+    table = np.append(d.values, np.nan)
+    failed = np.zeros((count, d.n), dtype=bool)
     for y in range(d.n):
-        outside = (rows != y).all(axis=1)
-        value = table[outside]
-        total = np.zeros(value.size)
-        for i in range(d.k):  # summed in the order of i, as the inequality reads
-            swapped = rows[outside]
-            swapped[:, i] = y
-            swapped.sort(axis=1)
-            total += table[simplex_index(d.n, swapped)]
-        failed[outside, y] = value > total + tol * value
+        total = table[coface[faces[0], y]]
+        for face in faces[1:]:  # summed in the order of i, as the inequality reads
+            total = total + table[coface[face, y]]
+        failed[:, y] = d.values > total + tol * d.values
     violations = [(simplices[t], int(y)) for t, y in zip(*np.nonzero(failed))]
-    pseudo = tuple(simplices[t] for t in np.flatnonzero(table == 0.0))
+    pseudo = tuple(simplices[t] for t in np.flatnonzero(d.values == 0.0))
     return VerificationReport(
         is_weak=not violations,
         weak_violations=tuple(violations),
@@ -130,41 +136,38 @@ def check_weak(d: KMetric, tol: float = VALUE_TOL) -> VerificationReport:
     )
 
 
-def tuple_boundary(n: int, k: int, i: int) -> Chain:
-    """Boundary of the indicator of the i-th k-tuple in canonical order."""
-    return Chain(n=n, dim=k - 2, coeffs=boundary_operator(n, k - 1).matrix[:, i])
-
-
-def _bounding_chains(w: np.ndarray, n: int, dim: int, cols: np.ndarray,
+def _bounding_chains(w: np.ndarray, n: int, faces: np.ndarray, cols: np.ndarray,
                      targets: Iterable, tol: float = DEFAULT_TOL):
     """Yield (cost, chain, y) per target: one warm-started bounding-chain sweep.
 
     Every program min sum_s w(s)|alpha(s)| s.t. boundary(alpha) = target on
-    the dim-simplices cols shares A and c, so the first is solved cold and
-    each later one by the dual simplex from the previous optimal basis.  Only
-    the rows of faces that miss vertex 0 are kept: they are independent, and
-    because the boundary of a boundary vanishes they imply the others for
-    every target that is a boundary; they are the last C(n-1, dim) faces in
-    canonical order.  Phase one runs for the first target only.
+    the dim-simplices cols (faces is face_ranks(n, dim)) shares A and c, so
+    the first is solved cold and each later one by the dual simplex from the
+    previous optimal basis.  Only the rows of faces that miss vertex 0 are
+    kept: they are independent, and because the boundary of a boundary
+    vanishes they imply the others for every target that is a boundary;
+    they are the last C(n-1, dim) faces in canonical order.
 
-    The costs are divided by their max before solving and cost and y are
-    multiplied back, so every tolerance inside the solver is relative to the
-    table.  Each answer is certified against rounding drift in the
-    warm-started tableau: the chain passes a residual check against the full
-    boundary, and the dual y, zero on the dropped rows, must satisfy
+    The costs are divided by their max and each target by its largest entry
+    before solving, and cost, chain and y are multiplied back, so every
+    tolerance inside the solver is relative.  Each answer is certified
+    against rounding drift in the warm-started tableau: the chain passes a
+    residual check on all faces (a target that is not a boundary fails
+    there), and the dual y, zero on the dropped rows, must satisfy
     |coboundary(y)| <= w (1 + tol) + tol max(w) on cols and
     <target, y> = cost to tol, or LPError is raised.
     """
-    B = boundary_operator(n, dim).matrix
-    rows = np.arange(comb(n - 1, dim - 1), comb(n, dim))
-    scale = float(w[cols].max())
-    if scale <= 0.0:
-        scale = 1.0
+    dim = faces.shape[0] - 1
+    size, first = comb(n, dim), comb(n - 1, dim - 1)
+    allowed = faces[:, cols]
+    Br = coboundary_rows(allowed, np.eye(size)[:, first:]).T  # the kept rows of the boundary
+    scale = float(w[cols].max()) or 1.0
     c = w[cols] / scale
-    Br = B[np.ix_(rows, cols)].astype(float)
     simplex = Simplex(np.hstack([Br, -Br]), np.concatenate([c, c]), tol)
     for i, target in enumerate(targets):
-        b = target[rows]
+        unit = float(np.abs(target).max(initial=0.0)) or 1.0
+        target = target / unit
+        b = target[first:]
         sol = simplex.resolve(b) if i else simplex.solve(b)
         if sol.status == "infeasible":
             raise UnfillableBoundaryError("boundary not fillable on the allowed simplices")
@@ -178,16 +181,17 @@ def _bounding_chains(w: np.ndarray, n: int, dim: int, cols: np.ndarray,
                 f"duality gap {gap:.3e} (relative to the largest weight)"
             )
 
-        coeffs = np.zeros(B.shape[1])
-        coeffs[cols] = sol.x[: cols.size] - sol.x[cols.size :]
-        residual = np.abs(B @ coeffs - target).max(initial=0.0)
+        alpha = sol.x[: cols.size] - sol.x[cols.size :]
+        residual = np.abs(boundary_rows(allowed, alpha, size) - target).max(initial=0.0)
         if residual > RESIDUAL_TOL:
             raise UnfillableBoundaryError(
                 f"bounding chain residual {residual:.3e} exceeds {RESIDUAL_TOL}"
             )
-        y = np.zeros(B.shape[0])
-        y[rows] = sol.y * scale
-        yield sol.objective * scale, Chain(n=n, dim=dim, coeffs=coeffs), y
+        coeffs = np.zeros(faces.shape[1])
+        coeffs[cols] = alpha * unit
+        y = np.zeros(size)
+        y[first:] = sol.y * scale
+        yield sol.objective * scale * unit, Chain(n=n, dim=dim, coeffs=coeffs), y
 
 
 def bounding_sweep(weights: np.ndarray, n: int, k: int, cols: Optional[np.ndarray] = None):
@@ -197,16 +201,11 @@ def bounding_sweep(weights: np.ndarray, n: int, k: int, cols: Optional[np.ndarra
     (k-1)-simplices cols (all of them by default).  Stop early by leaving
     the loop.
     """
-    B = boundary_operator(n, k - 1).matrix
-    if cols is None:
-        cols = np.arange(B.shape[1])
-    return _bounding_chains(np.asarray(weights, dtype=float), n, k - 1, cols,
-                            (B[:, i] for i in range(B.shape[1])))
-
-
-def _bounding_lp(w: np.ndarray, target: Chain, cols: np.ndarray, tol: float):
-    """(cost, chain, y) of the one bounding-chain LP for target on cols."""
-    return next(_bounding_chains(w, target.n, target.dim + 1, cols, [target.coeffs], tol))
+    faces = face_ranks(n, k - 1)
+    every = np.arange(faces.shape[1])
+    targets = (boundary_rows(faces[:, [i]], np.ones(1), comb(n, k - 1)) for i in every)
+    return _bounding_chains(np.asarray(weights, dtype=float), n, faces,
+                            every if cols is None else cols, targets)
 
 
 def min_bounding_chain(
@@ -255,11 +254,11 @@ def min_bounding_chain(
             raise ValueError("mask index out of range")
 
     if cols.size == 0:
-        if np.abs(target.coeffs).max(initial=0.0) <= RESIDUAL_TOL:
+        if not target.coeffs.any():
             return 0.0, zero_chain(n, dim)
         raise UnfillableBoundaryError("boundary not fillable: empty simplex mask")
 
-    cost, chain, _ = _bounding_lp(w, target, cols, tol)
+    cost, chain, _ = next(_bounding_chains(w, n, face_ranks(n, dim), cols, [target.coeffs], tol))
     return cost, chain
 
 

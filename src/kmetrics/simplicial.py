@@ -3,7 +3,8 @@
 Vertices are integers 0..n-1.  A simplex of dimension d is stored canonically
 as a strictly increasing tuple of d+1 vertices, and the simplices of one
 dimension are ordered lexicographically.  face_ranks states the incidence once:
-coboundary_rows gathers over it, and the dense int64 operators are built from it.
+coboundary_rows gathers over it, boundary_rows scatters over it, and the dense
+int64 operators, which the library itself no longer uses, are built from it.
 
 simplex_index alone maps a canonical s_1 < ... < s_k to its position, the
 combinadic rank C(n, k) - 1 - sum_{j=1..k} C(n - 1 - s_j, k + 1 - j): the
@@ -230,6 +231,15 @@ def coboundary_rows(faces: np.ndarray, X: np.ndarray) -> np.ndarray:
     out = X[faces[0]].astype(float, copy=False)
     for i, face in enumerate(faces[1:], 1):
         (np.subtract if i % 2 else np.add)(out, X[face], out=out)
+    return out
+
+
+def boundary_rows(faces: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
+    """sum_i (-1)**i x scattered onto faces[i]: boundary of x (a value per column) on size faces."""
+    out = np.zeros(size)
+    for i, face in enumerate(faces):
+        scattered = np.bincount(face, weights=x, minlength=size)
+        (np.subtract if i % 2 else np.add)(out, scattered, out=out)
     return out
 
 

@@ -158,3 +158,25 @@ def gram_volume_reference(points) -> float:
     for i in range(2, k):
         vol /= i
     return float(vol)
+
+
+def random_2hypertree_by_deletion(n: int, seed: int, weight_range: tuple = (0.5, 2.0)):
+    """(facets, weights) of a random triangle hypertree by greedy deletion with SVD ranks.
+
+    Triangles are visited in random order and removed whenever the remaining
+    set still bounds every 1-cycle, with the SVD rank recomputed each time.
+    """
+    rng = np.random.default_rng(seed)
+    full = boundary_matrix_reference(n, 2).astype(float)
+    count = full.shape[1]
+    cyc = comb(n - 1, 2)
+    alive = np.ones(count, dtype=bool)
+    for j in rng.permutation(count):
+        if alive.sum() <= cyc:
+            break
+        alive[j] = False
+        if np.linalg.matrix_rank(full[:, alive], tol=1e-9) < cyc:
+            alive[j] = True  # deleting j breaks a cycle's filling
+    simplices = enumerate_simplices(n, 2)
+    facets = tuple(simplices[j] for j in np.nonzero(alive)[0])
+    return facets, rng.uniform(*weight_range, size=len(facets))

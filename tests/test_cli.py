@@ -201,7 +201,7 @@ def test_l2lp_projection_writes_the_renormed_columns(tmp_path, capsys):
     assert ratio.max() <= 1.5 and ratio.min() >= 0.5
 
 
-def test_eval_rejects_exponent_below_one(tmp_path, capsys):
+def test_bad_exponent_and_seed_are_input_errors(tmp_path, capsys):
     metric = str(tmp_path / "d.json")
     chains = str(tmp_path / "F.json")
     _run(["gen", "random-strong", "--n", "5", "--k", "2", "--seed", "0",
@@ -211,6 +211,10 @@ def test_eval_rejects_exponent_below_one(tmp_path, capsys):
     assert code == 2
     assert report["error"]["kind"] == "input"
     assert "at least 1" in report["error"]["message"]
+    code, report = _run(["embed", "jl", chains, "--eps", "0.5", "--seed", "-1",
+                         "-o", str(tmp_path / "G.json")], capsys)
+    assert code == 2
+    assert report["error"]["kind"] == "input"
 
 
 # --- volume ------------------------------------------------------------------
@@ -314,6 +318,16 @@ def test_schema_error_names_field(tmp_path, capsys):
     assert code == 2
     assert report["error"]["field"] == "values"
     assert "missing" in report["error"]["message"]
+
+
+def test_number_too_large_for_a_float_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    entries = [{"s": [0, 1], "d": 1.0}, {"s": [0, 2], "d": 1.0}, {"s": [1, 2], "d": 10**400}]
+    path.write_text(json.dumps({"n": 3, "k": 2, "values": entries}), encoding="utf-8")
+    code, report = _run(["verify", str(path)], capsys)
+    assert code == 2
+    assert report["error"]["kind"] == "input"
+    assert report["error"]["field"] == "values[2].d"
 
 
 def test_bare_invocation_is_a_usage_error(capsys):

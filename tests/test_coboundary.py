@@ -9,7 +9,6 @@ import pytest
 
 from kmetrics import (
     ChainMatrix,
-    IDENTITY_SEED,
     KMetric,
     NormSpec,
     NotStrongError,
@@ -229,15 +228,6 @@ def test_eval_relabeling_equivariance():
         direct = relabel_kmetric(eval_coboundary_metric(F, NormSpec(p)), perm)
         via_chains = eval_coboundary_metric(relabel_chain_matrix(F, perm), NormSpec(p))
         assert np.allclose(direct.values, via_chains.values, atol=1e-12)
-
-
-def test_identity_seed_returns_input():
-    rng = np.random.default_rng(25)
-    F = ChainMatrix(n=5, k=3, data=rng.normal(size=(10, 3)))
-    out = random_project(F, 3, NormSpec(2), IDENTITY_SEED)
-    assert np.array_equal(out.data, F.data)
-    with pytest.raises(ValueError):
-        random_project(F, 2, NormSpec(2), IDENTITY_SEED)
 
 
 def test_projection_of_zero_is_zero():

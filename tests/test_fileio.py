@@ -204,6 +204,22 @@ def test_kmetric_value_must_be_numeric(tmp_path):
     assert "expected a number" in info.value.message
 
 
+def test_number_too_large_for_a_float_is_an_input_error(tmp_path):
+    huge = 10**400  # json reads it as an int that float() cannot hold
+    path = _write_json(
+        tmp_path / "d.json", {"n": 2, "k": 2, "values": [{"s": [0, 1], "d": huge}]}
+    )
+    with pytest.raises(InputError) as info:
+        read_kmetric(path)
+    assert info.value.field == "values[0].d"
+    path = _write_json(
+        tmp_path / "F.json", {"n": 3, "k": 2, "m": 1, "data": [0.0, huge, 1.0]}
+    )
+    with pytest.raises(InputError) as info:
+        read_chain_matrix(path)
+    assert info.value.field == "data[1]"
+
+
 def test_kmetric_negative_value_wrapped_as_input_error(tmp_path):
     path = _write_json(
         tmp_path / "d.json", {"n": 2, "k": 2, "values": [{"s": [0, 1], "d": -1.0}]}

@@ -24,7 +24,7 @@ from kmetrics import (
     random_2hypertree,
     random_spanning_tree,
 )
-from oracles import cycle_space_dim_by_rank, dijkstra_all_pairs
+from oracles import cycle_space_dim_by_rank, dijkstra_all_pairs, random_2hypertree_by_deletion
 
 SUBDIVISION = ((0, 1, 4), (0, 3, 4), (1, 2, 5), (1, 4, 5), (0, 2, 3), (2, 3, 5), (3, 4, 5))
 
@@ -189,6 +189,25 @@ def test_2hypertree_l1_round_trip():
         d = eval_coboundary_metric(hypertree_to_l1(K), NormSpec(1))
         want = mbc_metric(K)
         assert np.allclose(d.values, want.values, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("exponent", range(-12, 13))
+def test_l1_round_trip_holds_at_every_scale(exponent):
+    K = random_2hypertree(6, seed=1)
+    base = eval_coboundary_metric(hypertree_to_l1(K), NormSpec(1)).values
+    lam = 10.0**exponent
+    scaled = WeightedComplex(n=K.n, k=K.k, facets=K.facets, weights=lam * K.weights)
+    d = eval_coboundary_metric(hypertree_to_l1(scaled), NormSpec(1))
+    assert np.allclose(d.values, lam * base, rtol=1e-12, atol=0.0)
+
+
+def test_random_2hypertree_matches_the_deletion_oracle():
+    for n in range(3, 13):
+        for seed in range(3):
+            K = random_2hypertree(n, seed)
+            facets, weights = random_2hypertree_by_deletion(n, seed)
+            assert K.facets == facets
+            assert np.array_equal(K.weights, weights)
 
 
 def test_random_tree_l1_round_trips():

@@ -7,6 +7,7 @@ import pytest
 
 import kmetrics.lp
 from kmetrics import (
+    Chain,
     KMetric,
     LPError,
     LPSolution,
@@ -21,7 +22,7 @@ from kmetrics import (
 from kmetrics.corpus import discrete_metric, random_strong_metric
 from kmetrics.hypertree import mbc_metric, random_2hypertree
 from kmetrics.lp import Simplex
-from kmetrics.metric import bounding_sweep, tuple_boundary
+from kmetrics.metric import bounding_sweep
 from oracles import lp_min_by_vertex_enumeration
 
 
@@ -168,9 +169,9 @@ def test_bounding_chain_strong_duality(table):
         slack = slack + 1e-9 * d.values.max()
     sweep = bounding_sweep(d.values, d.n, d.k)
     for i, (t, (swept, chain, y_swept)) in enumerate(zip(d.simplices(), sweep)):
-        b = tuple_boundary(d.n, d.k, i).coeffs
+        b = B[:, i]  # the boundary of t's indicator
         sol = solve(_lp(A, b, c))
-        cost, _ = min_bounding_chain(d.values, tuple_boundary(d.n, d.k, i))
+        cost, _ = min_bounding_chain(d.values, Chain(n=d.n, dim=d.k - 2, coeffs=b))
         column, achieved = frechet_column(d, t)
         y = column.coeffs
         assert sol.objective == pytest.approx(float(b @ sol.y), rel=1e-9)

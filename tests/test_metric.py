@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kmetrics import (
+    Chain,
     KMetric,
     UnfillableBoundaryError,
     apply_operator,
@@ -18,7 +19,7 @@ from kmetrics import (
     zero_chain,
 )
 from kmetrics.corpus import random_strong_metric, subdivided_triangle
-from oracles import random_closure_2metric, relabel_kmetric
+from oracles import check_weak_loop, random_closure_2metric, relabel_kmetric
 
 SUBDIVISION = ((0, 1, 4), (0, 4, 3), (1, 2, 5), (1, 5, 4), (0, 3, 2), (2, 3, 5), (3, 4, 5))
 
@@ -81,6 +82,18 @@ def test_weak_verdict_survives_tiny_scale(scale):
     assert report.is_strong is False
 
 
+def test_weak_check_never_swaps_a_point_for_itself():
+    # y in t is not a replacement; under a negative tolerance a tuple would
+    # fail against itself if those y were not skipped
+    rng = np.random.default_rng(12)
+    for n, k in ((5, 2), (6, 3), (7, 4)):
+        values = rng.exponential(size=comb(n, k))
+        values[:: 5] = 0.0
+        d = KMetric(n=n, k=k, values=values)
+        for tol in (-0.99, -0.5, 0.0, 1e-6):
+            assert check_weak(d, tol=tol).weak_violations == check_weak_loop(d, tol)[0]
+
+
 def test_weak_on_subdivided_triangle():
     d = subdivided_triangle().payload
     assert check_weak(d).is_weak
@@ -114,6 +127,28 @@ def test_min_chain_empty_mask():
         min_bounding_chain(np.ones(3), _boundary_of(3, (0, 2)), mask=[])
     cost, _ = min_bounding_chain(np.ones(3), zero_chain(3, 0), mask=[])
     assert cost == 0.0
+
+
+def test_min_chain_refuses_a_target_that_is_not_a_boundary():
+    # the edge (0, 1) has a nonzero boundary; it vanishes on the kept rows
+    # (edges that miss vertex 0), so only the full residual can refuse it
+    with pytest.raises(UnfillableBoundaryError):
+        min_bounding_chain(np.ones(4), indicator_chain(4, (0, 1)))
+
+
+@pytest.mark.parametrize("exponent", range(-12, 13))
+def test_min_chain_is_judged_relative_to_the_target(exponent):
+    lam = 10.0**exponent
+    target = _boundary_of(5, (0, 1, 2))
+    scaled = Chain(n=5, dim=1, coeffs=lam * target.coeffs)
+    for mask in ([(2, 3, 4)], []):
+        with pytest.raises(UnfillableBoundaryError):
+            min_bounding_chain(np.ones(comb(5, 3)), scaled, mask=mask)
+    w = np.random.default_rng(6).uniform(0.1, 2.0, size=comb(5, 3))
+    base, chain = min_bounding_chain(w, target)
+    cost, scaled_chain = min_bounding_chain(w, scaled)
+    assert cost == base * lam
+    assert np.array_equal(scaled_chain.coeffs, chain.coeffs * lam)
 
 
 def test_min_chain_infeasible_mask():

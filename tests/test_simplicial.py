@@ -16,7 +16,7 @@ from kmetrics import (
     simplex_index,
     zero_chain,
 )
-from kmetrics.simplicial import coboundary_rows, face_ranks, validate_simplex
+from kmetrics.simplicial import boundary_rows, coboundary_rows, face_ranks, validate_simplex
 from oracles import boundary_matrix_reference
 
 SUBDIVISION = ((0, 1, 4), (0, 4, 3), (1, 2, 5), (1, 5, 4), (0, 3, 2), (2, 3, 5), (3, 4, 5))
@@ -122,6 +122,16 @@ def test_face_table_and_gather_match_the_search_oracle():
             X = rng.integers(-9, 10, size=(ref.shape[0], 3))
             assert np.array_equal(coboundary_rows(faces, X), ref.T @ X)  # exact on integers
             assert np.array_equal(coboundary_rows(faces, X[:, 0]), ref.T @ X[:, 0])
+
+
+def test_face_table_scatter_matches_the_search_oracle():
+    rng = np.random.default_rng(9)
+    for n in range(2, 9):
+        for dim in range(1, n):
+            ref = boundary_matrix_reference(n, dim)
+            x = rng.integers(-9, 10, size=ref.shape[1])
+            out = boundary_rows(face_ranks(n, dim), x.astype(float), ref.shape[0])
+            assert np.array_equal(out, ref @ x)  # exact on integers
 
 
 def test_boundary_rejects_dim_zero():
