@@ -36,8 +36,13 @@ print("\nwith a redundant row, optimum still", res3.objective)
 print("certificate: duals reproduce the objective,",
       abs(res3.y @ b3 - res3.objective) < 1e-9)
 
-# infeasible and unbounded cases come back as statuses, not exceptions
+# an infeasible right-hand side comes back as a status, not an exception
 bad = solve(StandardFormLP(A=[[1.0, 1.0]], b=[-1.0], c=[1.0, 1.0]))
 print("\nx + y = -1 with x, y >= 0:", bad.status)
-free = solve(StandardFormLP(A=[[1.0, -1.0]], b=[0.0], c=[-1.0, 0.0]))
-print("min -x on the ray x = y:", free.status)
+
+# the dual simplex starts from y = 0, which needs c >= 0: a negative cost
+# (here min -x on the ray x = y, which would be unbounded) is refused
+try:
+    solve(StandardFormLP(A=[[1.0, -1.0]], b=[0.0], c=[-1.0, 0.0]))
+except ValueError as exc:
+    print("min -x on the ray x = y:", exc)

@@ -22,6 +22,9 @@ from .lp import DEFAULT_TOL, LPError
 from .metric import KMetric, VALUE_TOL, _bounding_chains, bounding_sweep
 from .simplicial import Chain, SimplexKey, boundary_rows, coboundary_rows, face_ranks, simplex_index
 
+# Random projections wider than this are refused before R is drawn.
+MAX_PROJECTION_COLUMNS = 1_000_000
+
 
 class NotStrongError(Exception):
     """Embedding requested for a table that fails the strong chain inequality."""
@@ -173,6 +176,11 @@ def random_project(
     """
     if m_target < 1:
         raise ValueError(f"target dimension must be positive, got {m_target}")
+    if m_target > MAX_PROJECTION_COLUMNS:
+        raise ValueError(
+            f"projection needs {m_target} columns, above the "
+            f"{MAX_PROJECTION_COLUMNS} limit; raise eps"
+        )
     if norm_out.is_inf:
         raise ValueError("projection requires a finite p")
     rng = np.random.default_rng(seed)
@@ -185,7 +193,10 @@ def jl_target_dim(n: int, k: int, eps: float, cprime: float = 8.0) -> int:
     """Projection dimension preserving all tuple values within 1 +/- eps whp."""
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    return math.ceil(cprime * k * math.log(n) / (eps * eps))
+    columns = cprime * k * math.log(n) / (eps * eps)
+    if not (cprime > 0.0 and math.isfinite(columns)):
+        raise ValueError(f"cprime must be positive with a finite dimension, got {cprime}")
+    return math.ceil(columns)
 
 
 def l2_to_lp_dim(m: int, p: float, eps: float) -> int:
@@ -196,18 +207,15 @@ def l2_to_lp_dim(m: int, p: float, eps: float) -> int:
         raise ValueError("l2-to-lp projection requires a finite p")
     if p < 2.0:
         return math.ceil(m / (eps * eps))
-    return math.ceil((m / (eps * eps * p)) ** (p / 2.0))
+    try:
+        return math.ceil((m / (eps * eps * p)) ** (p / 2.0))
+    except OverflowError:
+        raise ValueError(f"projection to p={p} needs more columns than a float holds") from None
 
 
 def embed_l2_to_lp(F: ChainMatrix, p: float, eps: float, seed: int) -> ChainMatrix:
     """Re-represent a Euclidean coboundary table in the p-norm, up to eps."""
-    m_target = l2_to_lp_dim(F.m, p, eps)
-    if m_target > 1_000_000:
-        raise ValueError(
-            f"projection needs {m_target} columns, above the 1000000 limit; "
-            "raise eps or lower p"
-        )
-    return random_project(F, m_target, NormSpec(p), seed)
+    return random_project(F, l2_to_lp_dim(F.m, p, eps), NormSpec(p), seed)
 
 
 def max_distortion(d1: KMetric, d2: KMetric) -> float:

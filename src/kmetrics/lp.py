@@ -1,24 +1,21 @@
-"""Dense tableau simplex for the small equality-form programs here.
+"""Dense tableau dual simplex for the small equality-form programs here.
 
-Programs are minimisation over nonnegative variables with equality rows.  A
-``Simplex`` keeps one tableau ``[B^-1 A | B^-1 | B^-1 b]`` for fixed ``A``
-and ``c``, with the reduced-cost row inside it, and solves it for a sequence
-of right-hand sides:
+Programs are minimisation over nonnegative variables with equality rows and
+nonnegative costs.  A ``Simplex`` keeps one tableau ``[B^-1 A | B^-1 |
+B^-1 b]`` for fixed ``A`` and ``c``, with the reduced-cost row inside it,
+and solves it for a sequence of right-hand sides by one algorithm, the dual
+simplex.  It starts from the all-artificial basis, whose dual ``y = 0`` is
+feasible because ``c >= 0``; each later ``b`` starts from the last basis,
+which stays dual feasible because the reduced costs do not depend on ``b``,
+so only the column ``B^-1 b`` is recomputed before pivoting.
 
-- the first by two phases (artificial start);
-- every later one by the dual simplex from the last optimal basis.  That
-  basis stays dual feasible when only ``b`` changes, so only the column
-  ``B^-1 b`` is recomputed before pivoting.
-
-Pivoting is deterministic and never cycles.  The primal simplex follows
-Bland's rule (lowest entering index, lowest basic index among ratio ties);
-the dual simplex its counterpart (the infeasible row with the lowest basic
-index leaves, the lowest index among ratio-test ties enters).  Sizes stay in
-the hundreds of rows, so the tableau is one dense float array.  The package
-solves one kind of program, the bounding-chain LP of ``metric``: its primal
-solution is the cheapest bounding chain and its dual ``y`` is a max-norm
-embedding column.  Tolerances are absolute, so callers scale their costs to
-order one.
+Pivoting is deterministic and never cycles: the infeasible row with the
+lowest basic index leaves, and the lowest index among ratio-test ties
+enters.  Sizes stay in the hundreds of rows, so the tableau is one dense
+float array.  The package solves one kind of program, the bounding-chain LP
+of ``metric``: its primal solution is the cheapest bounding chain and its
+dual ``y`` is a max-norm embedding column.  Tolerances are absolute, so
+callers scale their costs to order one.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ _MAX_PIVOTS = 200_000
 
 
 class LPError(Exception):
-    """Solver failure: numerical breakdown, unboundedness, or pivot overflow."""
+    """Solver failure: numerical breakdown or pivot overflow."""
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,7 @@ class StandardFormLP:
 
 @dataclass(frozen=True)
 class LPSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible"
     x: Optional[np.ndarray]
     y: Optional[np.ndarray]  # dual of the equality rows
     objective: Optional[float]
@@ -87,102 +84,56 @@ def _ratio_ties(ratios: np.ndarray, tol: float) -> np.ndarray:
 
 
 class Simplex:
-    """min c.x s.t. A x = b, x >= 0 for fixed A and c and changing b.
+    """min c.x s.t. A x = b, x >= 0 for fixed A and c >= 0 and changing b.
 
     The tableau has m constraint rows and then the reduced-cost row.  Its
     columns are the nv variables, the m columns of B^-1 and the right-hand
-    side.  Artificial variables (basis entries >= nv) have no column: once
-    one leaves the basis it cannot return.
+    side.  Artificial variables (basis entries >= nv) are held at zero and
+    have no column: once one leaves the basis it cannot return.
     """
 
     def __init__(self, A: np.ndarray, c: np.ndarray, tol: float = DEFAULT_TOL):
         self.A = np.asarray(A, dtype=float)
         self.c = np.asarray(c, dtype=float)
+        if (self.c < 0).any():
+            raise ValueError("costs must be nonnegative")
         self.tol = tol
-        self.T = None
-        self.basis = None
-        self._dual_feasible = False  # an optimal basis to warm-start from
+        m, nv = self.A.shape
+        self.T = np.zeros((m + 1, nv + m + 1))
+        self.T[:m, :nv] = self.A
+        self.T[:m, nv : nv + m] = np.eye(m)
+        self.T[m, :nv] = self.c
+        self.basis = np.arange(nv, nv + m)
 
     def solve(self, b: np.ndarray) -> LPSolution:
-        """Cold solve for b by two phases.
+        """Solve for b by the dual simplex from the current basis.
 
-        Phase one starts from artificials and drops the redundant equality
-        rows it finds; their artificials stay basic at level zero.
+        That basis is the artificial one on the first call and the last one
+        reached after that; it stays dual feasible, also after an infeasible
+        answer.  A row leaves while its basic value is negative, or while
+        its basic artificial is off zero, on either side.  A leaving row
+        with no eligible entry proves b infeasible; a redundant row whose
+        value is off zero is one.
         """
-        A, c, tol = self.A, self.c, self.tol
-        m, nv = A.shape
-        b = np.asarray(b, dtype=float)
-        self._dual_feasible = False
-        self.basis = np.arange(nv, nv + m)
-        # artificial i is sign(b_i) e_i, so B^-1 is diagonal
-        rows = np.diag(np.where(b < 0, -1.0, 1.0)) @ np.hstack([A, np.eye(m), b[:, None]])
-        cost = np.concatenate([c, np.zeros(m + 1)])  # artificials cost 0 here
-        self.T = np.vstack([rows, cost - cost[self.basis] @ rows])
-
-        # Phase one minimises the artificial mass, in a second cost row.
-        self.T = np.vstack([self.T, -rows.sum(axis=0)])
-        if self._primal(m + 1) == "unbounded":
-            raise LPError("phase one reported unbounded")
-        infeasibility = -self.T[m + 1, -1]
-        self.T = self.T[: m + 1]
-        if infeasibility > _feasibility_tol(b):
-            return LPSolution("infeasible", None, None, None)
-        # Pivot leftover artificials out where possible.  A row with no
-        # usable pivot is a redundant constraint: zero on every column.
-        for i in range(m):
-            if self.basis[i] >= nv:
-                pivots = np.nonzero(np.abs(self.T[i, :nv]) > tol)[0]
-                if pivots.size:
-                    _pivot(self.T, self.basis, i, int(pivots[0]))
-
-        if self._primal(m) == "unbounded":
-            return LPSolution("unbounded", None, None, None)
-        return self._solution()
-
-    def resolve(self, b: np.ndarray) -> LPSolution:
-        """Warm solve for a new b by the dual simplex from the current basis.
-
-        Needs an earlier optimal solve: the reduced costs do not depend on b,
-        so that basis stays dual feasible and only B^-1 b is recomputed.  The
-        dual simplex keeps it dual feasible, also when b is infeasible.
-        """
-        if not self._dual_feasible:
-            raise LPError("no optimal basis to warm-start from")
         T, basis, tol = self.T, self.basis, self.tol
         m, nv = self.A.shape
         b = np.asarray(b, dtype=float)
         T[:, -1] = T[:, nv : nv + m] @ b
-        # A redundant row (its artificial still basic) is zero on every
-        # column, so b is infeasible unless B^-1 b vanishes there.
-        if (np.abs(T[:m, -1][basis >= nv]) > _feasibility_tol(b)).any():
-            return LPSolution("infeasible", None, None, None)
+        off_zero = _feasibility_tol(b)
         for _ in range(_MAX_PIVOTS):
-            infeasible = np.nonzero(T[:m, -1] < -tol)[0]
+            value = T[:m, -1]
+            infeasible = np.nonzero(
+                (value < -tol) | ((basis >= nv) & (np.abs(value) > off_zero))
+            )[0]
             if infeasible.size == 0:
                 return self._solution()
             row = int(infeasible[np.argmin(basis[infeasible])])
-            eligible = np.nonzero(T[row, :nv] < -tol)[0]
+            eligible = np.nonzero(np.sign(value[row]) * T[row, :nv] > tol)[0]
             if eligible.size == 0:
                 return LPSolution("infeasible", None, None, None)
-            ratios = T[m, eligible] / -T[row, eligible]
+            ratios = T[m, eligible] / np.abs(T[row, eligible])
             _pivot(T, basis, row, int(eligible[_ratio_ties(ratios, tol)][0]))
         raise LPError("pivot limit exceeded; dual simplex did not terminate")
-
-    def _primal(self, cost_row: int) -> str:
-        """Primal simplex on the given cost row; only real columns enter."""
-        T, basis, tol = self.T, self.basis, self.tol
-        m, nv = self.A.shape
-        for _ in range(_MAX_PIVOTS):
-            entering = np.nonzero(T[cost_row, :nv] < -tol)[0]
-            if entering.size == 0:
-                return "optimal"
-            col = int(entering[0])
-            eligible = np.nonzero(T[:m, col] > tol)[0]
-            if eligible.size == 0:
-                return "unbounded"
-            tied = eligible[_ratio_ties(T[eligible, -1] / T[eligible, col], tol)]
-            _pivot(T, basis, int(tied[np.argmin(basis[tied])]), col)
-        raise LPError("pivot limit exceeded; simplex did not terminate")
 
     def _solution(self) -> LPSolution:
         m, nv = self.A.shape
@@ -190,16 +141,15 @@ class Simplex:
         real = self.basis < nv
         x[self.basis[real]] = np.maximum(self.T[:m, -1][real], 0.0)
         y = -self.T[m, nv : nv + m]
-        self._dual_feasible = True
         x.flags.writeable = False
         y.flags.writeable = False
         return LPSolution("optimal", x, y, float(self.c @ x))
 
 
 def solve(lp: StandardFormLP, tol: float = DEFAULT_TOL) -> LPSolution:
-    """Two-phase simplex for one program.  Returns a basic optimum and its dual.
+    """Dual simplex for one program.  Returns a basic optimum and its dual.
 
-    Redundant equality rows are detected in phase one and dropped.  At an
+    Redundant equality rows keep their artificials basic at zero.  At an
     optimal solution the residual ``A x - b`` and the duality gap
     ``c.x - b.y`` are within solver tolerance.
     """

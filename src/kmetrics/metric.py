@@ -14,7 +14,7 @@ the programs for their rows, targets and residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -108,12 +108,16 @@ def check_weak(d: KMetric, tol: float = VALUE_TOL) -> VerificationReport:
     the sum of the values with one vertex of t swapped for y, up to the
     relative tolerance tol.  Zero values on distinct tuples do not fail the
     check but are reported so callers can see the table is pseudo rather
-    than positive.
+    than positive.  tol must be finite and below 1: at 1 or above no value
+    can exceed its totals, so the check, and the strong check that calls
+    it, would pass any table.
 
     Swapping t_i for y gives the face of t that drops t_i, plus y, so the
     totals are gathers through one coface table: coface[f, y] is the tuple
     f + y, or a NaN slot, which never fails, when y is in f.
     """
+    if not (isfinite(tol) and tol < 1.0):
+        raise ValueError(f"tolerance must be finite and below 1, got {tol}")
     simplices = d.simplices()
     count = len(simplices)
     faces = face_ranks(d.n, d.k - 1)
@@ -142,8 +146,9 @@ def _bounding_chains(w: np.ndarray, n: int, faces: np.ndarray, cols: np.ndarray,
 
     Every program min sum_s w(s)|alpha(s)| s.t. boundary(alpha) = target on
     the dim-simplices cols (faces is face_ranks(n, dim)) shares A and c, so
-    the first is solved cold and each later one by the dual simplex from the
-    previous optimal basis.  Only the rows of faces that miss vertex 0 are
+    one dual simplex solves them all: the first from the artificial basis
+    (y = 0, feasible because w >= 0), each later one from the previous
+    target's final basis.  Only the rows of faces that miss vertex 0 are
     kept: they are independent, and because the boundary of a boundary
     vanishes they imply the others for every target that is a boundary;
     they are the last C(n-1, dim) faces in canonical order.
@@ -164,15 +169,13 @@ def _bounding_chains(w: np.ndarray, n: int, faces: np.ndarray, cols: np.ndarray,
     scale = float(w[cols].max()) or 1.0
     c = w[cols] / scale
     simplex = Simplex(np.hstack([Br, -Br]), np.concatenate([c, c]), tol)
-    for i, target in enumerate(targets):
+    for target in targets:
         unit = float(np.abs(target).max(initial=0.0)) or 1.0
         target = target / unit
         b = target[first:]
-        sol = simplex.resolve(b) if i else simplex.solve(b)
+        sol = simplex.solve(b)
         if sol.status == "infeasible":
             raise UnfillableBoundaryError("boundary not fillable on the allowed simplices")
-        if sol.status != "optimal":
-            raise UnfillableBoundaryError(f"bounding-chain solve ended {sol.status}")
         expansion = (np.abs(Br.T @ sol.y) - c * (1.0 + tol)).max(initial=0.0)
         gap = abs(float(b @ sol.y) - sol.objective)
         if expansion > tol or gap > tol * max(1.0, sol.objective):

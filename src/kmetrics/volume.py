@@ -103,11 +103,12 @@ def volume_metric(cloud: PointCloud, k: int) -> KMetric:
             f"arity {k} exceeds ambient dimension {cloud.m} + 1; all volumes vanish",
             stacklevel=2,
         )
-    pts = cloud.points
-    values = [
-        gram_volume(pts[list(s)]) for s in enumerate_simplices(cloud.count, k - 1)
-    ]
-    return KMetric(n=cloud.count, k=k, values=np.array(values))
+    # rows x_i - x_1 of every tuple, stacked: one batched Gram determinant
+    P = cloud.points[np.array(enumerate_simplices(cloud.count, k - 1))]
+    D = P[:, 1:] - P[:, :1]
+    gram = np.linalg.det(D @ D.transpose(0, 2, 1))
+    values = np.sqrt(np.maximum(gram, 0.0)) / factorial(k - 1)
+    return KMetric(n=cloud.count, k=k, values=values)
 
 
 def projected_volume_vector(points: Sequence[Sequence[float]]) -> np.ndarray:
@@ -149,15 +150,13 @@ def volume_to_coboundary(cloud: PointCloud, k: int) -> ChainMatrix:
         raise ValueError(
             f"arity {k} needs ambient dimension at least {k - 1}, got {cloud.m}"
         )
-    pts = cloud.points
-    simplices = enumerate_simplices(cloud.count, k - 2)
-    axis_sets = list(itertools.combinations(range(cloud.m), k - 1))
-    origin = np.zeros(k - 1)
-    data = np.empty((len(simplices), len(axis_sets)))
-    for i, s in enumerate(simplices):
-        for j, axes in enumerate(axis_sets):
-            cone = np.vstack([origin, pts[np.ix_(list(s), list(axes))]])
-            data[i, j] = signed_volume(cone)
+    # The cone from the origin over points p_1..p_{k-1} has the points
+    # themselves as its difference columns, so each entry is the determinant
+    # of the transposed projected points: one det over (simplex, axis set).
+    P = cloud.points[np.array(enumerate_simplices(cloud.count, k - 2))]
+    axis_sets = np.array(list(itertools.combinations(range(cloud.m), k - 1)))
+    cones = P[:, :, axis_sets].transpose(0, 2, 3, 1)
+    data = np.linalg.det(cones) / factorial(k - 1)
     return ChainMatrix(n=cloud.count, k=k, data=data)
 
 

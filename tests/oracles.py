@@ -14,6 +14,7 @@ from math import comb
 
 import numpy as np
 
+import kmetrics.lp
 from kmetrics import KMetric, enumerate_simplices, orientation_sign, simplex_index
 from kmetrics.coboundary import ChainMatrix
 
@@ -180,3 +181,11 @@ def random_2hypertree_by_deletion(n: int, seed: int, weight_range: tuple = (0.5,
     simplices = enumerate_simplices(n, 2)
     facets = tuple(simplices[j] for j in np.nonzero(alive)[0])
     return facets, rng.uniform(*weight_range, size=len(facets))
+
+
+def count_pivots(monkeypatch) -> list:
+    """Count tableau pivots: the returned list gains one entry per pivot."""
+    pivots = []
+    pivot = kmetrics.lp._pivot
+    monkeypatch.setattr(kmetrics.lp, "_pivot", lambda *a: pivots.append(1) or pivot(*a))
+    return pivots

@@ -101,6 +101,17 @@ def test_verify_strong_pass_and_exhaustive_margins(tmp_path, capsys):
         assert row["cost"] >= row["value"] - 1e-6
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "2", "1"])
+def test_verify_refuses_a_tolerance_that_passes_any_table(tmp_path, capsys, tol):
+    out = str(tmp_path / "d.json")
+    _run(["gen", "subdivided-triangle", "-o", out], capsys)
+    for extra in ([], ["--strong"]):
+        code, report = _run(["verify", out, "--tol", tol, *extra], capsys)
+        assert code == 2
+        assert report["error"]["kind"] == "input"
+        assert "tolerance" in report["error"]["message"]
+
+
 # --- min-chain ---------------------------------------------------------------
 
 
@@ -178,6 +189,33 @@ def test_jl_projection_reports_target_dimension(tmp_path, capsys):
     assert results["columns_after"] == jl_target_dim(6, 3, 0.5)
     assert results["distortion"] < 0.5
     assert read_chain_matrix(small).m == results["columns_after"]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--cprime", "inf"], "cprime"),
+        (["--cprime", "nan"], "cprime"),
+        (["--cprime", "0"], "cprime"),
+        (["--cprime", "-8"], "cprime"),
+        (["--eps", "1e-4"], "limit"),
+    ],
+    ids=["cprime-inf", "cprime-nan", "cprime-zero", "cprime-negative", "tiny-eps"],
+)
+def test_jl_refuses_a_projection_size_before_allocating(tmp_path, capsys, flags, message):
+    # eps 1e-4 asks for about 4.3e9 columns at n=6; the refusal comes first
+    metric = str(tmp_path / "d.json")
+    chains = str(tmp_path / "F.json")
+    out = tmp_path / "G.json"
+    _run(["gen", "random-strong", "--n", "6", "--k", "3", "--seed", "11",
+          "-o", metric], capsys)
+    _run(["embed", "frechet", metric, "-o", chains], capsys)
+    argv = ["embed", "jl", chains, "--eps", "0.5", *flags, "--seed", "2", "-o", str(out)]
+    code, report = _run(argv, capsys)
+    assert code == 2
+    assert report["error"]["kind"] == "input"
+    assert message in report["error"]["message"]
+    assert not out.exists()
 
 
 def test_l2lp_projection_writes_the_renormed_columns(tmp_path, capsys):

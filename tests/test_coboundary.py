@@ -254,6 +254,9 @@ def test_jl_target_dim_formula():
     assert jl_target_dim(30, 3, 0.25) == 1307
     with pytest.raises(ValueError):
         jl_target_dim(30, 3, 0.0)
+    for cprime in (math.inf, math.nan, 0.0, -8.0, 1e308):
+        with pytest.raises(ValueError, match="cprime"):
+            jl_target_dim(30, 3, 0.25, cprime)
 
 
 def test_l2_to_lp_dim_two_cases():
@@ -281,6 +284,12 @@ def test_embed_l2_to_lp_size_guard():
     F = ChainMatrix(n=4, k=3, data=np.ones((6, 50)))
     with pytest.raises(ValueError):
         embed_l2_to_lp(F, 8.0, 0.05, seed=1)
+    with pytest.raises(ValueError):  # (50 / 8) ** 400 overflows a float
+        embed_l2_to_lp(F, 800.0, 0.1, seed=1)
+    # the refusal sits in random_project, before R is drawn, so the JL path
+    # has it too: jl_target_dim(40, 3, 1e-4) asks for 8,853,310,690 columns
+    with pytest.raises(ValueError, match="limit"):
+        random_project(F, jl_target_dim(40, 3, 1e-4), NormSpec(2), seed=1)
 
 
 def test_l2_to_lp_empirical_distortion():

@@ -5,7 +5,6 @@ from math import comb
 import numpy as np
 import pytest
 
-import kmetrics.lp
 from kmetrics import (
     Chain,
     KMetric,
@@ -23,7 +22,7 @@ from kmetrics.corpus import discrete_metric, random_strong_metric
 from kmetrics.hypertree import mbc_metric, random_2hypertree
 from kmetrics.lp import Simplex
 from kmetrics.metric import bounding_sweep
-from oracles import lp_min_by_vertex_enumeration
+from oracles import count_pivots, lp_min_by_vertex_enumeration
 
 
 def _lp(A, b, c):
@@ -62,10 +61,13 @@ def test_infeasible():
     assert sol.status == "infeasible"
 
 
-def test_unbounded():
-    # min -x s.t. x - y = 0: push both to infinity
-    sol = solve(_lp([[1.0, -1.0]], [0.0], [-1.0, 0.0]))
-    assert sol.status == "unbounded"
+def test_negative_cost_is_refused():
+    # the dual simplex starts from y = 0, which is dual feasible only for
+    # c >= 0; min -x s.t. x - y = 0 would be unbounded
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve(_lp([[1.0, -1.0]], [0.0], [-1.0, 0.0]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        Simplex(np.eye(2), np.array([1.0, -1e-12]))
 
 
 def test_redundant_rows_are_tolerated():
@@ -193,32 +195,23 @@ def test_bounding_chain_strong_duality(table):
 def test_sweep_refuses_an_uncertified_optimum(monkeypatch):
     # A warm solve whose dual drifted (here: doubled) no longer proves its
     # cost optimal; the sweep must raise rather than report that cost.
-    resolve = Simplex.resolve
+    solve_b = Simplex.solve
 
     def drifted(self, b):
-        sol = resolve(self, b)
+        sol = solve_b(self, b)
         return LPSolution(sol.status, sol.x, 2.0 * sol.y, sol.objective)
 
     d = random_strong_metric(6, 3, 32).payload
-    monkeypatch.setattr(Simplex, "resolve", drifted)
+    monkeypatch.setattr(Simplex, "solve", drifted)
     with pytest.raises(LPError, match="not certified"):
         check_strong(d, exhaustive=True)
-
-
-def test_resolve_needs_an_optimal_basis():
-    with pytest.raises(LPError):
-        Simplex(np.eye(2), np.ones(2)).resolve(np.ones(2))
-    simplex = Simplex(np.array([[1.0, 1.0]]), np.array([0.0, 0.0]))
-    assert simplex.solve(np.array([-1.0])).status == "infeasible"
-    with pytest.raises(LPError):
-        simplex.resolve(np.array([1.0]))
 
 
 def test_dual_simplex_detects_infeasible_and_recovers():
     simplex = Simplex(np.array([[1.0, 1.0]]), np.array([1.0, 2.0]))
     assert simplex.solve(np.array([1.0])).objective == pytest.approx(1.0)
-    assert simplex.resolve(np.array([-1.0])).status == "infeasible"
-    again = simplex.resolve(np.array([2.0]))
+    assert simplex.solve(np.array([-1.0])).status == "infeasible"
+    again = simplex.solve(np.array([2.0]))
     assert again.status == "optimal"
     assert again.objective == pytest.approx(2.0)
 
@@ -234,7 +227,7 @@ def test_dual_simplex_warm_starts_match_cold_solves():
         assert simplex.solve(A @ rng.uniform(0, 2, size=n)).status == "optimal"
         for _ in range(4):
             b = A @ rng.uniform(0, 2, size=n)
-            warm = simplex.resolve(b)
+            warm = simplex.solve(b)
             cold = solve(_lp(A, b, c))
             assert warm.status == "optimal"
             assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
@@ -245,7 +238,8 @@ def test_dual_simplex_warm_starts_match_cold_solves():
 
 
 def test_masked_sweep_matches_cold_solves_and_highs():
-    # a 2-hypertree is not the complete complex: phase one runs once
+    # a 2-hypertree is not the complete complex: the redundant rows keep
+    # their artificials basic at zero through the whole sweep
     from scipy.optimize import linprog
 
     K = random_2hypertree(7, 3)
@@ -263,13 +257,20 @@ def test_masked_sweep_matches_cold_solves_and_highs():
         assert value == pytest.approx(oracle.fun, rel=1e-9)
 
 
-def test_sweep_pivots_far_fewer_than_cold_solves(monkeypatch):
-    # n=9, k=3: 9,229 pivots solved cold tuple by tuple, 523 as one sweep
-    pivots = []
-    pivot = kmetrics.lp._pivot
-    monkeypatch.setattr(kmetrics.lp, "_pivot", lambda *a: pivots.append(1) or pivot(*a))
+def test_sweep_pivot_bound(monkeypatch):
+    # n=9, k=3: 496 pivots as one warm-started sweep
     d = random_strong_metric(9, 3, 1).payload
-    pivots.clear()
+    pivots = count_pivots(monkeypatch)
     for _ in bounding_sweep(d.values, d.n, d.k):
         pass
+    assert 0 < len(pivots) < 1000
+
+
+def test_cold_solves_pivot_only_on_the_target_rows(monkeypatch):
+    # From the artificial basis a cold solve pivots only on the few nonzero
+    # rows of its target: 319 pivots for all 84 tuples at n=9, k=3.
+    d = random_strong_metric(9, 3, 1).payload
+    pivots = count_pivots(monkeypatch)
+    for t in d.simplices():
+        frechet_column(d, t)
     assert 0 < len(pivots) < 1000

@@ -1,5 +1,6 @@
 """Distance tables and weak/strong verification through bounding chains."""
 
+import math
 from math import comb
 
 import numpy as np
@@ -92,6 +93,17 @@ def test_weak_check_never_swaps_a_point_for_itself():
         d = KMetric(n=n, k=k, values=values)
         for tol in (-0.99, -0.5, 0.0, 1e-6):
             assert check_weak(d, tol=tol).weak_violations == check_weak_loop(d, tol)[0]
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 1.0, 2.0])
+def test_tolerance_must_be_finite_and_below_one(tol):
+    # at tol >= 1 (or nan) no relative test can fire: the subdivided triangle,
+    # whose witness costs 7 against a value of 10, would read strong
+    d = subdivided_triangle().payload
+    with pytest.raises(ValueError, match="tolerance"):
+        check_weak(d, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        check_strong(d, tol=tol)
 
 
 def test_weak_on_subdivided_triangle():

@@ -96,6 +96,24 @@ def test_volume_metric_matches_per_tuple_oracle():
         assert d.value(t) == pytest.approx(gram_volume(pts[list(t)]), rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_batched_determinants_match_the_per_tuple_functions_exactly(k):
+    # volume_metric and volume_to_coboundary take one batched det; it must
+    # agree bit for bit with gram_volume and signed_volume on each tuple
+    rng = np.random.default_rng(24)
+    pts = rng.normal(size=(9, 4))
+    cloud = PointCloud(points=pts)
+    want = [gram_volume(pts[list(t)]) for t in combinations(range(9), k)]
+    assert np.array_equal(volume_metric(cloud, k).values, want)
+    origin = np.zeros((1, k - 1))
+    cones = [
+        [signed_volume(np.vstack([origin, pts[np.ix_(s, axes)]]))
+         for axes in combinations(range(4), k - 1)]
+        for s in combinations(range(9), k - 1)
+    ]
+    assert np.array_equal(volume_to_coboundary(cloud, k).data, cones)
+
+
 def test_volume_metric_warns_when_flat():
     with pytest.warns(UserWarning):
         d = volume_metric(PointCloud(points=np.zeros((4, 1))), 3)
