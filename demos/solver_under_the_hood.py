@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-# The LP layer by itself: equality-form problems, duals, and the
-# split-variable trick that turns an absolute-value objective linear.
+# The LP layer by itself: equality-form problems, duals, and an
+# absolute-value objective priced on both sides of one column per variable.
 
 import numpy as np
 
-from kmetrics.lp import StandardFormLP, solve
+from kmetrics.lp import Simplex, StandardFormLP, solve
 
 # min x + 2y  s.t.  x + y = 3, x - y = 1, x, y >= 0
 lp = StandardFormLP(
@@ -17,7 +17,8 @@ print("optimum:", res.objective, "at x =", res.x)
 print("dual prices:", res.y)
 print("strong duality gap:", abs(res.objective - res.y @ lp.b))
 
-# |alpha| objectives: write alpha = plus - minus with both halves priced
+# |alpha| objectives: over x >= 0, write alpha = plus - minus with both
+# halves priced; Simplex(A, c, c) prices one column on both sides of zero
 target = np.array([1.0, -2.0, 1.0])
 res2 = solve(StandardFormLP(
     A=np.hstack([np.eye(3), -np.eye(3)]),
@@ -27,6 +28,8 @@ res2 = solve(StandardFormLP(
 alpha = res2.x[:3] - res2.x[3:]
 print("\nrecovered signed vector:", alpha)
 print("1-norm cost:", res2.objective)
+signed = Simplex(np.eye(3), np.ones(3), np.ones(3)).solve(target)
+print("one column per entry:", signed.x, "cost", signed.objective)
 
 # redundant rows are tolerated; their duals stay consistent
 A3 = np.vstack([lp.A, lp.A.sum(axis=0)])

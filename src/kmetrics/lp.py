@@ -1,21 +1,21 @@
 """Dense tableau dual simplex for the small equality-form programs here.
 
-Programs are minimisation over nonnegative variables with equality rows and
-nonnegative costs.  A ``Simplex`` keeps one tableau ``[B^-1 A | B^-1 |
-B^-1 b]`` for fixed ``A`` and ``c``, with the reduced-cost row inside it,
-and solves it for a sequence of right-hand sides by one algorithm, the dual
+Programs minimise c.x+ + c_neg.x- over A x = b, where x+ and x- are the
+positive and negative parts of x and both costs are nonnegative (c_neg =
+inf keeps x >= 0).  A ``Simplex`` keeps one tableau ``[B^-1 A | B^-1 |
+B^-1 b]``, one column per variable and the reduced-cost row inside it, and
+solves it for a sequence of right-hand sides by one algorithm, the dual
 simplex.  It starts from the all-artificial basis, whose dual ``y = 0`` is
-feasible because ``c >= 0``; each later ``b`` starts from the last basis,
-which stays dual feasible because the reduced costs do not depend on ``b``,
-so only the column ``B^-1 b`` is recomputed before pivoting.
+feasible because the costs are nonnegative; each later ``b`` starts from
+the last basis, still dual feasible as the reduced costs do not depend on b.
 
 Pivoting is deterministic and never cycles: the infeasible row with the
 lowest basic index leaves, and the lowest index among ratio-test ties
-enters.  Sizes stay in the hundreds of rows, so the tableau is one dense
-float array.  The package solves one kind of program, the bounding-chain LP
-of ``metric``: its primal solution is the cheapest bounding chain and its
-dual ``y`` is a max-norm embedding column.  Tolerances are absolute, so
-callers scale their costs to order one.
+enters, up or down, whichever moves the leaving value towards zero.  The
+package solves one kind of program, the bounding-chain LP of ``metric``:
+its primal solution is the cheapest bounding chain and its dual ``y`` is a
+max-norm embedding column.  Tolerances are absolute, so callers scale their
+costs to order one.
 """
 
 from __future__ import annotations
@@ -64,13 +64,15 @@ class LPSolution:
     objective: Optional[float]
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int, reduced: float = 0.0) -> None:
     T[row] = T[row] / T[row, col]
     column = T[:, col].copy()
     column[row] = 0.0
+    column[-1] -= reduced
     T -= np.outer(column, T[row])
     T[:, col] = 0.0
     T[row, col] = 1.0
+    T[-1, col] = reduced
     basis[row] = col
 
 
@@ -84,18 +86,21 @@ def _ratio_ties(ratios: np.ndarray, tol: float) -> np.ndarray:
 
 
 class Simplex:
-    """min c.x s.t. A x = b, x >= 0 for fixed A and c >= 0 and changing b.
+    """min c.x+ + c_neg.x- s.t. A x = b for fixed A, c, c_neg >= 0 and changing b.
 
     The tableau has m constraint rows and then the reduced-cost row.  Its
     columns are the nv variables, the m columns of B^-1 and the right-hand
-    side.  Artificial variables (basis entries >= nv) are held at zero and
-    have no column: once one leaves the basis it cannot return.
+    side.  The row holds d = c - A'y, the reduced cost of going up; going
+    down costs c + c_neg - d.  Each row's sign is the side of zero its basic
+    variable is on.  Artificial variables (basis entries >= nv) are held at
+    zero and have no column: once one leaves the basis it cannot return.
     """
 
-    def __init__(self, A: np.ndarray, c: np.ndarray, tol: float = DEFAULT_TOL):
+    def __init__(self, A: np.ndarray, c: np.ndarray, c_neg, tol: float = DEFAULT_TOL):
         self.A = np.asarray(A, dtype=float)
         self.c = np.asarray(c, dtype=float)
-        if (self.c < 0).any():
+        self.c_neg = np.broadcast_to(np.asarray(c_neg, dtype=float), self.c.shape)
+        if (self.c < 0).any() or (self.c_neg < 0).any():
             raise ValueError("costs must be nonnegative")
         self.tol = tol
         m, nv = self.A.shape
@@ -104,16 +109,17 @@ class Simplex:
         self.T[:m, nv : nv + m] = np.eye(m)
         self.T[m, :nv] = self.c
         self.basis = np.arange(nv, nv + m)
+        self.sign = np.ones(m)
 
     def solve(self, b: np.ndarray) -> LPSolution:
         """Solve for b by the dual simplex from the current basis.
 
         That basis is the artificial one on the first call and the last one
         reached after that; it stays dual feasible, also after an infeasible
-        answer.  A row leaves while its basic value is negative, or while
-        its basic artificial is off zero, on either side.  A leaving row
-        with no eligible entry proves b infeasible; a redundant row whose
-        value is off zero is one.
+        answer.  A row leaves while its basic value is on the wrong side of
+        zero, or while its basic artificial is off zero, on either side.  A
+        leaving row with no entering column proves b infeasible; a redundant
+        row whose value is off zero is one.
         """
         T, basis, tol = self.T, self.basis, self.tol
         m, nv = self.A.shape
@@ -123,27 +129,31 @@ class Simplex:
         for _ in range(_MAX_PIVOTS):
             value = T[:m, -1]
             infeasible = np.nonzero(
-                (value < -tol) | ((basis >= nv) & (np.abs(value) > off_zero))
+                (self.sign * value < -tol) | ((basis >= nv) & (np.abs(value) > off_zero))
             )[0]
             if infeasible.size == 0:
                 return self._solution()
             row = int(infeasible[np.argmin(basis[infeasible])])
-            eligible = np.nonzero(np.sign(value[row]) * T[row, :nv] > tol)[0]
-            if eligible.size == 0:
+            eligible = np.nonzero(np.abs(T[row, :nv]) > tol)[0]
+            up = value[row] * T[row, eligible] > 0  # else down; a basic column flips side
+            span = self.c[eligible] + self.c_neg[eligible]
+            ratios = np.where(up, T[m, eligible], span - T[m, eligible]) / np.abs(T[row, eligible])
+            if ratios.min(initial=np.inf) == np.inf:
                 return LPSolution("infeasible", None, None, None)
-            ratios = T[m, eligible] / np.abs(T[row, eligible])
-            _pivot(T, basis, row, int(eligible[_ratio_ties(ratios, tol)][0]))
+            pick = np.flatnonzero(_ratio_ties(ratios, tol))[0]
+            self.sign[row] = 1.0 if up[pick] else -1.0
+            _pivot(T, basis, row, int(eligible[pick]), 0.0 if up[pick] else float(span[pick]))
         raise LPError("pivot limit exceeded; dual simplex did not terminate")
 
     def _solution(self) -> LPSolution:
         m, nv = self.A.shape
         x = np.zeros(nv)
         real = self.basis < nv
-        x[self.basis[real]] = np.maximum(self.T[:m, -1][real], 0.0)
+        x[self.basis[real]] = (self.sign * np.maximum(self.sign * self.T[:m, -1], 0.0))[real]
         y = -self.T[m, nv : nv + m]
         x.flags.writeable = False
         y.flags.writeable = False
-        return LPSolution("optimal", x, y, float(self.c @ x))
+        return LPSolution("optimal", x, y, float(np.where(x < 0, -self.c_neg, self.c) @ x))
 
 
 def solve(lp: StandardFormLP, tol: float = DEFAULT_TOL) -> LPSolution:
@@ -155,4 +165,4 @@ def solve(lp: StandardFormLP, tol: float = DEFAULT_TOL) -> LPSolution:
     """
     if lp.c.size == 0:
         raise ValueError("LP has no variables")
-    return Simplex(lp.A, lp.c, tol).solve(lp.b)
+    return Simplex(lp.A, lp.c, np.inf, tol).solve(lp.b)

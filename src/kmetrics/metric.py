@@ -35,6 +35,7 @@ from .simplicial import (
 # Downstream comparisons of metric values; looser than the LP pivot tolerance.
 VALUE_TOL = 1e-6
 RESIDUAL_TOL = 1e-6
+MAX_LP_BYTES = 1 << 30  # identity, kept rows and two tableaux (a pivot's update is one)
 
 
 class UnfillableBoundaryError(Exception):
@@ -160,15 +161,20 @@ def _bounding_chains(w: np.ndarray, n: int, faces: np.ndarray, cols: np.ndarray,
     residual check on all faces (a target that is not a boundary fails
     there), and the dual y, zero on the dropped rows, must satisfy
     |coboundary(y)| <= w (1 + tol) + tol max(w) on cols and
-    <target, y> = cost to tol, or LPError is raised.
+    <target, y> = cost to tol, or LPError is raised.  A program that would
+    peak over MAX_LP_BYTES is refused with ValueError before any allocation.
     """
     dim = faces.shape[0] - 1
     size, first = comb(n, dim), comb(n - 1, dim - 1)
+    m = size - first
+    needed = 8 * (size * size + m * cols.size + 2 * (m + 1) * (cols.size + m + 1))
+    if needed > MAX_LP_BYTES:
+        raise ValueError(f"bounding-chain LP needs {needed:.3g} bytes, budget {MAX_LP_BYTES}")
     allowed = faces[:, cols]
     Br = coboundary_rows(allowed, np.eye(size)[:, first:]).T  # the kept rows of the boundary
     scale = float(w[cols].max()) or 1.0
     c = w[cols] / scale
-    simplex = Simplex(np.hstack([Br, -Br]), np.concatenate([c, c]), tol)
+    simplex = Simplex(Br, c, c, tol)
     for target in targets:
         unit = float(np.abs(target).max(initial=0.0)) or 1.0
         target = target / unit
@@ -184,14 +190,13 @@ def _bounding_chains(w: np.ndarray, n: int, faces: np.ndarray, cols: np.ndarray,
                 f"duality gap {gap:.3e} (relative to the largest weight)"
             )
 
-        alpha = sol.x[: cols.size] - sol.x[cols.size :]
-        residual = np.abs(boundary_rows(allowed, alpha, size) - target).max(initial=0.0)
+        residual = np.abs(boundary_rows(allowed, sol.x, size) - target).max(initial=0.0)
         if residual > RESIDUAL_TOL:
             raise UnfillableBoundaryError(
                 f"bounding chain residual {residual:.3e} exceeds {RESIDUAL_TOL}"
             )
         coeffs = np.zeros(faces.shape[1])
-        coeffs[cols] = alpha * unit
+        coeffs[cols] = sol.x * unit
         y = np.zeros(size)
         y[first:] = sol.y * scale
         yield sol.objective * scale * unit, Chain(n=n, dim=dim, coeffs=coeffs), y
@@ -221,8 +226,8 @@ def min_bounding_chain(
 
     Minimises sum_s w(s) |alpha(s)| over chains alpha one dimension above the
     target with boundary(alpha) = target, optionally restricted to a set of
-    allowed simplices.  Signed coefficients are handled by splitting alpha
-    into positive and negative parts inside the LP.
+    allowed simplices.  Each coefficient is one LP column, priced at w(s)
+    on either side of zero.
 
     Args:
         weights: nonnegative cost per simplex of dimension target.dim + 1.

@@ -1,0 +1,42 @@
+"""The library calls that the frozen perfbench replay makes must keep working.
+
+perfbench/ lies outside the test paths, so this module imports its replay
+(which fails if any name it imports from kmetrics is gone) and repeats, on a
+small table, the calls and checks of its strong_k3 replay.  Nothing under
+perfbench/ is written.
+"""
+
+import importlib
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def replay(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no __pycache__ there
+    return importlib.import_module("replay")
+
+
+def test_replay_imports_and_its_strong_k3_calls_run(replay):
+    d = replay.corpus.random_strong_metric(7, 3, 5).payload
+    report = replay.check_strong(d, exhaustive=True, jobs=replay.JOBS)
+    assert report.is_strong
+
+    B = replay.boundary_operator(d.n, d.k - 1).matrix.astype(float)
+    A, c = np.hstack([B, -B]), np.concatenate([d.values, d.values])
+    for i in range(B.shape[1]):
+        sol = replay.solve(replay.StandardFormLP(A=A, b=B[:, i], c=c))
+        target = replay.Chain(n=d.n, dim=d.k - 2, coeffs=B[:, i])
+        cost, _ = replay.min_bounding_chain(d.values, target)
+        assert sol.objective == pytest.approx(cost, rel=1e-9)
+
+    F = replay.frechet_embed(d, jobs=replay.JOBS)
+    back = replay.eval_coboundary_metric(F, replay.NormSpec(math.inf))
+    assert back.values == pytest.approx(d.values, rel=1e-9)

@@ -381,3 +381,13 @@ def test_gen_requires_shape_arguments(tmp_path, capsys):
     assert code == 2
     assert report["error"]["kind"] == "usage"
     assert "--n and --k" in report["error"]["message"]
+
+
+def test_strong_check_too_large_for_memory_is_an_input_error(tmp_path, capsys):
+    # 280,840 tuples pass MAX_SIMPLICES; the bounding-chain LP would not fit
+    table = str(tmp_path / "d.json")
+    assert _run(["gen", "discrete", "--n", "120", "--k", "3", "-o", table], capsys)[0] == 0
+    code, report = _run(["verify", table, "--strong"], capsys)
+    assert code == 2
+    assert report["error"]["kind"] == "input"
+    assert "budget" in report["error"]["message"]

@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import kmetrics.metric
 from kmetrics import (
     Chain,
     KMetric,
@@ -67,7 +68,10 @@ def test_negative_cost_is_refused():
     with pytest.raises(ValueError, match="nonnegative"):
         solve(_lp([[1.0, -1.0]], [0.0], [-1.0, 0.0]))
     with pytest.raises(ValueError, match="nonnegative"):
-        Simplex(np.eye(2), np.array([1.0, -1e-12]))
+        Simplex(np.eye(2), np.array([1.0, -1e-12]), np.inf)
+    # a negative price for going below zero is unbounded the same way
+    with pytest.raises(ValueError, match="nonnegative"):
+        Simplex(np.eye(2), np.ones(2), np.array([1.0, -1e-12]))
 
 
 def test_redundant_rows_are_tolerated():
@@ -208,7 +212,7 @@ def test_sweep_refuses_an_uncertified_optimum(monkeypatch):
 
 
 def test_dual_simplex_detects_infeasible_and_recovers():
-    simplex = Simplex(np.array([[1.0, 1.0]]), np.array([1.0, 2.0]))
+    simplex = Simplex(np.array([[1.0, 1.0]]), np.array([1.0, 2.0]), np.inf)
     assert simplex.solve(np.array([1.0])).objective == pytest.approx(1.0)
     assert simplex.solve(np.array([-1.0])).status == "infeasible"
     again = simplex.solve(np.array([2.0]))
@@ -223,7 +227,7 @@ def test_dual_simplex_warm_starts_match_cold_solves():
         n = int(rng.integers(m, 8))
         A = rng.normal(size=(m, n))
         c = rng.uniform(0, 3, size=n)
-        simplex = Simplex(A, c)
+        simplex = Simplex(A, c, np.inf)
         assert simplex.solve(A @ rng.uniform(0, 2, size=n)).status == "optimal"
         for _ in range(4):
             b = A @ rng.uniform(0, 2, size=n)
@@ -258,12 +262,13 @@ def test_masked_sweep_matches_cold_solves_and_highs():
 
 
 def test_sweep_pivot_bound(monkeypatch):
-    # n=9, k=3: 496 pivots as one warm-started sweep
+    # n=9, k=3: 341 pivots as one warm-started sweep; a split [B, -B]
+    # tableau, which swaps columns at every sign change, takes 496
     d = random_strong_metric(9, 3, 1).payload
     pivots = count_pivots(monkeypatch)
     for _ in bounding_sweep(d.values, d.n, d.k):
         pass
-    assert 0 < len(pivots) < 1000
+    assert 0 < len(pivots) < 400
 
 
 def test_cold_solves_pivot_only_on_the_target_rows(monkeypatch):
@@ -274,3 +279,80 @@ def test_cold_solves_pivot_only_on_the_target_rows(monkeypatch):
     for t in d.simplices():
         frechet_column(d, t)
     assert 0 < len(pivots) < 1000
+
+
+@pytest.mark.parametrize("asymmetric", [False, True], ids=["c_neg=c", "c_neg!=c"])
+def test_signed_simplex_matches_highs_on_the_split_program(asymmetric):
+    # One column per variable, priced c going up and c_neg going down, must
+    # reach HiGHS's optimum of the split program [A, -A] with costs [c, c_neg],
+    # cold and warm, with a dual inside -c_neg <= A'y <= c and no gap.
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(47)
+    negative = 0
+    for _ in range(60):
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(m, 8))
+        A = rng.normal(size=(m, n))
+        c = rng.uniform(0, 3, size=n)
+        c_neg = rng.uniform(0, 3, size=n) if asymmetric else c
+        simplex = Simplex(A, c, c_neg)
+        for _ in range(4):
+            b = A @ rng.uniform(-2, 2, size=n)
+            sol = simplex.solve(b)
+            oracle = linprog(np.concatenate([c, c_neg]), A_eq=np.hstack([A, -A]),
+                             b_eq=b, bounds=(0, None), method="highs")
+            assert sol.status == "optimal" and oracle.status == 0
+            assert sol.objective == pytest.approx(oracle.fun, rel=1e-9, abs=1e-9)
+            assert np.abs(A @ sol.x - b).max() < 1e-7
+            priced = c @ np.maximum(sol.x, 0.0) + c_neg @ np.maximum(-sol.x, 0.0)
+            assert priced == pytest.approx(sol.objective, rel=1e-12, abs=1e-12)
+            assert abs(sol.objective - b @ sol.y) < 1e-7
+            assert (A.T @ sol.y <= c * (1 + 1e-9) + 1e-9).all()
+            assert (-A.T @ sol.y <= c_neg * (1 + 1e-9) + 1e-9).all()
+            negative += int((sol.x < -1e-9).any())
+    assert negative > 20
+
+
+def test_infinite_negative_cost_never_returns_a_negative_entry():
+    # c_neg = inf is x >= 0: targets reachable only with a negative entry are
+    # infeasible, the others agree with HiGHS on x >= 0
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(53)
+    infeasible = 0
+    for _ in range(60):
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(m, 8))
+        A = rng.normal(size=(m, n))
+        c = rng.uniform(0, 3, size=n)
+        simplex = Simplex(A, c, np.inf)
+        for _ in range(4):
+            b = A @ rng.uniform(-2, 2, size=n)
+            sol = simplex.solve(b)
+            oracle = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+            if oracle.status == 2:
+                assert sol.status == "infeasible"
+                infeasible += 1
+                continue
+            assert sol.status == "optimal"
+            assert sol.x.min() >= 0.0
+            assert sol.objective == pytest.approx(oracle.fun, rel=1e-9, abs=1e-9)
+    assert infeasible > 20
+
+
+def test_bounding_chain_tableau_has_one_column_per_simplex(monkeypatch):
+    # m = C(n-1, k-1) kept rows, N = C(n, k) chain coefficients: the tableau
+    # is the m constraint rows plus the cost row by N + m + 1 columns
+    d = random_strong_metric(9, 3, 1).payload
+    made = []
+
+    class Recorded(Simplex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(kmetrics.metric, "Simplex", Recorded)
+    next(bounding_sweep(d.values, d.n, d.k))
+    m, N = comb(8, 2), comb(9, 3)
+    assert [s.T.shape for s in made] == [(m + 1, N + m + 1)]

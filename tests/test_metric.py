@@ -19,7 +19,8 @@ from kmetrics import (
     simplex_index,
     zero_chain,
 )
-from kmetrics.corpus import random_strong_metric, subdivided_triangle
+from kmetrics.corpus import discrete_metric, random_strong_metric, subdivided_triangle
+from kmetrics.metric import MAX_LP_BYTES, bounding_sweep
 from oracles import check_weak_loop, random_closure_2metric, relabel_kmetric
 
 SUBDIVISION = ((0, 1, 4), (0, 4, 3), (1, 2, 5), (1, 5, 4), (0, 3, 2), (2, 3, 5), (3, 4, 5))
@@ -238,6 +239,22 @@ def test_strong_verdict_survives_tiny_scale():
     assert report.is_strong is False
     assert report.strong_witness.simplex == (0, 1, 2)
     assert report.strong_witness.cost == pytest.approx(7e-9, rel=1e-9)
+
+
+def test_an_lp_over_the_byte_budget_is_refused_before_allocating():
+    # n=120, k=3: 280,840 tuples pass MAX_SIMPLICES, but the identity, the
+    # 7,021 kept rows and the tableau would take about 30 GiB
+    import tracemalloc
+
+    d = discrete_metric(120, 3).payload
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            next(bounding_sweep(d.values, d.n, d.k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_LP_BYTES / 10
 
 
 def test_scan_stops_at_the_witness_of_a_refuted_copy():
