@@ -25,6 +25,9 @@ from .simplicial import Chain, SimplexKey, boundary_rows, coboundary_rows, face_
 # Random projections wider than this are refused before R is drawn.
 MAX_PROJECTION_COLUMNS = 1_000_000
 
+# Coboundary entries that eval_coboundary_metric gathers at once (4 MB of floats).
+_EVAL_BLOCK = 2**19
+
 
 class NotStrongError(Exception):
     """Embedding requested for a table that fails the strong chain inequality."""
@@ -95,8 +98,13 @@ class ChainMatrix:
 
 def eval_coboundary_metric(F: ChainMatrix, norm: NormSpec) -> KMetric:
     """Arity-k table whose entry at t is the p-norm of row t of coboundary(F)."""
-    rows = coboundary_rows(face_ranks(F.n, F.k - 1), F.data)
-    return KMetric(n=F.n, k=F.k, values=norm.row_norms(rows))
+    faces = face_ranks(F.n, F.k - 1)
+    step = max(1, _EVAL_BLOCK // F.m)  # tuples whose coboundary rows are held at a time
+    norms = [
+        norm.row_norms(coboundary_rows(faces[:, a : a + step], F.data))
+        for a in range(0, faces.shape[1], step)
+    ]
+    return KMetric(n=F.n, k=F.k, values=np.concatenate(norms))
 
 
 def _dual_column(d: KMetric, faces, idx: int, cost: float, y: np.ndarray, tol: float):

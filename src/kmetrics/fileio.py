@@ -1,16 +1,21 @@
 """JSON file formats for tables, chain collections, complexes, and clouds.
 
-All files are UTF-8 JSON objects.  Floats are written with Python's shortest
-round-trip representation, so write-read cycles are bit-exact.  Parse
-problems raise InputError carrying the file, the offending field, and the
-line number when the JSON itself is malformed.
+All files are UTF-8 JSON objects, written as compact single-line JSON; the
+readers accept any layout.  Floats are written with Python's shortest
+round-trip representation, so write-read cycles are bit-exact.  Writes are one
+json.dumps call, the only path on which CPython runs its C encoder (json.dump
+and any indent fall back to the pure-Python one).  Reads check each list as a
+whole and convert it in one numpy call; the per-entry validators run only to
+name the first bad entry.  Parse problems raise InputError carrying the file,
+the offending field, and the line number when the JSON itself is malformed.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from math import comb
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -58,8 +63,7 @@ def _load_object(path: str) -> dict:
 
 def _dump(obj: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
 def _get_int(obj: dict, key: str, path: str, minimum: int = 0) -> int:
@@ -90,6 +94,16 @@ def _as_number(value, path: str, field: str) -> float:
         raise InputError(path, "number too large for a float", field=field) from None
 
 
+def _as_numbers(values: list, path: str, field: Callable[[int], str]) -> np.ndarray:
+    """values as a float array; field(i) names entry i if one is not a number."""
+    if set(map(type, values)) <= {int, float}:
+        try:
+            return np.array(values, dtype=float)
+        except OverflowError:
+            pass
+    return np.array([_as_number(v, path, field(i)) for i, v in enumerate(values)], dtype=float)
+
+
 def _read_simplex(entry, path: str, field: str, n: int, size: int) -> tuple:
     if not isinstance(entry, list) or len(entry) != size:
         raise InputError(path, f"expected a list of {size} vertices", field=field)
@@ -99,31 +113,52 @@ def _read_simplex(entry, path: str, field: str, n: int, size: int) -> tuple:
         raise InputError(path, str(exc), field=field) from None
 
 
+def _read_entries(obj: dict, path: str, name: str, key: str, n: int, k: int):
+    """(vertex rows, numbers) of the {"s": simplex, key: number} list obj[name]."""
+    entries = _get_list(obj, name, path)
+    try:
+        simplices = [entry["s"] for entry in entries]
+        numbers = [entry[key] for entry in entries]
+        if (
+            set(map(type, simplices)) <= {list}
+            and set(map(len, simplices)) <= {k}
+            and set(map(type, itertools.chain.from_iterable(simplices))) <= {int}
+        ):
+            flat = itertools.chain.from_iterable(simplices)
+            rows = np.fromiter(flat, np.int64, k * len(simplices)).reshape(-1, k)
+            simplex_index(n, rows)  # refuses any row that is not canonical
+            return rows, _as_numbers(numbers, path, lambda i: f"{name}[{i}].{key}")
+    except (KeyError, TypeError, OverflowError, ValueError):
+        pass
+    # name the first bad entry, one entry at a time
+    verts, numbers = [], []
+    for pos, entry in enumerate(entries):
+        field = f"{name}[{pos}]"
+        if not isinstance(entry, dict) or "s" not in entry or key not in entry:
+            raise InputError(path, f"expected an object with s and {key}", field=field)
+        verts.extend(_read_simplex(entry["s"], path, field + ".s", n, k))
+        numbers.append(_as_number(entry[key], path, f"{field}.{key}"))
+    return np.array(verts, dtype=np.int64).reshape(-1, k), np.array(numbers, dtype=float)
+
+
 # --- arity-k tables -------------------------------------------------------
 
 
 def write_kmetric(d: KMetric, path: str) -> None:
-    entries = [
-        {"s": list(s), "d": float(v)} for s, v in zip(d.simplices(), d.values)
-    ]
+    entries = [{"s": s, "d": v} for s, v in zip(d.simplices(), d.values.tolist())]
     _dump({"n": d.n, "k": d.k, "values": entries}, path)
 
 
 def read_kmetric(path: str) -> KMetric:
-    obj = _load_object(path)
+    return _kmetric_from(_load_object(path), path)
+
+
+def _kmetric_from(obj: dict, path: str) -> KMetric:
     n = _get_int(obj, "n", path, minimum=1)
     k = _get_int(obj, "k", path, minimum=2)
     if n < k:
         raise InputError(path, f"need n >= k, got n={n}, k={k}", field="n")
-    entries = _get_list(obj, "values", path)
-    verts, numbers = [], []
-    for pos, entry in enumerate(entries):
-        field = f"values[{pos}]"
-        if not isinstance(entry, dict) or "s" not in entry or "d" not in entry:
-            raise InputError(path, "expected an object with s and d", field=field)
-        verts.extend(_read_simplex(entry["s"], path, field + ".s", n, k))
-        numbers.append(_as_number(entry["d"], path, field + ".d"))
-    rows = np.array(verts, dtype=np.int64).reshape(-1, k)
+    rows, numbers = _read_entries(obj, path, "values", "d", n, k)
     index = simplex_index(n, rows)
     first = np.unique(index, return_index=True)[1]
     if first.size < index.size:
@@ -151,19 +186,14 @@ def read_kmetric(path: str) -> KMetric:
 
 
 def write_chain_matrix(F: ChainMatrix, path: str) -> None:
-    _dump(
-        {
-            "n": F.n,
-            "k": F.k,
-            "m": F.m,
-            "data": [float(v) for v in F.data.reshape(-1)],
-        },
-        path,
-    )
+    _dump({"n": F.n, "k": F.k, "m": F.m, "data": F.data.reshape(-1).tolist()}, path)
 
 
 def read_chain_matrix(path: str) -> ChainMatrix:
-    obj = _load_object(path)
+    return _chain_matrix_from(_load_object(path), path)
+
+
+def _chain_matrix_from(obj: dict, path: str) -> ChainMatrix:
     n = _get_int(obj, "n", path, minimum=1)
     k = _get_int(obj, "k", path, minimum=2)
     m = _get_int(obj, "m", path, minimum=1)
@@ -175,9 +205,7 @@ def read_chain_matrix(path: str) -> ChainMatrix:
             f"expected {rows} x {m} = {rows * m} numbers, got {len(data)}",
             field="data",
         )
-    flat = np.array(
-        [_as_number(v, path, f"data[{i}]") for i, v in enumerate(data)]
-    )
+    flat = _as_numbers(data, path, lambda i: f"data[{i}]")
     try:
         return ChainMatrix(n=n, k=k, data=flat.reshape(rows, m))
     except ValueError as exc:
@@ -188,26 +216,20 @@ def read_chain_matrix(path: str) -> ChainMatrix:
 
 
 def write_complex(K: WeightedComplex, path: str) -> None:
-    facets = [
-        {"s": list(f), "w": float(w)} for f, w in zip(K.facets, K.weights)
-    ]
+    facets = [{"s": f, "w": w} for f, w in zip(K.facets, K.weights.tolist())]
     _dump({"n": K.n, "k": K.k, "facets": facets}, path)
 
 
 def read_complex(path: str) -> WeightedComplex:
-    obj = _load_object(path)
+    return _complex_from(_load_object(path), path)
+
+
+def _complex_from(obj: dict, path: str) -> WeightedComplex:
     n = _get_int(obj, "n", path, minimum=1)
     k = _get_int(obj, "k", path, minimum=2)
-    entries = _get_list(obj, "facets", path)
-    facets, weights = [], []
-    for pos, entry in enumerate(entries):
-        field = f"facets[{pos}]"
-        if not isinstance(entry, dict) or "s" not in entry or "w" not in entry:
-            raise InputError(path, "expected an object with s and w", field=field)
-        facets.append(_read_simplex(entry["s"], path, field + ".s", n, k))
-        weights.append(_as_number(entry["w"], path, field + ".w"))
+    rows, weights = _read_entries(obj, path, "facets", "w", n, k)
     try:
-        return WeightedComplex(n=n, k=k, facets=tuple(facets), weights=np.array(weights))
+        return WeightedComplex(n=n, k=k, facets=tuple(map(tuple, rows.tolist())), weights=weights)
     except ValueError as exc:
         raise InputError(path, str(exc), field="facets") from exc
 
@@ -216,27 +238,25 @@ def read_complex(path: str) -> WeightedComplex:
 
 
 def write_cloud(cloud: PointCloud, path: str) -> None:
-    _dump(
-        {
-            "m": cloud.m,
-            "points": [[float(v) for v in row] for row in cloud.points],
-        },
-        path,
-    )
+    _dump({"m": cloud.m, "points": cloud.points.tolist()}, path)
 
 
 def read_cloud(path: str) -> PointCloud:
-    obj = _load_object(path)
+    return _cloud_from(_load_object(path), path)
+
+
+def _cloud_from(obj: dict, path: str) -> PointCloud:
     m = _get_int(obj, "m", path, minimum=1)
     rows = _get_list(obj, "points", path)
-    points = []
-    for pos, row in enumerate(rows):
-        field = f"points[{pos}]"
-        if not isinstance(row, list) or len(row) != m:
-            raise InputError(path, f"expected a list of {m} coordinates", field=field)
-        points.append([_as_number(v, path, field) for v in row])
+    shaped = (isinstance(row, list) and len(row) == m for row in rows)
+    bad = next((pos for pos, ok in enumerate(shaped) if not ok), len(rows))
+    # a bad coordinate before the first bad row is the first error, as row by row
+    flat = list(itertools.chain.from_iterable(rows[:bad]))
+    points = _as_numbers(flat, path, lambda i: f"points[{i // m}]")
+    if bad < len(rows):
+        raise InputError(path, f"expected a list of {m} coordinates", field=f"points[{bad}]")
     try:
-        return PointCloud(points=np.array(points).reshape(len(points), m))
+        return PointCloud(points=points.reshape(len(rows), m))
     except ValueError as exc:
         raise InputError(path, str(exc), field="points") from exc
 
@@ -245,14 +265,7 @@ def read_cloud(path: str) -> PointCloud:
 
 
 def write_chain(chain: Chain, path: str) -> None:
-    _dump(
-        {
-            "n": chain.n,
-            "dim": chain.dim,
-            "coeffs": [float(v) for v in chain.coeffs],
-        },
-        path,
-    )
+    _dump({"n": chain.n, "dim": chain.dim, "coeffs": chain.coeffs.tolist()}, path)
 
 
 def read_chain(path: str) -> Chain:
@@ -260,18 +273,18 @@ def read_chain(path: str) -> Chain:
     n = _get_int(obj, "n", path, minimum=1)
     dim = _get_int(obj, "dim", path, minimum=0)
     coeffs = _get_list(obj, "coeffs", path)
-    values = [_as_number(v, path, f"coeffs[{i}]") for i, v in enumerate(coeffs)]
+    values = _as_numbers(coeffs, path, lambda i: f"coeffs[{i}]")
     try:
-        return Chain(n=n, dim=dim, coeffs=np.array(values))
+        return Chain(n=n, dim=dim, coeffs=values)
     except ValueError as exc:
         raise InputError(path, str(exc), field="coeffs") from exc
 
 
-_READERS = {
-    "values": ("kmetric", read_kmetric),
-    "data": ("chain_matrix", read_chain_matrix),
-    "facets": ("complex", read_complex),
-    "points": ("cloud", read_cloud),
+_BUILDERS = {
+    "values": ("kmetric", _kmetric_from),
+    "data": ("chain_matrix", _chain_matrix_from),
+    "facets": ("complex", _complex_from),
+    "points": ("cloud", _cloud_from),
 }
 
 
@@ -279,14 +292,14 @@ def read_any(path: str):
     """Detect the payload type from its distinguishing field.
 
     Returns (kind, object) with kind one of kmetric, chain_matrix, complex,
-    cloud.
+    cloud.  The file is parsed once.
     """
     obj = _load_object(path)
-    for key, (kind, reader) in _READERS.items():
+    for key, (kind, build) in _BUILDERS.items():
         if key in obj:
-            return kind, reader(path)
+            return kind, build(obj, path)
     raise InputError(
         path,
         "unrecognised payload: expected one of the fields "
-        + ", ".join(_READERS),
+        + ", ".join(_BUILDERS),
     )

@@ -26,9 +26,10 @@ from kmetrics import (
     random_project,
     simplex_index,
 )
-from kmetrics import WeightedComplex
+from kmetrics import WeightedComplex, coboundary
 from kmetrics.corpus import four_point_equilateral, random_strong_metric, subdivided_triangle
 from kmetrics.hypertree import mbc_metric
+from kmetrics.simplicial import coboundary_rows, face_ranks
 from oracles import random_closure_2metric, relabel_chain_matrix, relabel_kmetric
 
 
@@ -93,17 +94,33 @@ def test_eval_matches_the_dense_coboundary():
 
 def test_eval_memory_stays_with_the_chains():
     # The dense int64 coboundary alone is C(40, 3) x C(40, 2) x 8 bytes = 62 MB;
-    # the gather needs a few arrays of C(40, 3) x 10 floats (0.8 MB each).
+    # the gather needs a few arrays of C(40, 3) x 10 floats (0.8 MB each).  With
+    # weak_volume's 355 columns one gather of all rows would be 28 MB, so the
+    # rows are held one block at a time.
     rng = np.random.default_rng(40)
-    F = ChainMatrix(n=40, k=3, data=rng.standard_normal((comb(40, 2), 10)))
-    tracemalloc.start()
-    try:
-        d = eval_coboundary_metric(F, NormSpec(2))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert d.values.size == comb(40, 3)
-    assert peak < 16 * 2**20, peak
+    for m in (10, 355):
+        F = ChainMatrix(n=40, k=3, data=rng.standard_normal((comb(40, 2), m)))
+        tracemalloc.start()
+        try:
+            d = eval_coboundary_metric(F, NormSpec(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.values.size == comb(40, 3)
+        assert peak < 16 * 2**20, (m, peak)
+
+
+def test_blocked_eval_is_bit_identical_to_one_gather(monkeypatch):
+    rng = np.random.default_rng(41)
+    cases = [(30, 3, 600, None), (9, 3, 4, 1), (9, 3, 4, 5 * 4), (8, 4, 3, 7)]
+    for n, k, m, block in cases:  # block None keeps the default; the last block is short
+        if block is not None:
+            monkeypatch.setattr(coboundary, "_EVAL_BLOCK", block)
+        F = ChainMatrix(n=n, k=k, data=rng.standard_normal((comb(n, k - 1), m)))
+        rows = coboundary_rows(face_ranks(n, k - 1), F.data)
+        for p in (1, 2, math.inf):
+            got = eval_coboundary_metric(F, NormSpec(p)).values
+            assert np.array_equal(got, NormSpec(p).row_norms(rows)), (n, k, m, block, p)
 
 
 def test_coboundary_tables_are_strong():

@@ -1,10 +1,15 @@
 """Round trips and error reporting for the JSON file formats."""
 
 import json
+import struct
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kmetrics import fileio
 from kmetrics.coboundary import ChainMatrix
 from kmetrics.fileio import (
     InputError,
@@ -85,6 +90,68 @@ def test_chain_round_trip_is_bit_exact(tmp_path):
     back = read_chain(path)
     assert (back.n, back.dim) == (6, 2)
     assert np.array_equal(back.coeffs, chain.coeffs)
+
+
+def test_writes_are_compact_single_line_json(tmp_path):
+    path = tmp_path / "d.json"
+    write_kmetric(KMetric(n=3, k=2, values=[0.5, 1.0, 2.0]), str(path))
+    text = path.read_text(encoding="utf-8")
+    assert text == (
+        '{"n":3,"k":2,"values":[{"s":[0,1],"d":0.5},'
+        '{"s":[0,2],"d":1.0},{"s":[1,2],"d":2.0}]}\n'
+    )
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308]
+_NUMBERS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**1000), 2**1000),  # JSON integers, most of them above 2**53
+)
+
+
+def _bits(values):
+    return [struct.pack("<d", float(v)) for v in values]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(_NUMBERS, min_size=3, max_size=45))
+def test_reads_match_float_bit_for_bit(tmp_path_factory, numbers):
+    tmp = tmp_path_factory.mktemp("bits")
+    data = numbers[: len(numbers) // 3 * 3]
+    path = _write_json(tmp / "F.json", {"n": 3, "k": 2, "m": len(data) // 3, "data": data})
+    F = read_chain_matrix(path)
+    assert _bits(F.data.reshape(-1)) == _bits(data)
+    write_chain_matrix(F, str(tmp / "G.json"))
+    assert _bits(read_chain_matrix(str(tmp / "G.json")).data.reshape(-1)) == _bits(data)
+    d = [abs(v) for v in numbers[:3]]
+    entries = [{"s": list(s), "d": v} for s, v in zip([(0, 1), (0, 2), (1, 2)], d)]
+    path = _write_json(tmp / "d.json", {"n": 3, "k": 2, "values": entries})
+    assert _bits(read_kmetric(path).values) == _bits(d)
+
+
+def test_valid_files_skip_the_per_entry_validators(tmp_path, monkeypatch):
+    rng = np.random.default_rng(12)
+    d = KMetric(n=12, k=3, values=rng.uniform(0.5, 2.0, comb(12, 3)))
+    F = ChainMatrix(n=12, k=3, data=rng.standard_normal((comb(12, 2), 4)))
+    K = WeightedComplex(n=5, k=3, facets=((0, 1, 2), (1, 3, 4)), weights=np.array([1.0, 2.0]))
+    cloud = PointCloud(points=rng.standard_normal((9, 3)))
+    chain = Chain(n=6, dim=2, coeffs=rng.standard_normal(20))
+    for write, obj, name in [(write_kmetric, d, "d"), (write_chain_matrix, F, "F"),
+                             (write_complex, K, "K"), (write_cloud, cloud, "P"),
+                             (write_chain, chain, "c")]:
+        write(obj, str(tmp_path / f"{name}.json"))
+
+    def refuse(*args):
+        raise AssertionError("per-entry validator on a valid file")
+
+    monkeypatch.setattr(fileio, "_as_number", refuse)
+    monkeypatch.setattr(fileio, "_read_simplex", refuse)
+    assert np.array_equal(read_kmetric(str(tmp_path / "d.json")).values, d.values)
+    assert np.array_equal(read_chain_matrix(str(tmp_path / "F.json")).data, F.data)
+    assert read_complex(str(tmp_path / "K.json")).facets == K.facets
+    assert np.array_equal(read_cloud(str(tmp_path / "P.json")).points, cloud.points)
+    assert np.array_equal(read_chain(str(tmp_path / "c.json")).coeffs, chain.coeffs)
 
 
 # --- file-level errors ------------------------------------------------------
@@ -228,6 +295,55 @@ def test_kmetric_negative_value_wrapped_as_input_error(tmp_path):
         read_kmetric(path)
 
 
+def _table(i, key, value):
+    entries = [{"s": [0, 1], "d": 1.0}, {"s": [0, 2], "d": 1.0}, {"s": [1, 2], "d": 1.0}]
+    entries[i][key] = value
+    return {"n": 3, "k": 2, "values": entries}
+
+
+def _matrix(*data):
+    return {"n": 3, "k": 2, "m": 1, "data": list(data)}
+
+
+@pytest.mark.parametrize(
+    "read, obj, field, message",
+    [
+        (read_chain_matrix, _matrix(0.0, True, 1.0), "data[1]", "expected a number, got True"),
+        (read_chain_matrix, _matrix(0.0, 1.0, "1.5"), "data[2]", "expected a number, got '1.5'"),
+        (read_chain_matrix, _matrix([[1]], 0.0, 1.0), "data[0]", "expected a number, got [[1]]"),
+        (read_chain_matrix, _matrix(0.0, 1.0, 10**400), "data[2]", "number too large for a float"),
+        (read_kmetric, _table(1, "d", True), "values[1].d", "expected a number, got True"),
+        (read_kmetric, _table(2, "d", 10**400), "values[2].d", "number too large for a float"),
+        (read_kmetric, _table(1, "s", [True, 2]), "values[1].s",
+         "vertices must be integers, got (True, 2)"),
+        (read_kmetric, _table(2, "s", [1.0, 2]), "values[2].s",
+         "vertices must be integers, got (1.0, 2)"),
+        (read_kmetric, _table(1, "s", [0, 2**70]), "values[1].s",
+         f"vertex out of range 0..2: (0, {2**70})"),
+        (read_kmetric, _table(1, "s", [0, 1, 2]), "values[1].s", "expected a list of 2 vertices"),
+        (read_cloud, {"m": 2, "points": [[0.0, 1.0], [True, 2.0]]}, "points[1]",
+         "expected a number, got True"),
+    ],
+)
+def test_whole_list_reads_refuse_like_the_per_entry_check(tmp_path, read, obj, field, message):
+    path = _write_json(tmp_path / "x.json", obj)
+    with pytest.raises(InputError) as info:
+        read(path)
+    assert (info.value.field, info.value.line, info.value.message) == (field, None, message)
+
+
+def test_first_bad_entry_wins_across_fields(tmp_path):
+    obj = _table(2, "s", [2, 1])
+    obj["values"][1]["d"] = "x"  # an earlier bad value beats a later bad simplex
+    with pytest.raises(InputError) as info:
+        read_kmetric(_write_json(tmp_path / "d.json", obj))
+    assert info.value.field == "values[1].d"
+    cloud = {"m": 2, "points": [[0.0, None], [1.0]]}  # a bad coordinate before a short row
+    with pytest.raises(InputError) as info:
+        read_cloud(_write_json(tmp_path / "P.json", cloud))
+    assert (info.value.field, info.value.message) == ("points[0]", "expected a number, got None")
+
+
 # --- chain matrix, complex, cloud, chain errors -----------------------------
 
 
@@ -310,6 +426,16 @@ def test_read_any_detects_all_four_kinds(tmp_path):
     assert read_any(str(tmp_path / "e.json"))[0] == "cloud"
     kind, obj = read_any(str(tmp_path / "a.json"))
     assert np.array_equal(obj.values, d.values)
+
+
+def test_read_any_parses_the_file_once(tmp_path, monkeypatch):
+    path = str(tmp_path / "F.json")
+    write_chain_matrix(ChainMatrix(n=4, k=2, data=np.ones((4, 2))), path)
+    calls = []
+    load = fileio._load_object
+    monkeypatch.setattr(fileio, "_load_object", lambda p: calls.append(p) or load(p))
+    assert read_any(path)[0] == "chain_matrix"
+    assert calls == [path]
 
 
 def test_read_any_rejects_unknown_payload(tmp_path):
