@@ -28,8 +28,9 @@ def _apex_positions(n: int, dim: int) -> np.ndarray:
 
 def apex_extend(d: KMetric) -> KMetric:
     """Arity k+1 table on n+1 vertices; apex-free tuples get zero."""
+    positions = _apex_positions(d.n, d.k - 1)  # checks the extended count before allocating
     values = np.zeros(comb(d.n + 1, d.k + 1))
-    values[_apex_positions(d.n, d.k - 1)] = d.values
+    values[positions] = d.values
     return KMetric(n=d.n + 1, k=d.k + 1, values=values)
 
 
@@ -62,6 +63,7 @@ def apex_extend_chain_matrix(F: ChainMatrix) -> ChainMatrix:
 
     Rows move as lift_operator moves them (+ 0.0 clears -0.0, as its product does).
     """
+    positions = _apex_positions(F.n, F.k - 2)  # checks the extended count before allocating
     data = np.zeros((comb(F.n + 1, F.k), F.m))
-    data[_apex_positions(F.n, F.k - 2)] = F.data + 0.0
+    data[positions] = F.data + 0.0
     return ChainMatrix(n=F.n + 1, k=F.k + 1, data=data)

@@ -1,8 +1,13 @@
 """Command-line front end.
 
-Every run prints one JSON report to stdout: either the command's results or
-an error object.  Exit codes: 0 success, 1 negative verification verdict,
-2 unusable input (parse, schema, or precondition), 3 solver failure.
+Every run prints one JSON report to stdout.  On success it holds command,
+inputs (a sha256: digest per file read), results, outputs (each file written,
+keyed metric, chains or chain by what it holds, or instance for gen) and
+timing.seconds.  Otherwise it is one error object with kind (usage, input,
+verification or solver) and message, plus file, field and line for a bad
+file, or simplex, value and achieved for a table that is not strong.  Exit
+codes: 0 success, 1 negative verification verdict, 2 unusable input (parse,
+schema, or precondition), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -91,6 +96,30 @@ def _sha256(path: str) -> str:
     return "sha256:" + digest.hexdigest()
 
 
+def _read(reader, path: str, inputs: dict):
+    """Parse path with reader, then record its digest under inputs."""
+    payload = reader(path)
+    inputs[path] = _sha256(path)
+    return payload
+
+
+# payload type -> (writer, its key under the report's outputs)
+_WRITERS = {
+    KMetric: (write_kmetric, "metric"),
+    ChainMatrix: (write_chain_matrix, "chains"),
+    Chain: (write_chain, "chain"),
+}
+
+
+def _write(payload, path, outputs: dict, key=None) -> None:
+    """Write payload to path, unless path is None, and record it under outputs."""
+    if path is None:
+        return
+    writer, default = _WRITERS[type(payload)]
+    writer(payload, path)
+    outputs[key or default] = path
+
+
 def _simplex_list(s) -> list:
     return [int(v) for v in s]
 
@@ -101,6 +130,21 @@ def _chain_support(chain) -> list:
         {"s": _simplex_list(s), "coeff": float(c)}
         for s, c in zip(chain.support(), chain.coeffs[chain.coeffs != 0])
     ]
+
+
+# gen name -> maker of its corpus instance, in the order usage messages list them
+_MAKERS = {
+    "subdivided-triangle": lambda args, inputs: corpus.subdivided_triangle(high=args.high),
+    "discrete": lambda args, inputs: corpus.discrete_metric(args.n, args.k),
+    "four-point-equilateral": lambda args, inputs: corpus.four_point_equilateral(),
+    "six-point-apex-discrete": lambda args, inputs: corpus.six_point_apex_discrete(),
+    "perimeter": lambda args, inputs: corpus.perimeter_metric(
+        _read(read_cloud, args.points, inputs)),
+    "max-side": lambda args, inputs: corpus.max_side_metric(
+        _read(read_cloud, args.points, inputs)),
+    "random-strong": lambda args, inputs: corpus.random_strong_metric(
+        args.n, args.k, args.seed),
+}
 
 
 def build_parser() -> _Parser:
@@ -157,18 +201,7 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("gen", help="write a named corpus instance")
-    p.add_argument(
-        "name",
-        choices=[
-            "subdivided-triangle",
-            "discrete",
-            "four-point-equilateral",
-            "six-point-apex-discrete",
-            "perimeter",
-            "max-side",
-            "random-strong",
-        ],
-    )
+    p.add_argument("name", choices=list(_MAKERS))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--seed", type=int, default=0)
@@ -183,8 +216,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_verify(args, inputs, outputs):
-    d = read_kmetric(args.metric)
-    inputs[args.metric] = _sha256(args.metric)
+    d = _read(read_kmetric, args.metric, inputs)
     if args.strong:
         report = check_strong(d, exhaustive=args.exhaustive, tol=args.tol)
     else:
@@ -221,8 +253,7 @@ def _cmd_verify(args, inputs, outputs):
 
 
 def _cmd_min_chain(args, inputs, outputs):
-    K = read_complex(args.complex)
-    inputs[args.complex] = _sha256(args.complex)
+    K = _read(read_complex, args.complex, inputs)
     target = _parse_target(args.target)
     if len(target) != K.k:
         raise _UsageError(f"target needs {K.k} vertices, got {len(target)}")
@@ -233,9 +264,7 @@ def _cmd_min_chain(args, inputs, outputs):
                          math.comb(K.n, K.k - 1))
     boundary = Chain(n=K.n, dim=K.k - 2, coeffs=rows)
     cost, chain = min_bounding_chain(weights, boundary, mask=idx)
-    if args.output:
-        write_chain(chain, args.output)
-        outputs["chain"] = args.output
+    _write(chain, args.output, outputs)
     results = {
         "target": list(target),
         "cost": cost,
@@ -246,54 +275,37 @@ def _cmd_min_chain(args, inputs, outputs):
 
 def _cmd_embed(args, inputs, outputs):
     if args.mode == "frechet":
-        d = read_kmetric(args.metric)
-        inputs[args.metric] = _sha256(args.metric)
-        F = frechet_embed(d)
-        write_chain_matrix(F, args.output)
-        outputs["chains"] = args.output
+        F = frechet_embed(_read(read_kmetric, args.metric, inputs))
+        _write(F, args.output, outputs)
         return {"n": F.n, "k": F.k, "columns": F.m}, OK
 
-    F = read_chain_matrix(args.chains)
-    inputs[args.chains] = _sha256(args.chains)
+    F = _read(read_chain_matrix, args.chains, inputs)
     if args.mode == "jl":
+        p = 2
         m_target = jl_target_dim(F.n, F.k, args.eps, args.cprime)
-        projected = random_project(F, m_target, NormSpec(2), args.seed)
-        distortion = max_distortion(
-            eval_coboundary_metric(projected, NormSpec(2)),
-            eval_coboundary_metric(F, NormSpec(2)),
-        )
-        results = {
-            "columns_before": F.m,
-            "columns_after": projected.m,
-            "eps": args.eps,
-            "distortion": distortion,
-        }
+        projected = random_project(F, m_target, NormSpec(p), args.seed)
     else:  # l2lp
         p = _parse_p(args.p)
         projected = embed_l2_to_lp(F, p, args.eps, args.seed)
-        distortion = max_distortion(
-            eval_coboundary_metric(projected, NormSpec(p)),
-            eval_coboundary_metric(F, NormSpec(2)),
-        )
-        results = {
-            "columns_before": F.m,
-            "columns_after": projected.m,
-            "p": p,
-            "eps": args.eps,
-            "distortion": distortion,
-        }
-    write_chain_matrix(projected, args.output)
-    outputs["chains"] = args.output
+    distortion = max_distortion(
+        eval_coboundary_metric(projected, NormSpec(p)),
+        eval_coboundary_metric(F, NormSpec(2)),
+    )
+    results = {
+        "columns_before": F.m,
+        "columns_after": projected.m,
+        **({"p": p} if args.mode == "l2lp" else {}),
+        "eps": args.eps,
+        "distortion": distortion,
+    }
+    _write(projected, args.output, outputs)
     return results, OK
 
 
 def _cmd_eval(args, inputs, outputs):
-    F = read_chain_matrix(args.chains)
-    inputs[args.chains] = _sha256(args.chains)
+    F = _read(read_chain_matrix, args.chains, inputs)
     d = eval_coboundary_metric(F, NormSpec(_parse_p(args.p)))
-    if args.output:
-        write_kmetric(d, args.output)
-        outputs["metric"] = args.output
+    _write(d, args.output, outputs)
     return {
         "n": d.n,
         "k": d.k,
@@ -303,18 +315,13 @@ def _cmd_eval(args, inputs, outputs):
 
 
 def _cmd_volume(args, inputs, outputs):
-    cloud = read_cloud(args.points)
-    inputs[args.points] = _sha256(args.points)
+    cloud = _read(read_cloud, args.points, inputs)
     if args.to_coboundary:
         F = volume_to_coboundary(cloud, args.k)
-        if args.output:
-            write_chain_matrix(F, args.output)
-            outputs["chains"] = args.output
+        _write(F, args.output, outputs)
         return {"points": cloud.count, "k": args.k, "columns": F.m}, OK
     d = volume_metric(cloud, args.k)
-    if args.output:
-        write_kmetric(d, args.output)
-        outputs["metric"] = args.output
+    _write(d, args.output, outputs)
     return {
         "points": cloud.count,
         "k": args.k,
@@ -323,23 +330,17 @@ def _cmd_volume(args, inputs, outputs):
     }, OK
 
 
+_APEX = {"kmetric": apex_extend, "chain_matrix": apex_extend_chain_matrix}
+
+
 def _cmd_apex(args, inputs, outputs):
-    kind, payload = read_any(args.payload)
-    inputs[args.payload] = _sha256(args.payload)
-    if kind == "kmetric":
-        extended = apex_extend(payload)
-        if args.output:
-            write_kmetric(extended, args.output)
-            outputs["metric"] = args.output
-    elif kind == "chain_matrix":
-        extended = apex_extend_chain_matrix(payload)
-        if args.output:
-            write_chain_matrix(extended, args.output)
-            outputs["chains"] = args.output
-    else:
+    kind, payload = _read(read_any, args.payload, inputs)
+    if kind not in _APEX:
         raise InputError(
             args.payload, f"apex extension applies to tables or chains, not {kind}"
         )
+    extended = _APEX[kind](payload)
+    _write(extended, args.output, outputs)
     return {
         "kind": kind,
         "n": extended.n,
@@ -349,8 +350,7 @@ def _cmd_apex(args, inputs, outputs):
 
 
 def _cmd_hypertree(args, inputs, outputs):
-    K = read_complex(args.complex)
-    inputs[args.complex] = _sha256(args.complex)
+    K = _read(read_complex, args.complex, inputs)
     report = is_hypertree(K)
     results = {
         "n": K.n,
@@ -364,45 +364,19 @@ def _cmd_hypertree(args, inputs, outputs):
     }
     if args.to_l1:
         F = hypertree_to_l1(K)  # raises NotHypertreeError on a bad complex
-        if args.output:
-            write_chain_matrix(F, args.output)
-            outputs["chains"] = args.output
+        _write(F, args.output, outputs)
         results["columns"] = F.m
     return results, OK if report.is_hypertree else VERIFY_FAIL
 
 
 def _cmd_gen(args, inputs, outputs):
     name = args.name
-    if name == "subdivided-triangle":
-        inst = corpus.subdivided_triangle(high=args.high)
-    elif name == "discrete":
-        if args.n is None or args.k is None:
-            raise _UsageError("discrete needs --n and --k")
-        inst = corpus.discrete_metric(args.n, args.k)
-    elif name == "four-point-equilateral":
-        inst = corpus.four_point_equilateral()
-    elif name == "six-point-apex-discrete":
-        inst = corpus.six_point_apex_discrete()
-    elif name in ("perimeter", "max-side"):
-        if not args.points:
-            raise _UsageError(f"{name} needs --points")
-        cloud = read_cloud(args.points)
-        inputs[args.points] = _sha256(args.points)
-        maker = corpus.perimeter_metric if name == "perimeter" else corpus.max_side_metric
-        inst = maker(cloud)
-    else:  # random-strong
-        if args.n is None or args.k is None:
-            raise _UsageError("random-strong needs --n and --k")
-        inst = corpus.random_strong_metric(args.n, args.k, args.seed)
-
-    payload = inst.payload
-    if isinstance(payload, KMetric):
-        write_kmetric(payload, args.output)
-    elif isinstance(payload, ChainMatrix):
-        write_chain_matrix(payload, args.output)
-    else:
-        raise _UsageError(f"cannot serialise payload of {name}")
-    outputs["instance"] = args.output
+    if name in ("discrete", "random-strong") and (args.n is None or args.k is None):
+        raise _UsageError(f"{name} needs --n and --k")
+    if name in ("perimeter", "max-side") and not args.points:
+        raise _UsageError(f"{name} needs --points")
+    inst = _MAKERS[name](args, inputs)
+    _write(inst.payload, args.output, outputs, key="instance")
 
     expected = {}
     for key, value in inst.expected.items():
@@ -433,56 +407,34 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, indent=1))
 
 
-def _error(kind: str, message: str, **extra) -> dict:
+def _fail(code: int, kind: str, message: str, **extra) -> int:
+    """Print the error object; return the exit code."""
     body = {"kind": kind, "message": message}
     body.update({k: v for k, v in extra.items() if v is not None})
-    return {"error": body}
+    _emit({"error": body})
+    return code
 
 
 def main(argv=None) -> int:
     started = time.perf_counter()
-    try:
-        args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        _emit(_error("usage", str(exc)))
-        return INPUT_FAIL
-
     inputs, outputs = {}, {}
     try:
+        args = build_parser().parse_args(argv)
         results, code = _HANDLERS[args.command](args, inputs, outputs)
     except _UsageError as exc:
-        _emit(_error("usage", str(exc)))
-        return INPUT_FAIL
+        return _fail(INPUT_FAIL, "usage", str(exc))
     except InputError as exc:
-        _emit(
-            _error(
-                "input", exc.message, file=exc.path, field=exc.field, line=exc.line
-            )
-        )
-        return INPUT_FAIL
+        return _fail(INPUT_FAIL, "input", exc.message, file=exc.path, field=exc.field,
+                     line=exc.line)
     except NotStrongError as exc:
-        _emit(
-            _error(
-                "verification",
-                str(exc),
-                simplex=_simplex_list(exc.simplex),
-                value=exc.value,
-                achieved=exc.achieved,
-            )
-        )
-        return VERIFY_FAIL
+        return _fail(VERIFY_FAIL, "verification", str(exc), simplex=_simplex_list(exc.simplex),
+                     value=exc.value, achieved=exc.achieved)
     except NotHypertreeError as exc:
-        _emit(_error("verification", str(exc)))
-        return VERIFY_FAIL
-    except UnfillableBoundaryError as exc:
-        _emit(_error("input", str(exc)))
-        return INPUT_FAIL
+        return _fail(VERIFY_FAIL, "verification", str(exc))
     except LPError as exc:
-        _emit(_error("solver", str(exc)))
-        return SOLVER_FAIL
-    except (ValueError, OSError) as exc:
-        _emit(_error("input", str(exc)))
-        return INPUT_FAIL
+        return _fail(SOLVER_FAIL, "solver", str(exc))
+    except (UnfillableBoundaryError, ValueError, OSError) as exc:
+        return _fail(INPUT_FAIL, "input", str(exc))
 
     _emit(
         {

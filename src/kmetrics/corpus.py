@@ -74,7 +74,8 @@ def subdivided_triangle(high: float = 10.0) -> CorpusInstance:
 
 def discrete_metric(n: int, k: int) -> CorpusInstance:
     """Every distinct k-tuple at distance one; strong at all checked sizes."""
-    payload = KMetric(n=n, k=k, values=np.ones(comb(n, k)))
+    # a read-only view: KMetric refuses a count over MAX_SIMPLICES before copying it
+    payload = KMetric(n=n, k=k, values=np.broadcast_to(1.0, comb(n, k)))
     aux = {}
     if k == 3:
         # the all-ones edge chain realises the table as a 1-norm coboundary

@@ -23,6 +23,7 @@ from .lp import DEFAULT_TOL, LPError, Simplex
 from .simplicial import (
     Chain,
     SimplexKey,
+    _check_counts,
     boundary_rows,
     coboundary_rows,
     enumerate_simplices,
@@ -55,7 +56,7 @@ class KMetric:
             raise ValueError(f"arity must be at least 2, got {self.k}")
         if self.n < self.k:
             raise ValueError(f"need n >= k, got n={self.n}, k={self.k}")
-        count = comb(self.n, self.k)
+        count = _check_counts(self.n, self.k - 1)
         arr = np.array(self.values, dtype=float).reshape(-1)
         if arr.shape != (count,):
             raise ValueError(f"expected {count} values, got {arr.shape[0]}")
@@ -102,6 +103,11 @@ class VerificationReport:
     strong_margins: tuple = ()
 
 
+def _check_tol(tol: float) -> None:
+    if not (isfinite(tol) and tol < 1.0):
+        raise ValueError(f"tolerance must be finite and below 1, got {tol}")
+
+
 def check_weak(d: KMetric, tol: float = VALUE_TOL) -> VerificationReport:
     """Test the one-point replacement inequality at every tuple.
 
@@ -117,8 +123,7 @@ def check_weak(d: KMetric, tol: float = VALUE_TOL) -> VerificationReport:
     totals are gathers through one coface table: coface[f, y] is the tuple
     f + y, or a NaN slot, which never fails, when y is in f.
     """
-    if not (isfinite(tol) and tol < 1.0):
-        raise ValueError(f"tolerance must be finite and below 1, got {tol}")
+    _check_tol(tol)
     simplices = d.simplices()
     count = len(simplices)
     faces = face_ranks(d.n, d.k - 1)
@@ -283,9 +288,10 @@ def check_strong(
     default the scan stops at the first failing tuple in canonical order;
     exhaustive mode records the margin of every tuple.  The tuples are one
     sequential sweep, so jobs has no effect; it is kept for callers that
-    pass it.
+    pass it.  The sweep runs before the weak pass, so a table too large for
+    the LP budget is refused without paying for the weak pass first.
     """
-    weak = check_weak(d, tol=tol)
+    _check_tol(tol)
     simplices = d.simplices()
     margins = []
     witness = None
@@ -297,6 +303,7 @@ def check_strong(
             if not exhaustive:
                 break
 
+    weak = check_weak(d, tol=tol)
     return VerificationReport(
         is_weak=weak.is_weak,
         weak_violations=weak.weak_violations,

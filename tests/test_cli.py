@@ -2,6 +2,8 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +60,51 @@ def test_input_hashes_are_sha256(tmp_path, capsys):
     assert code == 0
     digest = report["inputs"][out]
     assert digest.startswith("sha256:") and len(digest) == 7 + 64
+
+
+# The sh block under "## Command line" in README.md, one entry per line:
+# (exit code, result keys in order, outputs, input files)
+README_REPORTS = [
+    (0, ["name", "expected"], {"instance": "d.json"}, []),
+    (1, ["n", "k", "weak", "weak_violations", "pseudo", "pseudo_zero_tuples", "strong",
+         "witness"], {}, ["d.json"]),
+    (0, ["name", "expected"], {"instance": "s.json"}, []),
+    (0, ["n", "k", "columns"], {"chains": "F.json"}, ["s.json"]),
+    (0, ["n", "k", "min_value", "max_value"], {"metric": "back.json"}, ["F.json"]),
+    (0, ["columns_before", "columns_after", "eps", "distortion"], {"chains": "small.json"},
+     ["F.json"]),
+    (0, ["columns_before", "columns_after", "p", "eps", "distortion"], {"chains": "l1.json"},
+     ["F.json"]),
+    (0, ["target", "cost", "chain_support"], {"chain": "chain.json"}, ["complex.json"]),
+    (0, ["points", "k", "columns"], {"chains": "cones.json"}, ["cloud.json"]),
+    (0, ["kind", "n", "k", "apex"], {"metric": "s4.json"}, ["s.json"]),
+    (0, ["n", "k", "facets", "facet_rank", "cycle_space_dim", "acyclic", "fills_cycles",
+         "hypertree", "columns"], {"chains": "cols.json"}, ["tree.json"]),
+]
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
+def test_readme_command_block_runs_as_documented(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_complex(_subdivision_complex(), "complex.json")
+    write_cloud(PointCloud(points=np.random.default_rng(5).standard_normal((6, 3))),
+                "cloud.json")
+    write_complex(random_spanning_tree(6, seed=1), "tree.json")
+    commands = _readme_commands()
+    assert len(commands) == len(README_REPORTS)
+    for argv, (code, keys, outputs, inputs) in zip(commands, README_REPORTS):
+        assert argv[0] == "kmetrics"
+        got, report = _run(argv[1:], capsys)
+        assert got == code, argv
+        assert list(report["results"]) == keys, argv
+        assert report["outputs"] == outputs, argv
+        assert list(report["inputs"]) == inputs, argv
 
 
 # --- verify ------------------------------------------------------------------
@@ -381,6 +428,36 @@ def test_gen_requires_shape_arguments(tmp_path, capsys):
     assert code == 2
     assert report["error"]["kind"] == "usage"
     assert "--n and --k" in report["error"]["message"]
+
+
+def test_gen_discrete_over_the_simplex_limit_is_an_input_error(tmp_path, capsys):
+    # C(100000, 3) values would take 1.18 PiB; the count is refused first
+    out = tmp_path / "d.json"
+    code, report = _run(["gen", "discrete", "--n", "100000", "--k", "3", "-o", str(out)],
+                        capsys)
+    assert code == 2
+    assert report["error"]["kind"] == "input"
+    assert "refusing to enumerate" in report["error"]["message"]
+    assert not out.exists()
+
+
+def test_a_failed_write_is_an_input_error_with_no_outputs(tmp_path, capsys):
+    metric, chains, cx = (str(tmp_path / name) for name in ("s.json", "F.json", "K.json"))
+    _run(["gen", "random-strong", "--n", "5", "--k", "3", "--seed", "4", "-o", metric],
+         capsys)
+    _run(["embed", "frechet", metric, "-o", chains], capsys)
+    write_complex(_subdivision_complex(), cx)
+    out = str(tmp_path / "missing" / "out.json")
+    for argv in (["eval", chains, "--p", "inf", "-o", out],  # a table
+                 ["embed", "frechet", metric, "-o", out],  # a chain collection
+                 ["min-chain", cx, "--target", "0,1,2", "-o", out]):  # a chain
+        code = main(argv)
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == 2, argv
+        assert list(report) == ["error"], argv
+        assert report["error"]["kind"] == "input", argv
+        assert captured.err == ""
 
 
 def test_strong_check_too_large_for_memory_is_an_input_error(tmp_path, capsys):

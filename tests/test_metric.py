@@ -257,6 +257,21 @@ def test_an_lp_over_the_byte_budget_is_refused_before_allocating():
     assert peak < MAX_LP_BYTES / 10
 
 
+def test_strong_check_refuses_the_lp_budget_before_the_weak_pass(monkeypatch):
+    # the budget depends on n and k alone; the weak pass at n=120 takes seconds
+    from kmetrics import metric
+
+    def weak_pass_not_expected(*args, **kwargs):
+        raise AssertionError("weak pass ran before the budget refusal")
+
+    d = discrete_metric(120, 3).payload
+    monkeypatch.setattr(metric, "check_weak", weak_pass_not_expected)
+    with pytest.raises(ValueError, match="budget"):
+        check_strong(d)
+    with pytest.raises(ValueError, match="tolerance"):  # a bad tol comes first still
+        check_strong(d, tol=2.0)
+
+
 def test_scan_stops_at_the_witness_of_a_refuted_copy():
     # Raise one tuple above its cheapest one-point-replacement chain (the
     # cone over its boundary from an outside vertex).  The scan must stop
