@@ -4,8 +4,10 @@ A weighted complex keeps the full lower skeleton and a positively weighted
 set of top facets.  Its induced table assigns each k-tuple the cheapest
 facet-supported chain bounding that tuple's boundary (for graphs this is the
 shortest-path metric).  A hypertree is a facet set that is acyclic in the
-top dimension yet still bounds every cycle one dimension down; its metric
-embeds exactly into an entrywise-1-norm coboundary table.
+top dimension yet still bounds every cycle one dimension down: two ranks,
+read on the kept rows of simplicial.boundary_block, where a hypertree's block
+is square and nonsingular.  One solve of that block against the weights
+embeds its metric exactly into an entrywise-1-norm coboundary table.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ import numpy as np
 
 from .coboundary import ChainMatrix
 from .metric import (
+    MAX_LP_BYTES,
     KMetric,
     UnfillableBoundaryError,
     bounding_sweep,
 )
 from .simplicial import (
     _check_counts,
-    coboundary_rows,
+    boundary_block,
     enumerate_simplices,
     face_ranks,
     simplex_index,
@@ -87,24 +90,34 @@ def cycle_space_dim(n: int, dim: int) -> int:
 
     In dimension zero these are the chains with coefficients summing to
     zero, matching the convention that a connected graph has no unbounded
-    0-cycles.  The complex is a cone over vertex 0, so each cycle z equals
-    boundary(0*z) = sum of z(s) boundary(0*s) over the s that miss vertex 0,
-    and these boundaries, each the only one nonzero at its s, are a basis.
+    0-cycles.  The complex is a cone over vertex 0, so one cycle per
+    dim-simplex that misses vertex 0 is a basis (simplicial.boundary_block).
     """
     _check_counts(n, dim)
     return comb(n - 1, dim + 1)
 
 
-def _facet_boundary(K: WeightedComplex) -> np.ndarray:
-    """The facet columns of the boundary: the coboundary of the identity, transposed."""
+def _kept_block(K: WeightedComplex, copies: int) -> np.ndarray:
+    """The facet columns of the boundary, on the rows of the faces that miss vertex 0.
+
+    A block whose bytes, with copies more arrays of its size, exceed
+    MAX_LP_BYTES is refused with ValueError before any allocation.
+    """
+    first, rows = comb(K.n - 1, K.k - 2), cycle_space_dim(K.n, K.k - 2)
+    needed = (1 + copies) * 8 * rows * len(K.facets)
+    if needed > MAX_LP_BYTES:
+        raise ValueError(f"hypertree block needs {needed:.3g} bytes, budget {MAX_LP_BYTES}")
     faces = face_ranks(K.n, K.k - 1)[:, K.facet_indices()]
-    return coboundary_rows(faces, np.eye(comb(K.n, K.k - 1))).T
+    return boundary_block(faces, first + rows, first)
 
 
 def is_hypertree(K: WeightedComplex) -> HypertreeReport:
-    """Two rank checks on the facet-restricted boundary matrix."""
-    B = _facet_boundary(K)
-    rank = int(np.linalg.matrix_rank(B, tol=RANK_TOL))
+    """Two rank checks on the kept block, which has the rank of the full facet columns.
+
+    The facets are acyclic when the rank equals their count, and fill every
+    cycle when it equals cycle_space_dim, the block's row count.
+    """
+    rank = int(np.linalg.matrix_rank(_kept_block(K, 1), tol=RANK_TOL))  # the SVD's copy
     cyc = cycle_space_dim(K.n, K.k - 2)
     acyclic = rank == len(K.facets)
     fills = rank == cyc
@@ -143,21 +156,24 @@ def mbc_metric(K: WeightedComplex, jobs: int = 1) -> KMetric:
 def hypertree_to_l1(K: WeightedComplex) -> ChainMatrix:
     """Chains whose 1-norm coboundary table equals the bounding-chain metric.
 
-    Solves, per facet, for a chain one dimension down whose coboundary hits
-    exactly that facet with exactly its weight (acyclicity makes the facet
-    rows of the coboundary independent, so the system is consistent; the
-    least-squares solution is the minimum-norm one).
+    Column j is a chain one dimension down whose coboundary is w_j on facet
+    j and zero on every other facet; it is zero on the faces through vertex
+    0 and solves the square kept block on the rest.  Any such columns give
+    the same table: the one facet chain bounding the boundary of a tuple t
+    has cost sum_j |coboundary(F_j)(t)|.
     """
+    rows = _kept_block(K, 4).T  # the solve, then the residual, hold four more of its size
     report = is_hypertree(K)
     if not report.is_hypertree:
         raise NotHypertreeError(
             f"not a hypertree: rank {report.facet_rank} vs "
             f"{report.facet_count} facets and cycle space {report.cycle_space_dim}"
         )
-    rows = _facet_boundary(K).T
     target = np.diag(K.weights)
-    F, *_ = np.linalg.lstsq(rows, target, rcond=None)
-    residual = float(np.abs(rows @ F - target).max())
+    F = np.zeros((comb(K.n, K.k - 1), len(K.facets)))
+    kept = F[comb(K.n - 1, K.k - 2):]  # F is zero on the faces through vertex 0
+    kept[:] = np.linalg.solve(rows, target)
+    residual = float(np.abs(rows @ kept - target).max())
     limit = L1_RESIDUAL_TOL * float(K.weights.max())  # relative: weights may be any scale
     if residual > limit:
         raise NotHypertreeError(f"facet system residual {residual:.3e} exceeds {limit:.3e}")

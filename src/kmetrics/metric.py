@@ -8,7 +8,8 @@ value at t by the weighted mass of every chain whose boundary matches the
 boundary of the indicator of t, and is decided here by one small linear
 program per tuple, all solved as one warm-started sweep.  Both checks read
 the incidence from face_ranks alone: the weak one through a coface table,
-the programs for their rows, targets and residuals.
+the programs for their targets and residuals, and for their rows through
+simplicial.boundary_block, which keeps those of the faces that miss vertex 0.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .simplicial import (
     Chain,
     SimplexKey,
     _check_counts,
+    boundary_block,
     boundary_rows,
-    coboundary_rows,
     enumerate_simplices,
     face_ranks,
     simplex_index,
@@ -36,7 +37,7 @@ from .simplicial import (
 # Downstream comparisons of metric values; looser than the LP pivot tolerance.
 VALUE_TOL = 1e-6
 RESIDUAL_TOL = 1e-6
-MAX_LP_BYTES = 1 << 30  # identity, kept rows and two tableaux (a pivot's update is one)
+MAX_LP_BYTES = 1 << 30  # kept rows and two tableaux (a pivot's update is one)
 
 
 class UnfillableBoundaryError(Exception):
@@ -154,10 +155,10 @@ def _bounding_chains(w: np.ndarray, n: int, faces: np.ndarray, cols: np.ndarray,
     the dim-simplices cols (faces is face_ranks(n, dim)) shares A and c, so
     one dual simplex solves them all: the first from the artificial basis
     (y = 0, feasible because w >= 0), each later one from the previous
-    target's final basis.  Only the rows of faces that miss vertex 0 are
-    kept: they are independent, and because the boundary of a boundary
-    vanishes they imply the others for every target that is a boundary;
-    they are the last C(n-1, dim) faces in canonical order.
+    target's final basis.  Only the rows of faces that miss vertex 0, the
+    last C(n-1, dim) in canonical order, are kept (boundary_block): they are
+    independent on boundaries and decide them, so they imply the others for
+    every target that is a boundary.
 
     The costs are divided by their max and each target by its largest entry
     before solving, and cost, chain and y are multiplied back, so every
@@ -172,11 +173,11 @@ def _bounding_chains(w: np.ndarray, n: int, faces: np.ndarray, cols: np.ndarray,
     dim = faces.shape[0] - 1
     size, first = comb(n, dim), comb(n - 1, dim - 1)
     m = size - first
-    needed = 8 * (size * size + m * cols.size + 2 * (m + 1) * (cols.size + m + 1))
+    needed = 8 * (m * cols.size + 2 * (m + 1) * (cols.size + m + 1))
     if needed > MAX_LP_BYTES:
         raise ValueError(f"bounding-chain LP needs {needed:.3g} bytes, budget {MAX_LP_BYTES}")
     allowed = faces[:, cols]
-    Br = coboundary_rows(allowed, np.eye(size)[:, first:]).T  # the kept rows of the boundary
+    Br = boundary_block(allowed, size, first)
     scale = float(w[cols].max()) or 1.0
     c = w[cols] / scale
     simplex = Simplex(Br, c, c, tol)

@@ -3,8 +3,9 @@
 Vertices are integers 0..n-1.  A simplex of dimension d is stored canonically
 as a strictly increasing tuple of d+1 vertices, and the simplices of one
 dimension are ordered lexicographically.  face_ranks states the incidence once:
-coboundary_rows gathers over it, boundary_rows scatters over it, and the dense
-int64 operators, which the library itself no longer uses, are built from it.
+coboundary_rows gathers over it, boundary_rows scatters over it, and
+boundary_block builds every dense boundary from it; its docstring shows why
+the rows of the faces that miss vertex 0 decide every boundary.
 
 simplex_index alone maps a canonical s_1 < ... < s_k to its position, the
 combinadic rank C(n, k) - 1 - sum_{j=1..k} C(n - 1 - s_j, k + 1 - j): the
@@ -114,23 +115,6 @@ def orientation_sign(sequence: Sequence[int]) -> int:
     return sign
 
 
-@dataclass(frozen=True)
-class OrientedSimplex:
-    """An ordered vertex tuple together with its parity against canonical order."""
-
-    sequence: tuple
-    sign: int
-
-    @classmethod
-    def from_sequence(cls, sequence: Sequence[int]) -> "OrientedSimplex":
-        seq = tuple(sequence)
-        return cls(sequence=seq, sign=orientation_sign(seq))
-
-    @property
-    def key(self) -> SimplexKey:
-        return tuple(sorted(self.sequence))
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -172,10 +156,10 @@ def indicator_chain(n: int, sequence: Sequence[int], value: float = 1.0) -> Chai
     The sequence may be unsorted; its permutation parity becomes the sign of
     the coefficient on the canonical simplex.
     """
-    oriented = OrientedSimplex.from_sequence(sequence)
-    key = validate_simplex(n, oriented.key)
+    sign = orientation_sign(sequence)
+    key = validate_simplex(n, sorted(sequence))
     coeffs = np.zeros(comb(n, len(key)))
-    coeffs[simplex_index(n, key)] = oriented.sign * value
+    coeffs[simplex_index(n, key)] = sign * value
     return Chain(n=n, dim=len(key) - 1, coeffs=coeffs)
 
 
@@ -183,11 +167,11 @@ def chain_from_dict(n: int, dim: int, entries: dict) -> Chain:
     """Chain from {ordered vertex tuple: coefficient}; orientations accumulate."""
     coeffs = np.zeros(comb(n, dim + 1))
     for sequence, value in entries.items():
-        oriented = OrientedSimplex.from_sequence(sequence)
-        if len(oriented.key) != dim + 1:
+        sign = orientation_sign(sequence)
+        if len(sequence) != dim + 1:
             raise ValueError(f"{sequence} does not have dimension {dim}")
-        validate_simplex(n, oriented.key)
-        coeffs[simplex_index(n, oriented.key)] += oriented.sign * value
+        key = validate_simplex(n, sorted(sequence))
+        coeffs[simplex_index(n, key)] += sign * value
     return Chain(n=n, dim=dim, coeffs=coeffs)
 
 
@@ -243,16 +227,36 @@ def boundary_rows(faces: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+def boundary_block(faces: np.ndarray, size: int, first: int = 0, dtype=float) -> np.ndarray:
+    """Dense boundary of the columns of faces, keeping the face rows first..size-1.
+
+    faces is face_ranks(n, dim) or a subset of its columns, size the count
+    C(n, dim) of faces, and entry (f - first, j) is the sign (-1)**i of the
+    face f = faces[i, j]; first=0 keeps every row.
+
+    With first = C(n-1, dim-1), the faces that contain vertex 0, which come
+    first in canonical order, are dropped, and the C(n-1, dim) kept rows
+    decide every boundary.  The complete complex is a cone over vertex 0: a
+    cycle z equals boundary(0*z) = sum of z(s) boundary(0*s) over the faces s
+    that miss vertex 0, and each boundary(0*s) is nonzero at s alone among
+    them.  So these cycles are a basis of the cycle space, a boundary is zero
+    when it is zero on the kept rows, and the kept block has the rank of the
+    full one on any columns.
+    """
+    block = np.zeros((size - first, faces.shape[1]), dtype=dtype)
+    for i, face in enumerate(faces):
+        cols = np.flatnonzero(face >= first)
+        block[face[cols] - first, cols] = (-1) ** i
+    return block
+
+
 def boundary_operator(n: int, dim: int) -> LinearChainOperator:
     """Boundary of dim-chains: alternating sum of facets, leading face positive.
 
     The column of a simplex (x1, ..., x_{dim+1}) holds (-1)**(i+1) at the face
     that omits x_i (1-based i).  Entries are exact integers.
     """
-    faces = face_ranks(n, dim)
-    mat = np.zeros((comb(n, dim), faces.shape[1]), dtype=np.int64)
-    for i, face in enumerate(faces):
-        mat[face, np.arange(faces.shape[1])] = (-1) ** i
+    mat = boundary_block(face_ranks(n, dim), comb(n, dim), dtype=np.int64)
     return LinearChainOperator(n=n, src_dim=dim, dst_dim=dim - 1, matrix=mat)
 
 

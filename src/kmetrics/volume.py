@@ -18,12 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .coboundary import ChainMatrix, NormSpec
+from .coboundary import ChainMatrix
 from .metric import KMetric
 from .simplicial import enumerate_simplices
-
-# Determinants smaller than this are reported as degenerate (value unchanged).
-DEGENERACY_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,13 +82,6 @@ def gram_volume(points: Sequence[Sequence[float]]) -> float:
     return float(np.sqrt(max(gram, 0.0)) / factorial(k - 1))
 
 
-def is_degenerate(points: Sequence[Sequence[float]]) -> bool:
-    """Affine dependence up to the degeneracy threshold on the Gram determinant."""
-    arr = np.asarray(points, dtype=float)
-    A = _difference_matrix(arr)
-    return abs(float(np.linalg.det(A.T @ A))) < DEGENERACY_EPS
-
-
 def volume_metric(cloud: PointCloud, k: int) -> KMetric:
     """Arity-k table of simplex volumes over all k-subsets of the cloud."""
     if k < 2:
@@ -127,12 +117,6 @@ def projected_volume_vector(points: Sequence[Sequence[float]]) -> np.ndarray:
     for j, axes in enumerate(itertools.combinations(range(m), k - 1)):
         out[j] = abs(np.linalg.det(A[list(axes), :])) / factorial(k - 1)
     return out
-
-
-def projected_volume_norm(points: Sequence[Sequence[float]], norm: NormSpec) -> float:
-    """p-norm of the projected-volume vector; p=2 recovers the volume itself."""
-    vec = projected_volume_vector(points)
-    return float(norm.row_norms(vec[None, :])[0])
 
 
 def volume_to_coboundary(cloud: PointCloud, k: int) -> ChainMatrix:

@@ -3,6 +3,7 @@
 import json
 import math
 import shlex
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +381,20 @@ def test_hypertree_cycle_fails_verification(tmp_path, capsys):
     assert code == 1
     assert report["error"]["kind"] == "verification"
     assert "not a hypertree" in report["error"]["message"]
+
+
+def test_hypertree_too_large_for_memory_is_an_input_error(tmp_path, capsys):
+    # the 19,701 triangles through vertex 0 at n=200: the kept block would take 3.1 GB
+    facets = tuple((0, i, j) for i, j in combinations(range(1, 200), 2))
+    cx = str(tmp_path / "star.json")
+    write_complex(WeightedComplex(n=200, k=3, facets=facets, weights=np.ones(len(facets))), cx)
+    out = tmp_path / "F.json"
+    for argv in (["hypertree", cx], ["hypertree", cx, "--to-l1", "-o", str(out)]):
+        code, report = _run(argv, capsys)
+        assert code == 2
+        assert report["error"]["kind"] == "input"
+        assert "budget" in report["error"]["message"]
+    assert not out.exists()
 
 
 # --- error envelope ----------------------------------------------------------

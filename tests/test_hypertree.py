@@ -15,6 +15,7 @@ from kmetrics import (
     boundary_operator,
     check_strong,
     cycle_space_dim,
+    enumerate_simplices,
     eval_coboundary_metric,
     hypertree_to_l1,
     indicator_chain,
@@ -24,6 +25,7 @@ from kmetrics import (
     random_2hypertree,
     random_spanning_tree,
 )
+from kmetrics.metric import MAX_LP_BYTES
 from oracles import cycle_space_dim_by_rank, dijkstra_all_pairs, random_2hypertree_by_deletion
 
 SUBDIVISION = ((0, 1, 4), (0, 3, 4), (1, 2, 5), (1, 4, 5), (0, 2, 3), (2, 3, 5), (3, 4, 5))
@@ -31,6 +33,12 @@ SUBDIVISION = ((0, 1, 4), (0, 3, 4), (1, 2, 5), (1, 4, 5), (0, 2, 3), (2, 3, 5),
 
 def _graph(n, edges, weights):
     return WeightedComplex(n=n, k=2, facets=tuple(edges), weights=np.asarray(weights, float))
+
+
+def _star(n):
+    """The triangles through vertex 0: the cone over the complete graph on the rest."""
+    facets = tuple((0, i, j) for i, j in combinations(range(1, n), 2))
+    return WeightedComplex(n=n, k=3, facets=facets, weights=np.ones(len(facets)))
 
 
 def test_complex_validation():
@@ -155,6 +163,24 @@ def test_all_but_one_triangle_on_four_vertices():
     assert report.cycle_space_dim == 3
 
 
+def test_facet_rank_equals_the_rank_of_the_full_facet_columns():
+    # half the subsets have exactly cycle_space_dim facets, so both verdicts occur
+    rng = np.random.default_rng(41)
+    for n, k in [(6, 2), (6, 3), (7, 4)]:
+        full = boundary_operator(n, k - 1).matrix.astype(float)
+        simplices = enumerate_simplices(n, k - 1)
+        cyc = cycle_space_dim(n, k - 2)
+        verdicts = set()
+        for trial in range(200):
+            size = cyc if trial % 2 else int(rng.integers(1, len(simplices) + 1))
+            cols = np.sort(rng.choice(len(simplices), size=size, replace=False))
+            facets = tuple(simplices[j] for j in cols)
+            report = is_hypertree(WeightedComplex(n=n, k=k, facets=facets, weights=np.ones(size)))
+            assert report.facet_rank == np.linalg.matrix_rank(full[:, cols], tol=1e-9)
+            verdicts.add(report.is_hypertree)
+        assert verdicts == {True, False}
+
+
 def test_cycle_space_dims():
     assert cycle_space_dim(5, 0) == 4
     assert cycle_space_dim(5, 1) == comb(4, 2)
@@ -217,6 +243,52 @@ def test_random_tree_l1_round_trips():
         d = eval_coboundary_metric(hypertree_to_l1(K), NormSpec(1))
         want = mbc_metric(K)
         assert np.allclose(d.values, want.values, rtol=1e-6, atol=1e-8)
+
+
+def test_l1_columns_vanish_on_the_faces_through_vertex_zero():
+    for K in (random_spanning_tree(9, seed=2), random_2hypertree(8, seed=1), _star(7)):
+        F = hypertree_to_l1(K)
+        through_zero = [0 in f for f in enumerate_simplices(K.n, K.k - 2)]
+        assert not F.data[through_zero].any()
+        d = eval_coboundary_metric(F, NormSpec(1))
+        assert np.allclose(d.values, mbc_metric(K).values, rtol=1e-9, atol=0.0)
+
+
+def test_tree_columns_are_the_cut_embedding():
+    # column e is w_e on the vertices that e separates from vertex 0, signed
+    # so that its coboundary on e = (u, v), F(v) - F(u), is +w_e
+    for seed in range(6):
+        K = random_spanning_tree(10, seed=seed)
+        F = hypertree_to_l1(K).data
+        for j, ((u, v), w) in enumerate(zip(K.facets, K.weights)):
+            near, stack = {0}, [0]
+            while stack:
+                a = stack.pop()
+                for i, (x, y) in enumerate(K.facets):
+                    b = y if x == a else x if y == a else None
+                    if i != j and b is not None and b not in near:
+                        near.add(b)
+                        stack.append(b)
+            want = np.array([0.0 if x in near else w for x in range(K.n)])
+            assert np.allclose(F[:, j], want if u in near else -want, rtol=1e-12, atol=1e-12)
+
+
+def test_a_hypertree_block_over_the_byte_budget_is_refused_before_allocating():
+    # n=200: the 19,701 triangles through vertex 0 are a hypertree, but their
+    # square kept block alone would take 3.1 GB
+    import tracemalloc
+
+    assert is_hypertree(_star(7)).is_hypertree
+    K = _star(200)
+    tracemalloc.start()
+    try:
+        for check in (is_hypertree, hypertree_to_l1):
+            with pytest.raises(ValueError, match="budget"):
+                check(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_LP_BYTES / 10
 
 
 def test_l1_rejects_non_hypertrees():

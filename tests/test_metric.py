@@ -242,8 +242,8 @@ def test_strong_verdict_survives_tiny_scale():
 
 
 def test_an_lp_over_the_byte_budget_is_refused_before_allocating():
-    # n=120, k=3: 280,840 tuples pass MAX_SIMPLICES, but the identity, the
-    # 7,021 kept rows and the tableau would take about 30 GiB
+    # n=120, k=3: 280,840 tuples pass MAX_SIMPLICES, but the 7,021 kept
+    # rows and the two tableaux would take about 45 GiB
     import tracemalloc
 
     d = discrete_metric(120, 3).payload

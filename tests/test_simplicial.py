@@ -1,11 +1,12 @@
 """Simplex enumeration, orientation signs, and the chain complex operators."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
 from kmetrics import (
     Chain,
-    OrientedSimplex,
     apply_operator,
     boundary_operator,
     chain_from_dict,
@@ -16,7 +17,13 @@ from kmetrics import (
     simplex_index,
     zero_chain,
 )
-from kmetrics.simplicial import boundary_rows, coboundary_rows, face_ranks, validate_simplex
+from kmetrics.simplicial import (
+    boundary_block,
+    boundary_rows,
+    coboundary_rows,
+    face_ranks,
+    validate_simplex,
+)
 from oracles import boundary_matrix_reference
 
 SUBDIVISION = ((0, 1, 4), (0, 4, 3), (1, 2, 5), (1, 5, 4), (0, 3, 2), (2, 3, 5), (3, 4, 5))
@@ -79,12 +86,6 @@ def test_orientation_sign_composes_with_permutations():
         composed = tuple(base[i] for i in pi)
         pi_sign = orientation_sign(tuple(int(i) for i in pi))
         assert orientation_sign(composed) == pi_sign * orientation_sign(base)
-
-
-def test_oriented_simplex_key_and_sign():
-    o = OrientedSimplex.from_sequence((4, 1, 2))
-    assert o.key == (1, 2, 4)
-    assert o.sign == orientation_sign((4, 1, 2))
 
 
 def test_boundary_column_of_triangle():
@@ -186,6 +187,25 @@ def test_apply_single_column():
 def test_apply_zero_chain():
     out = apply_operator(boundary_operator(5, 1), zero_chain(5, 1))
     assert not out.coeffs.any()
+
+
+def test_kept_boundary_block_matches_the_search_oracle():
+    # the kept rows are the faces that miss vertex 0, which come last in canonical order
+    rng = np.random.default_rng(10)
+    for n in range(2, 9):
+        for dim in range(1, min(n, 5)):
+            ref = boundary_matrix_reference(n, dim)
+            full = boundary_operator(n, dim).matrix
+            faces = face_ranks(n, dim)
+            first = comb(n - 1, dim - 1)
+            lower = enumerate_simplices(n, dim - 1)
+            assert all(0 in f for f in lower[:first]) and all(0 not in f for f in lower[first:])
+            every = np.arange(ref.shape[1])
+            for cols in (every, np.flatnonzero(rng.uniform(size=every.size) < 0.5), every[::-3]):
+                block = boundary_block(faces[:, cols], ref.shape[0], first)
+                assert block.dtype == float
+                assert np.array_equal(block, ref[first:, cols])
+                assert np.array_equal(block, full[first:, cols])
 
 
 def test_apply_dimension_mismatch():

@@ -15,9 +15,7 @@ from kmetrics import (
     check_weak,
     eval_coboundary_metric,
     gram_volume,
-    is_degenerate,
     min_max_side_bound_check,
-    projected_volume_norm,
     projected_volume_vector,
     signed_volume,
     volume_metric,
@@ -69,11 +67,6 @@ def test_gram_volume_matches_qr_oracle():
         assert gram_volume(pts) == pytest.approx(
             gram_volume_reference(pts), rel=1e-9, abs=1e-12
         )
-
-
-def test_degeneracy_flag():
-    assert is_degenerate([[0, 0], [1, 1], [2, 2]])
-    assert not is_degenerate([[0, 0], [1, 0], [0, 1]])
 
 
 def test_volume_metric_square_is_all_ones():
@@ -143,18 +136,6 @@ def test_projected_volume_full_dimension():
     vec = projected_volume_vector(pts)
     assert vec.shape == (1,)
     assert vec[0] == pytest.approx(abs(signed_volume(pts)))
-
-
-def test_projected_volume_norms():
-    pts = [[0, 0, 0], [1, 0, 0], [0, 2, 0]]
-    assert projected_volume_norm(pts, NormSpec(2)) == pytest.approx(gram_volume(pts))
-    assert projected_volume_norm(pts, NormSpec(1)) == pytest.approx(1.0)
-    rng = np.random.default_rng(16)
-    for _ in range(20):
-        pts = rng.normal(size=(3, 4))
-        assert projected_volume_norm(pts, NormSpec(math.inf)) <= projected_volume_norm(
-            pts, NormSpec(1)
-        ) + 1e-12
 
 
 def test_cone_chains_reproduce_volumes_single_column():
