@@ -45,9 +45,10 @@ from .fileio import (
     write_chain_matrix,
     write_kmetric,
 )
-from .hypertree import NotHypertreeError, hypertree_to_l1, is_hypertree
+from .hypertree import HypertreeReport, NotHypertreeError, hypertree_to_l1, is_hypertree
 from .lp import LPError
 from .metric import (
+    VALUE_TOL,
     KMetric,
     UnfillableBoundaryError,
     check_strong,
@@ -155,7 +156,7 @@ def build_parser() -> _Parser:
     p.add_argument("metric")
     p.add_argument("--strong", action="store_true")
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=VALUE_TOL)
 
     p = sub.add_parser("min-chain", help="cheapest facet chain bounding a tuple")
     p.add_argument("complex")
@@ -351,7 +352,13 @@ def _cmd_apex(args, inputs, outputs):
 
 def _cmd_hypertree(args, inputs, outputs):
     K = _read(read_complex, args.complex, inputs)
-    report = is_hypertree(K)
+    if args.to_l1:
+        F = hypertree_to_l1(K)  # the one check: raises NotHypertreeError on a bad complex
+        _write(F, args.output, outputs)
+        count = len(K.facets)  # a hypertree's facets are a basis of the cycle space
+        report = HypertreeReport(True, True, True, count, count, count)
+    else:
+        report = is_hypertree(K)
     results = {
         "n": K.n,
         "k": K.k,
@@ -363,8 +370,6 @@ def _cmd_hypertree(args, inputs, outputs):
         "hypertree": report.is_hypertree,
     }
     if args.to_l1:
-        F = hypertree_to_l1(K)  # raises NotHypertreeError on a bad complex
-        _write(F, args.output, outputs)
         results["columns"] = F.m
     return results, OK if report.is_hypertree else VERIFY_FAIL
 

@@ -18,14 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .lp import DEFAULT_TOL, LPError
 from .metric import KMetric, VALUE_TOL, _bounding_chains, bounding_sweep
 from .simplicial import Chain, SimplexKey, boundary_rows, coboundary_rows, face_ranks, simplex_index
 
 # Random projections wider than this are refused before R is drawn.
 MAX_PROJECTION_COLUMNS = 1_000_000
 
-# Coboundary entries that eval_coboundary_metric gathers at once (4 MB of floats).
+# Entries that eval_coboundary_metric and volume_metric gather at once (4 MB of floats).
 _EVAL_BLOCK = 2**19
 
 
@@ -107,34 +106,24 @@ def eval_coboundary_metric(F: ChainMatrix, norm: NormSpec) -> KMetric:
     return KMetric(n=F.n, k=F.k, values=np.concatenate(norms))
 
 
-def _dual_column(d: KMetric, faces, idx: int, cost: float, y: np.ndarray, tol: float):
-    """(chain, achieved) for tuple idx from its bounding-chain LP's cost and dual.
-
-    faces is face_ranks(d.n, d.k - 1).  Raises NotStrongError when a chain
-    bounds the tuple below its value and LPError when y expands the table.
-    """
+def _strong_column(d: KMetric, idx: int, cost: float, y: np.ndarray) -> np.ndarray:
+    """y, unless a chain of this cost bounds tuple idx below its value (NotStrongError)."""
     value = float(d.values[idx])
-    if cost < value * (1.0 - tol):
+    if cost < value * (1.0 - VALUE_TOL):
         raise NotStrongError(d.simplices()[idx], value, cost)
-    # The solver keeps dual feasibility to DEFAULT_TOL of the largest value,
-    # which is what a zero entry of a pseudo table can be held to.
-    rows = coboundary_rows(faces, y)
-    slack = d.values * (1.0 + tol) + DEFAULT_TOL * d.values.max()
-    if (np.abs(rows) > slack).any():
-        raise LPError(f"dual column for {d.simplices()[idx]} expands beyond the table")
-    return Chain(n=d.n, dim=d.k - 2, coeffs=y), float(rows[idx])
+    return y
 
 
-def frechet_column(d: KMetric, t: Sequence[int], tol: float = VALUE_TOL):
+def frechet_column(d: KMetric, t: Sequence[int]):
     """One embedding column: a chain realising d(t) without expanding anywhere.
 
     The column is the dual y of the bounding-chain LP for the boundary of t
     (min sum_s d(s)|alpha(s)| subject to boundary(alpha) = boundary(e_t)).
     Its dual program is max <boundary(e_t), f> subject to
     |coboundary(f)| <= d, so y never expands and its coboundary at t equals
-    the cheapest bounding-chain cost.  That reaches d(t) exactly when no
-    cheaper chain exists; anything lower raises NotStrongError.  The column
-    need not be a cycle.
+    the cheapest bounding-chain cost; the LP's certificate checks both, or
+    raises LPError.  That reaches d(t) exactly when no cheaper chain exists;
+    anything lower raises NotStrongError.  The column need not be a cycle.
 
     Returns:
         (chain, achieved) where achieved is the attained coboundary value.
@@ -145,7 +134,8 @@ def frechet_column(d: KMetric, t: Sequence[int], tol: float = VALUE_TOL):
     faces = face_ranks(d.n, d.k - 1)
     target = boundary_rows(faces[:, [idx]], np.ones(1), comb(d.n, d.k - 1))
     cost, _, y = next(_bounding_chains(d.values, d.n, faces, np.arange(d.values.size), [target]))
-    return _dual_column(d, faces, idx, cost, y, tol)
+    y = _strong_column(d, idx, cost, y)
+    return Chain(n=d.n, dim=d.k - 2, coeffs=y), float(coboundary_rows(faces[:, [idx]], y)[0])
 
 
 def frechet_embed(d: KMetric, jobs: int = 1) -> ChainMatrix:
@@ -158,11 +148,8 @@ def frechet_embed(d: KMetric, jobs: int = 1) -> ChainMatrix:
     bounds more cheaply than its table value.  The sweep is sequential, so
     jobs has no effect; it is kept for callers that pass it.
     """
-    faces = face_ranks(d.n, d.k - 1)
-    columns = [
-        _dual_column(d, faces, i, cost, y, VALUE_TOL)[0].coeffs
-        for i, (cost, _, y) in enumerate(bounding_sweep(d.values, d.n, d.k))
-    ]
+    sweep = bounding_sweep(d.values, d.n, d.k)
+    columns = [_strong_column(d, i, cost, y) for i, (cost, _, y) in enumerate(sweep)]
     return ChainMatrix(n=d.n, k=d.k, data=np.column_stack(columns))
 
 

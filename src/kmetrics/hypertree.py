@@ -160,15 +160,16 @@ def hypertree_to_l1(K: WeightedComplex) -> ChainMatrix:
     j and zero on every other facet; it is zero on the faces through vertex
     0 and solves the square kept block on the rest.  Any such columns give
     the same table: the one facet chain bounding the boundary of a tuple t
-    has cost sum_j |coboundary(F_j)(t)|.
+    has cost sum_j |coboundary(F_j)(t)|.  A non-hypertree, by is_hypertree's
+    rank or by the solve's residual, raises NotHypertreeError here alone.
     """
-    rows = _kept_block(K, 4).T  # the solve, then the residual, hold four more of its size
-    report = is_hypertree(K)
+    report = is_hypertree(K)  # its block and SVD copy are freed before the next block
     if not report.is_hypertree:
         raise NotHypertreeError(
             f"not a hypertree: rank {report.facet_rank} vs "
             f"{report.facet_count} facets and cycle space {report.cycle_space_dim}"
         )
+    rows = _kept_block(K, 4).T  # the solve, then the residual, hold four more of its size
     target = np.diag(K.weights)
     F = np.zeros((comb(K.n, K.k - 1), len(K.facets)))
     kept = F[comb(K.n - 1, K.k - 2):]  # F is zero on the faces through vertex 0

@@ -96,13 +96,12 @@ class Simplex:
     zero and have no column: once one leaves the basis it cannot return.
     """
 
-    def __init__(self, A: np.ndarray, c: np.ndarray, c_neg, tol: float = DEFAULT_TOL):
+    def __init__(self, A: np.ndarray, c: np.ndarray, c_neg):
         self.A = np.asarray(A, dtype=float)
         self.c = np.asarray(c, dtype=float)
         self.c_neg = np.broadcast_to(np.asarray(c_neg, dtype=float), self.c.shape)
         if (self.c < 0).any() or (self.c_neg < 0).any():
             raise ValueError("costs must be nonnegative")
-        self.tol = tol
         m, nv = self.A.shape
         self.T = np.zeros((m + 1, nv + m + 1))
         self.T[:m, :nv] = self.A
@@ -121,7 +120,7 @@ class Simplex:
         leaving row with no entering column proves b infeasible; a redundant
         row whose value is off zero is one.
         """
-        T, basis, tol = self.T, self.basis, self.tol
+        T, basis, tol = self.T, self.basis, DEFAULT_TOL
         m, nv = self.A.shape
         b = np.asarray(b, dtype=float)
         T[:, -1] = T[:, nv : nv + m] @ b
@@ -156,7 +155,7 @@ class Simplex:
         return LPSolution("optimal", x, y, float(np.where(x < 0, -self.c_neg, self.c) @ x))
 
 
-def solve(lp: StandardFormLP, tol: float = DEFAULT_TOL) -> LPSolution:
+def solve(lp: StandardFormLP) -> LPSolution:
     """Dual simplex for one program.  Returns a basic optimum and its dual.
 
     Redundant equality rows keep their artificials basic at zero.  At an
@@ -165,4 +164,4 @@ def solve(lp: StandardFormLP, tol: float = DEFAULT_TOL) -> LPSolution:
     """
     if lp.c.size == 0:
         raise ValueError("LP has no variables")
-    return Simplex(lp.A, lp.c, np.inf, tol).solve(lp.b)
+    return Simplex(lp.A, lp.c, np.inf).solve(lp.b)

@@ -148,7 +148,7 @@ def check_weak(d: KMetric, tol: float = VALUE_TOL) -> VerificationReport:
 
 
 def _bounding_chains(w: np.ndarray, n: int, faces: np.ndarray, cols: np.ndarray,
-                     targets: Iterable, tol: float = DEFAULT_TOL):
+                     targets: Iterable):
     """Yield (cost, chain, y) per target: one warm-started bounding-chain sweep.
 
     Every program min sum_s w(s)|alpha(s)| s.t. boundary(alpha) = target on
@@ -167,8 +167,10 @@ def _bounding_chains(w: np.ndarray, n: int, faces: np.ndarray, cols: np.ndarray,
     residual check on all faces (a target that is not a boundary fails
     there), and the dual y, zero on the dropped rows, must satisfy
     |coboundary(y)| <= w (1 + tol) + tol max(w) on cols and
-    <target, y> = cost to tol, or LPError is raised.  A program that would
-    peak over MAX_LP_BYTES is refused with ValueError before any allocation.
+    <target, y> = cost to tol = lp.DEFAULT_TOL, or LPError is raised.  It is
+    the one dual check: by weak duality cost is optimal, and y, an embedding
+    column in coboundary, never expands w.  A program that would peak over
+    MAX_LP_BYTES is refused with ValueError before any allocation.
     """
     dim = faces.shape[0] - 1
     size, first = comb(n, dim), comb(n - 1, dim - 1)
@@ -180,7 +182,7 @@ def _bounding_chains(w: np.ndarray, n: int, faces: np.ndarray, cols: np.ndarray,
     Br = boundary_block(allowed, size, first)
     scale = float(w[cols].max()) or 1.0
     c = w[cols] / scale
-    simplex = Simplex(Br, c, c, tol)
+    simplex = Simplex(Br, c, c)
     for target in targets:
         unit = float(np.abs(target).max(initial=0.0)) or 1.0
         target = target / unit
@@ -188,9 +190,9 @@ def _bounding_chains(w: np.ndarray, n: int, faces: np.ndarray, cols: np.ndarray,
         sol = simplex.solve(b)
         if sol.status == "infeasible":
             raise UnfillableBoundaryError("boundary not fillable on the allowed simplices")
-        expansion = (np.abs(Br.T @ sol.y) - c * (1.0 + tol)).max(initial=0.0)
+        expansion = (np.abs(Br.T @ sol.y) - c * (1.0 + DEFAULT_TOL)).max(initial=0.0)
         gap = abs(float(b @ sol.y) - sol.objective)
-        if expansion > tol or gap > tol * max(1.0, sol.objective):
+        if expansion > DEFAULT_TOL or gap > DEFAULT_TOL * max(1.0, sol.objective):
             raise LPError(
                 f"bounding-chain optimum not certified: dual excess {expansion:.3e}, "
                 f"duality gap {gap:.3e} (relative to the largest weight)"
@@ -226,7 +228,6 @@ def min_bounding_chain(
     weights: np.ndarray,
     target: Chain,
     mask: Optional[Iterable] = None,
-    tol: float = DEFAULT_TOL,
 ):
     """Cheapest chain with the prescribed boundary.
 
@@ -272,7 +273,7 @@ def min_bounding_chain(
             return 0.0, zero_chain(n, dim)
         raise UnfillableBoundaryError("boundary not fillable: empty simplex mask")
 
-    cost, chain, _ = next(_bounding_chains(w, n, face_ranks(n, dim), cols, [target.coeffs], tol))
+    cost, chain, _ = next(_bounding_chains(w, n, face_ranks(n, dim), cols, [target.coeffs]))
     return cost, chain
 
 

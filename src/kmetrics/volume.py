@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coboundary import ChainMatrix
+from .coboundary import _EVAL_BLOCK, ChainMatrix
 from .metric import KMetric
 from .simplicial import enumerate_simplices
 
@@ -93,11 +93,15 @@ def volume_metric(cloud: PointCloud, k: int) -> KMetric:
             f"arity {k} exceeds ambient dimension {cloud.m} + 1; all volumes vanish",
             stacklevel=2,
         )
-    # rows x_i - x_1 of every tuple, stacked: one batched Gram determinant
-    P = cloud.points[np.array(enumerate_simplices(cloud.count, k - 1))]
-    D = P[:, 1:] - P[:, :1]
-    gram = np.linalg.det(D @ D.transpose(0, 2, 1))
-    values = np.sqrt(np.maximum(gram, 0.0)) / factorial(k - 1)
+    # rows x_i - x_1 of a block of tuples (k*m floats each) at a time, stacked
+    tuples = np.array(enumerate_simplices(cloud.count, k - 1))
+    step = max(1, _EVAL_BLOCK // (k * cloud.m))
+    grams = []
+    for a in range(0, tuples.shape[0], step):
+        P = cloud.points[tuples[a : a + step]]
+        D = P[:, 1:] - P[:, :1]
+        grams.append(np.linalg.det(D @ D.transpose(0, 2, 1)))
+    values = np.sqrt(np.maximum(np.concatenate(grams), 0.0)) / factorial(k - 1)
     return KMetric(n=cloud.count, k=k, values=values)
 
 

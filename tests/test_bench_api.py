@@ -2,13 +2,14 @@
 
 perfbench/ lies outside the test paths, so this module imports its replay
 (which fails if any name it imports from kmetrics is gone) and repeats, on a
-small table, the calls and checks of its strong_k3 replay.  Nothing under
-perfbench/ is written.
+small table and a small hypertree, the calls and checks of its strong_k3 and
+hypertree_l1 replays.  Nothing under perfbench/ is written.
 """
 
 import importlib
 import math
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -40,3 +41,21 @@ def test_replay_imports_and_its_strong_k3_calls_run(replay):
     F = replay.frechet_embed(d, jobs=replay.JOBS)
     back = replay.eval_coboundary_metric(F, replay.NormSpec(math.inf))
     assert back.values == pytest.approx(d.values, rel=1e-9)
+
+
+def test_replay_hypertree_l1_calls_run(replay):
+    K = replay.wl.random_2hypertree(7, 0)
+    assert replay.is_hypertree(K).is_hypertree
+    F = replay.hypertree_to_l1(K)
+    l1 = replay.eval_coboundary_metric(F, replay.NormSpec(1))
+    table = replay.mbc_metric(K, jobs=replay.JOBS)
+    assert table.values == pytest.approx(l1.values, rel=1e-9)
+
+    idx = K.facet_indices()
+    weights = np.zeros(len(l1.values))
+    weights[idx] = K.weights
+    for i, target in enumerate(combinations(range(K.n), K.k)):
+        boundary = replay.apply_operator(replay.boundary_operator(K.n, K.k - 1),
+                                         replay.indicator_chain(K.n, target))
+        cost, _ = replay.min_bounding_chain(weights, boundary, mask=idx)
+        assert cost == pytest.approx(l1.values[i], rel=1e-9)

@@ -13,6 +13,7 @@ from kmetrics import (
     NormSpec,
     NotStrongError,
     check_strong,
+    chain_from_dict,
     check_weak,
     coboundary_operator,
     embed_l2_to_lp,
@@ -51,6 +52,24 @@ def test_chain_matrix_validation():
         ChainMatrix(n=4, k=3, data=np.ones(6))  # not 2-d
     with pytest.raises(ValueError):
         ChainMatrix(n=4, k=3, data=np.full((6, 1), np.nan))
+    with pytest.raises(ValueError, match="arity"):
+        ChainMatrix(n=4, k=1, data=np.ones((1, 1)))
+    with pytest.raises(ValueError, match="n >= k"):
+        ChainMatrix(n=2, k=3, data=np.ones((1, 1)))
+    with pytest.raises(ValueError, match="at least one column"):
+        ChainMatrix(n=4, k=3, data=np.ones((6, 0)))
+    # and the refusals of what builds or reads chains
+    with pytest.raises(ValueError, match="positive"):
+        random_project(_ones_column(4), 0, NormSpec(2), seed=0)
+    for eps in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="eps"):
+            l2_to_lp_dim(3, 2.0, eps)
+    with pytest.raises(ValueError, match="finite p"):
+        l2_to_lp_dim(3, math.inf, 0.5)
+    with pytest.raises(ValueError, match="dimension 1"):
+        chain_from_dict(4, 1, {(0, 1, 2): 1.0})
+    with pytest.raises(ValueError, match="3-tuple"):
+        frechet_column(KMetric(n=4, k=3, values=np.ones(4)), (0, 1))
 
 
 def test_all_ones_column_gives_discrete_triples():

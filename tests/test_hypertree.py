@@ -50,6 +50,16 @@ def test_complex_validation():
         _graph(3, [(0, 1, 2)], [1.0])  # arity mismatch
     with pytest.raises(ValueError):
         WeightedComplex(n=3, k=2, facets=(), weights=np.array([]))
+    with pytest.raises(ValueError, match="arity"):
+        WeightedComplex(n=3, k=1, facets=((0,),), weights=np.ones(1))
+    with pytest.raises(ValueError, match="n >= k"):
+        WeightedComplex(n=2, k=3, facets=((0, 1),), weights=np.ones(1))
+    with pytest.raises(ValueError, match="expected 2 weights"):
+        _graph(3, [(0, 1), (1, 2)], [1.0])
+    with pytest.raises(ValueError, match="vertices"):
+        random_spanning_tree(1, 0)
+    with pytest.raises(ValueError, match="vertices"):
+        random_2hypertree(2, 0)
 
 
 def test_path_graph_metric():
@@ -294,6 +304,16 @@ def test_a_hypertree_block_over_the_byte_budget_is_refused_before_allocating():
 def test_l1_rejects_non_hypertrees():
     K = _graph(3, [(0, 1), (0, 2), (1, 2)], [1.0, 1.0, 1.0])
     with pytest.raises(NotHypertreeError):
+        hypertree_to_l1(K)
+
+
+def test_l1_refuses_a_solve_that_misses_its_residual(monkeypatch):
+    # a hypertree whose square solve comes back off by 1e-3 relative: the
+    # residual check, not the rank, must refuse it
+    K = random_2hypertree(8, 0)
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-3))
+    with pytest.raises(NotHypertreeError, match="residual"):
         hypertree_to_l1(K)
 
 

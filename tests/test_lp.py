@@ -16,6 +16,7 @@ from kmetrics import (
     check_strong,
     coboundary_operator,
     frechet_column,
+    frechet_embed,
     min_bounding_chain,
     solve,
 )
@@ -198,7 +199,8 @@ def test_bounding_chain_strong_duality(table):
 
 def test_sweep_refuses_an_uncertified_optimum(monkeypatch):
     # A warm solve whose dual drifted (here: doubled) no longer proves its
-    # cost optimal; the sweep must raise rather than report that cost.
+    # cost optimal; the sweep must raise rather than report that cost.  The
+    # embeddings return that dual as a column and check it nowhere else.
     solve_b = Simplex.solve
 
     def drifted(self, b):
@@ -207,8 +209,10 @@ def test_sweep_refuses_an_uncertified_optimum(monkeypatch):
 
     d = random_strong_metric(6, 3, 32).payload
     monkeypatch.setattr(Simplex, "solve", drifted)
-    with pytest.raises(LPError, match="not certified"):
-        check_strong(d, exhaustive=True)
+    for run in (lambda: check_strong(d, exhaustive=True), lambda: frechet_embed(d),
+                lambda: frechet_column(d, (0, 1, 2))):
+        with pytest.raises(LPError, match="not certified"):
+            run()
 
 
 def test_dual_simplex_detects_infeasible_and_recovers():

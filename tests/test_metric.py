@@ -41,6 +41,9 @@ def test_table_validation():
         KMetric(n=2, k=3, values=np.ones(1))
     with pytest.raises(ValueError):
         KMetric(n=4, k=1, values=np.ones(4))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            KMetric(n=4, k=3, values=np.array([1.0, bad, 1.0, 1.0]))
 
 
 def test_value_lookup_rules():
@@ -175,6 +178,16 @@ def test_min_chain_mask_refuses_bools():
     for mask in ([False], [np.True_]):
         with pytest.raises(ValueError):
             min_bounding_chain(np.ones(6), _boundary_of(4, (0, 1)), mask=mask)
+    # and the other refusals of its weights and mask
+    target = _boundary_of(4, (0, 1))
+    with pytest.raises(ValueError, match="expected 6 weights"):
+        min_bounding_chain(np.ones(5), target)
+    for bad in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            min_bounding_chain(np.array([1.0, bad, 1.0, 1.0, 1.0, 1.0]), target)
+    for mask in ([6], [0, -1]):
+        with pytest.raises(ValueError, match="out of range"):
+            min_bounding_chain(np.ones(6), target, mask=mask)
 
 
 def test_min_chain_mask_accepts_indices_and_keys():

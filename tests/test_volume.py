@@ -1,6 +1,7 @@
 """Simplex volumes of embedded points and the cone-chain realisation."""
 
 import math
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -105,6 +106,28 @@ def test_batched_determinants_match_the_per_tuple_functions_exactly(k):
         for s in combinations(range(9), k - 1)
     ]
     assert np.array_equal(volume_to_coboundary(cloud, k).data, cones)
+
+
+def test_volume_metric_gathers_tuples_in_blocks(monkeypatch):
+    # 60 points in R^500: stacking every tuple's points at once takes
+    # C(60, 3) * 3 * 500 floats, 411 MB, for a 240 KB cloud
+    rng = np.random.default_rng(30)
+    cloud = PointCloud(points=rng.standard_normal((60, 500)))
+    tracemalloc.start()
+    try:
+        d = volume_metric(cloud, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+    for t in [(0, 1, 2), (7, 31, 59), (57, 58, 59)]:
+        assert d.value(t) == pytest.approx(gram_volume(cloud.points[list(t)]), rel=1e-12)
+    # blocks of 5 tuples, the last one short (84 = 16 * 5 + 4), give the
+    # values of one block bit for bit
+    small = PointCloud(points=rng.standard_normal((9, 4)))
+    whole = volume_metric(small, 3).values
+    monkeypatch.setattr(kmetrics.volume, "_EVAL_BLOCK", 5 * 3 * 4)
+    assert np.array_equal(volume_metric(small, 3).values, whole)
 
 
 def test_volume_metric_warns_when_flat():
