@@ -24,8 +24,8 @@ from .simplicial import Chain, SimplexKey, boundary_rows, coboundary_rows, face_
 # Random projections wider than this are refused before R is drawn.
 MAX_PROJECTION_COLUMNS = 1_000_000
 
-# Entries that eval_coboundary_metric and volume_metric gather at once (4 MB of floats).
-_EVAL_BLOCK = 2**19
+# Entries that eval_coboundary_metric and volume_metric gather at once (0.5 MB of floats).
+_EVAL_BLOCK = 2**16
 
 
 class NotStrongError(Exception):
@@ -181,7 +181,9 @@ def random_project(
     rng = np.random.default_rng(seed)
     R = rng.standard_normal((m_target, F.m))
     scale = 1.0 / (_abs_moment_root(norm_out.p) * m_target ** (1.0 / norm_out.p))
-    return ChainMatrix(n=F.n, k=F.k, data=(F.data @ R.T) * scale)
+    data = F.data @ R.T
+    data *= scale
+    return ChainMatrix(n=F.n, k=F.k, data=data)
 
 
 def jl_target_dim(n: int, k: int, eps: float, cprime: float = 8.0) -> int:

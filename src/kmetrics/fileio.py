@@ -2,12 +2,16 @@
 
 All files are UTF-8 JSON objects, written as compact single-line JSON; the
 readers accept any layout.  Floats are written with Python's shortest
-round-trip representation, so write-read cycles are bit-exact.  Writes are one
-json.dumps call, the only path on which CPython runs its C encoder (json.dump
-and any indent fall back to the pure-Python one).  Reads check each list as a
-whole and convert it in one numpy call; the per-entry validators run only to
-name the first bad entry.  Parse problems raise InputError carrying the file,
-the offending field, and the line number when the JSON itself is malformed.
+round-trip representation, so write-read cycles are bit-exact.  Each file has
+one large list, written _WRITE_BLOCK items at a time, so a write holds one
+block of Python objects and text instead of the whole file; the bytes are
+those of json.dumps(obj, separators=(",", ":")) and a newline.  Every block
+goes through one encode call, the only path on which CPython runs its C
+encoder (json.dump and any indent fall back to the pure-Python one).  Reads
+check each list as a whole and convert it in one numpy call; the per-entry
+validators run only to name the first bad entry.  Parse problems raise
+InputError carrying the file, the offending field, and the line number when
+the JSON itself is malformed.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 from math import comb
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -61,9 +65,35 @@ def _load_object(path: str) -> dict:
     return obj
 
 
-def _dump(obj: dict, path: str) -> None:
+# List items encoded per call of the C encoder.
+_WRITE_BLOCK = 2**12
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _dump(header: dict, key: str, blocks: Iterable[list], path: str) -> None:
+    """Write {**header, key: the concatenated blocks} as one line of compact JSON."""
+    head = _encode({**header, key: []})
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+        fh.write(head[:-2])  # everything up to and including the list's "["
+        sep = ""
+        for block in blocks:  # nonempty lists
+            fh.write(sep + _encode(block)[1:-1])
+            sep = ","
+        fh.write("]}\n")
+
+
+def _blocks(a: np.ndarray) -> Iterator[list]:
+    """a.tolist(), cut into lists of _WRITE_BLOCK items along the first axis."""
+    return (a[i : i + _WRITE_BLOCK].tolist() for i in range(0, len(a), _WRITE_BLOCK))
+
+
+def _entries(simplices: Iterable, numbers: np.ndarray, key: str) -> Iterator[list]:
+    """{"s": simplex, key: number} objects, _WRITE_BLOCK to a list."""
+    simplices = iter(simplices)
+    for block in _blocks(numbers):
+        # numbers first: zip stops on them without drawing a simplex it would drop
+        yield [{"s": s, key: v} for v, s in zip(block, simplices)]
 
 
 def _get_int(obj: dict, key: str, path: str, minimum: int = 0) -> int:
@@ -145,8 +175,9 @@ def _read_entries(obj: dict, path: str, name: str, key: str, n: int, k: int):
 
 
 def write_kmetric(d: KMetric, path: str) -> None:
-    entries = [{"s": s, "d": v} for s, v in zip(d.simplices(), d.values.tolist())]
-    _dump({"n": d.n, "k": d.k, "values": entries}, path)
+    # the canonical order of d.simplices(), without building and caching that tuple
+    tuples = itertools.combinations(range(d.n), d.k)
+    _dump({"n": d.n, "k": d.k}, "values", _entries(tuples, d.values, "d"), path)
 
 
 def read_kmetric(path: str) -> KMetric:
@@ -186,7 +217,7 @@ def _kmetric_from(obj: dict, path: str) -> KMetric:
 
 
 def write_chain_matrix(F: ChainMatrix, path: str) -> None:
-    _dump({"n": F.n, "k": F.k, "m": F.m, "data": F.data.reshape(-1).tolist()}, path)
+    _dump({"n": F.n, "k": F.k, "m": F.m}, "data", _blocks(F.data.reshape(-1)), path)
 
 
 def read_chain_matrix(path: str) -> ChainMatrix:
@@ -216,8 +247,7 @@ def _chain_matrix_from(obj: dict, path: str) -> ChainMatrix:
 
 
 def write_complex(K: WeightedComplex, path: str) -> None:
-    facets = [{"s": f, "w": w} for f, w in zip(K.facets, K.weights.tolist())]
-    _dump({"n": K.n, "k": K.k, "facets": facets}, path)
+    _dump({"n": K.n, "k": K.k}, "facets", _entries(K.facets, K.weights, "w"), path)
 
 
 def read_complex(path: str) -> WeightedComplex:
@@ -238,7 +268,7 @@ def _complex_from(obj: dict, path: str) -> WeightedComplex:
 
 
 def write_cloud(cloud: PointCloud, path: str) -> None:
-    _dump({"m": cloud.m, "points": cloud.points.tolist()}, path)
+    _dump({"m": cloud.m}, "points", _blocks(cloud.points), path)
 
 
 def read_cloud(path: str) -> PointCloud:
@@ -265,7 +295,7 @@ def _cloud_from(obj: dict, path: str) -> PointCloud:
 
 
 def write_chain(chain: Chain, path: str) -> None:
-    _dump({"n": chain.n, "dim": chain.dim, "coeffs": chain.coeffs.tolist()}, path)
+    _dump({"n": chain.n, "dim": chain.dim}, "coeffs", _blocks(chain.coeffs), path)
 
 
 def read_chain(path: str) -> Chain:

@@ -142,8 +142,8 @@ def mbc_metric(K: WeightedComplex, jobs: int = 1) -> KMetric:
     idx = K.facet_indices()
     weights[idx] = K.weights
     values = []
-    try:
-        for cost, _, _ in bounding_sweep(weights, K.n, K.k, np.unique(idx)):
+    try:  # WeightedComplex refuses duplicate facets, so sorting suffices
+        for cost, _, _ in bounding_sweep(weights, K.n, K.k, np.sort(idx)):
             values.append(cost)
     except UnfillableBoundaryError as exc:
         raise UnfillableBoundaryError(

@@ -264,9 +264,12 @@ def min_bounding_chain(
                 idx.append(int(item))
             else:
                 idx.append(simplex_index(n, item))
-        cols = np.unique(np.asarray(idx, dtype=int))
-        if cols.size and (cols[0] < 0 or cols[-1] >= count):
+        idx = np.asarray(idx, dtype=int)
+        if idx.size and (idx.min() < 0 or idx.max() >= count):
             raise ValueError("mask index out of range")
+        allowed = np.zeros(count, dtype=bool)
+        allowed[idx] = True
+        cols = np.flatnonzero(allowed)  # sorted and distinct; np.unique would import numpy.ma
 
     if cols.size == 0:
         if not target.coeffs.any():

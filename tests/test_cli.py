@@ -2,13 +2,17 @@
 
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kmetrics
 from kmetrics.cli import main
 from kmetrics.coboundary import NormSpec, eval_coboundary_metric, jl_target_dim
 from kmetrics.corpus import SUBDIVISION_TRIANGLES
@@ -185,6 +189,26 @@ def test_min_chain_rejects_wrong_target_arity(tmp_path, capsys):
     assert code == 2
     assert report["error"]["kind"] == "usage"
     assert "3 vertices" in report["error"]["message"]
+
+
+def test_min_chain_and_gen_do_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma (numpy 2.4), about 30 ms of every short process
+    cx = str(tmp_path / "K.json")
+    write_complex(_subdivision_complex(), cx)
+    script = (
+        "import sys\n"
+        "from kmetrics import cli\n"
+        f"assert cli.main(['min-chain', {cx!r}, '--target', '0,1,2']) == 0\n"
+        f"assert cli.main(['gen', 'random-strong', '--n', '6', '--k', '3', '--seed', '1',"
+        f" '-o', {str(tmp_path / 'd.json')!r}]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    package_root = str(Path(kmetrics.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- embed / eval ------------------------------------------------------------

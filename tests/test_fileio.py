@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -100,6 +101,70 @@ def test_writes_are_compact_single_line_json(tmp_path):
         '{"n":3,"k":2,"values":[{"s":[0,1],"d":0.5},'
         '{"s":[0,2],"d":1.0},{"s":[1,2],"d":2.0}]}\n'
     )
+
+
+# --- blocked writes ----------------------------------------------------------
+
+
+def _write_cases():
+    """kind -> (payload, writer, reader, the whole object, back -> equal to payload)."""
+    rng = np.random.default_rng(12)
+    d = KMetric(n=6, k=3, values=rng.uniform(0.1, 9.0, 20))
+    F = ChainMatrix(n=5, k=3, data=rng.standard_normal((10, 3)))
+    K = WeightedComplex(
+        n=5,
+        k=3,
+        facets=((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)),
+        weights=rng.uniform(0.5, 2.0, 6),
+    )
+    cloud = PointCloud(points=rng.standard_normal((9, 2)))
+    chain = Chain(n=6, dim=2, coeffs=rng.standard_normal(20))
+    values = [{"s": list(s), "d": v} for s, v in zip(d.simplices(), d.values.tolist())]
+    facets = [{"s": list(f), "w": w} for f, w in zip(K.facets, K.weights.tolist())]
+    return {
+        "kmetric": (d, write_kmetric, read_kmetric, {"n": 6, "k": 3, "values": values},
+                    lambda back: np.array_equal(back.values, d.values)),
+        "chain_matrix": (F, write_chain_matrix, read_chain_matrix,
+                         {"n": 5, "k": 3, "m": 3, "data": F.data.reshape(-1).tolist()},
+                         lambda back: np.array_equal(back.data, F.data)),
+        "complex": (K, write_complex, read_complex, {"n": 5, "k": 3, "facets": facets},
+                    lambda back: back.facets == K.facets
+                    and np.array_equal(back.weights, K.weights)),
+        "cloud": (cloud, write_cloud, read_cloud, {"m": 2, "points": cloud.points.tolist()},
+                  lambda back: np.array_equal(back.points, cloud.points)),
+        "chain": (chain, write_chain, read_chain,
+                  {"n": 6, "dim": 2, "coeffs": chain.coeffs.tolist()},
+                  lambda back: np.array_equal(back.coeffs, chain.coeffs)),
+    }
+
+
+# lists of 20, 30, 6, 9 and 20 items: blocks of 3 and 4 each end both full and short
+@pytest.mark.parametrize("block", [1, 3, 4, 2**20])
+@pytest.mark.parametrize("kind", ["kmetric", "chain_matrix", "complex", "cloud", "chain"])
+def test_blocked_writes_equal_the_whole_object_dump(tmp_path, monkeypatch, kind, block):
+    monkeypatch.setattr(fileio, "_WRITE_BLOCK", block)
+    payload, write, read, whole, same = _write_cases()[kind]
+    path = tmp_path / "out.json"
+    write(payload, str(path))
+    assert path.read_bytes() == (json.dumps(whole, separators=(",", ":")) + "\n").encode()
+    assert same(read(str(path)))
+
+
+@pytest.mark.parametrize("write, payload, limit_mb", [
+    (write_chain_matrix,
+     lambda rng: ChainMatrix(n=400, k=2, data=rng.standard_normal((400, 1000))), 2),
+    (write_kmetric,
+     lambda rng: KMetric(n=120, k=3, values=rng.uniform(0.5, 2.0, comb(120, 3))), 16),
+])
+def test_writes_hold_one_block_at_a_time(tmp_path, write, payload, limit_mb):
+    obj = payload(np.random.default_rng(13))
+    tracemalloc.start()
+    try:
+        write(obj, str(tmp_path / "out.json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20
 
 
 _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308]
