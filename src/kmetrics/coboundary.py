@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .metric import KMetric, VALUE_TOL, _bounding_chains, bounding_sweep
+from .metric import KMetric, VALUE_TOL, bounding_sweep
 from .simplicial import Chain, SimplexKey, boundary_rows, coboundary_rows, face_ranks, simplex_index
 
 # Random projections wider than this are refused before R is drawn.
@@ -133,7 +133,7 @@ def frechet_column(d: KMetric, t: Sequence[int]):
     idx = simplex_index(d.n, t)
     faces = face_ranks(d.n, d.k - 1)
     target = boundary_rows(faces[:, [idx]], np.ones(1), comb(d.n, d.k - 1))
-    cost, _, y = next(_bounding_chains(d.values, d.n, faces, np.arange(d.values.size), [target]))
+    cost, _, y = next(bounding_sweep(d.values, d.n, d.k, targets=[target]))
     y = _strong_column(d, idx, cost, y)
     return Chain(n=d.n, dim=d.k - 2, coeffs=y), float(coboundary_rows(faces[:, [idx]], y)[0])
 

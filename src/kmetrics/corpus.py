@@ -14,10 +14,12 @@ from typing import Optional
 import numpy as np
 
 from .coboundary import ChainMatrix
-from .hypertree import WeightedComplex, mbc_metric
-from .metric import KMetric
-from .simplicial import Chain, chain_from_dict, enumerate_simplices, simplex_index
+from .metric import KMetric, bounding_sweep
+from .simplicial import Chain, _check_counts, chain_from_dict, enumerate_simplices, simplex_index
 from .volume import PointCloud
+
+# Bounds of the uniform costs that random_strong_metric draws, one per k-tuple.
+_WEIGHT_RANGE = (0.5, 2.0)
 
 # The seven small triangles of an edgewise-subdivided triangle: 0,1,2 are the
 # corners, 3,4,5 the midpoints opposite to them (3 between 0 and 2, 4 between
@@ -156,11 +158,8 @@ def _pairwise_distances(cloud: PointCloud) -> np.ndarray:
 def perimeter_metric(cloud: PointCloud) -> CorpusInstance:
     """Arity-3 table summing the three pairwise distances of each triple."""
     dist = _pairwise_distances(cloud)
-    values = [
-        dist[a, b] + dist[a, c] + dist[b, c]
-        for a, b, c in enumerate_simplices(cloud.count, 2)
-    ]
-    payload = KMetric(n=cloud.count, k=3, values=np.array(values))
+    a, b, c = np.array(enumerate_simplices(cloud.count, 2)).T
+    payload = KMetric(n=cloud.count, k=3, values=dist[a, b] + dist[a, c] + dist[b, c])
     return CorpusInstance(
         name="perimeter", payload=payload, expected={"weak": True}
     )
@@ -169,32 +168,30 @@ def perimeter_metric(cloud: PointCloud) -> CorpusInstance:
 def max_side_metric(cloud: PointCloud) -> CorpusInstance:
     """Arity-3 table taking the longest pairwise distance of each triple."""
     dist = _pairwise_distances(cloud)
-    values = [
-        max(dist[a, b], dist[a, c], dist[b, c])
-        for a, b, c in enumerate_simplices(cloud.count, 2)
-    ]
-    payload = KMetric(n=cloud.count, k=3, values=np.array(values))
+    a, b, c = np.array(enumerate_simplices(cloud.count, 2)).T
+    longest = np.maximum.reduce([dist[a, b], dist[a, c], dist[b, c]])
+    payload = KMetric(n=cloud.count, k=3, values=longest)
     return CorpusInstance(
         name="max-side", payload=payload, expected={"weak": True}
     )
 
 
-def random_strong_metric(
-    n: int, k: int, seed: int, weight_range: tuple = (0.5, 2.0)
-) -> CorpusInstance:
+def random_strong_metric(n: int, k: int, seed: int) -> CorpusInstance:
     """Bounding-chain metric of the complete complex under random costs.
 
-    Tables built this way satisfy the strong inequality by construction;
-    equal costs everywhere reduce to a scaled discrete table.
+    Every k-tuple is a facet with a cost drawn from U(*_WEIGHT_RANGE), and
+    the table is one bounding_sweep over all tuples.  Tables built this way
+    satisfy the strong inequality by construction; equal costs everywhere
+    reduce to a scaled discrete table.
     """
-    rng = np.random.default_rng(seed)
-    facets = enumerate_simplices(n, k - 1)
-    weights = rng.uniform(*weight_range, size=len(facets))
-    complete = WeightedComplex(n=n, k=k, facets=facets, weights=weights)
-    payload = mbc_metric(complete)
+    count = _check_counts(n, k - 1)
+    if k < 2:
+        raise ValueError(f"arity must be at least 2, got {k}")
+    weights = np.random.default_rng(seed).uniform(*_WEIGHT_RANGE, size=count)
+    values = np.array([cost for cost, _, _ in bounding_sweep(weights, n, k)])
     return CorpusInstance(
         name="random-strong",
-        payload=payload,
+        payload=KMetric(n=n, k=k, values=values),
         expected={"weak": True, "strong": True},
         aux={"weights": weights},
     )

@@ -181,10 +181,8 @@ def hypertree_to_l1(K: WeightedComplex) -> ChainMatrix:
     return ChainMatrix(n=K.n, k=K.k, data=F)
 
 
-def random_spanning_tree(
-    n: int, seed: int, weight_range: tuple = (0.5, 2.0)
-) -> WeightedComplex:
-    """Random recursive tree on n vertices with uniform random edge weights."""
+def random_spanning_tree(n: int, seed: int) -> WeightedComplex:
+    """Random recursive tree on n vertices with edge weights drawn from U(0.5, 2)."""
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")
     rng = np.random.default_rng(seed)
@@ -192,20 +190,18 @@ def random_spanning_tree(
     for v in range(1, n):
         u = int(rng.integers(0, v))
         facets.append((min(u, v), max(u, v)))
-    weights = rng.uniform(*weight_range, size=n - 1)
+    weights = rng.uniform(0.5, 2.0, size=n - 1)
     return WeightedComplex(n=n, k=2, facets=tuple(facets), weights=weights)
 
 
-def random_2hypertree(
-    n: int, seed: int, weight_range: tuple = (0.5, 2.0)
-) -> WeightedComplex:
+def random_2hypertree(n: int, seed: int) -> WeightedComplex:
     """Random triangle hypertree: a greedy basis of the triangle boundaries.
 
     Triangles are visited in reversed random order and kept when their
     boundary is independent of the kept ones (one Gram-Schmidt pass, each
     projection applied twice).  By matroid reverse-delete this is the set
     left by deleting triangles in random order while the rest still bound
-    every 1-cycle: acyclic and spanning.
+    every 1-cycle: acyclic and spanning.  Weights are drawn from U(0.5, 2).
     """
     if n < 3:
         raise ValueError(f"need at least 3 vertices, got {n}")
@@ -225,5 +221,5 @@ def random_2hypertree(
             Q[:, len(kept)] = v / norm
             kept.append(j)
     facets = tuple(enumerate_simplices(n, 2)[j] for j in sorted(kept))
-    weights = rng.uniform(*weight_range, size=len(facets))
+    weights = rng.uniform(0.5, 2.0, size=len(facets))
     return WeightedComplex(n=n, k=3, facets=facets, weights=weights)

@@ -31,7 +31,6 @@ from .simplicial import (
     face_ranks,
     simplex_index,
     validate_simplex,
-    zero_chain,
 )
 
 # Downstream comparisons of metric values; looser than the LP pivot tolerance.
@@ -147,40 +146,49 @@ def check_weak(d: KMetric, tol: float = VALUE_TOL) -> VerificationReport:
     )
 
 
-def _bounding_chains(w: np.ndarray, n: int, faces: np.ndarray, cols: np.ndarray,
-                     targets: Iterable):
+def bounding_sweep(weights: np.ndarray, n: int, k: int, cols: Optional[np.ndarray] = None,
+                   targets: Optional[Iterable] = None):
     """Yield (cost, chain, y) per target: one warm-started bounding-chain sweep.
 
     Every program min sum_s w(s)|alpha(s)| s.t. boundary(alpha) = target on
-    the dim-simplices cols (faces is face_ranks(n, dim)) shares A and c, so
-    one dual simplex solves them all: the first from the artificial basis
-    (y = 0, feasible because w >= 0), each later one from the previous
-    target's final basis.  Only the rows of faces that miss vertex 0, the
-    last C(n-1, dim) in canonical order, are kept (boundary_block): they are
-    independent on boundaries and decide them, so they imply the others for
-    every target that is a boundary.
+    the allowed (k-1)-simplices cols (all of them by default) shares A and
+    c, so one dual simplex solves them all: the first from the artificial
+    basis (y = 0, feasible because w >= 0), each later one from the previous
+    target's final basis.  targets are (k-2)-chains as coefficient arrays;
+    by default they are the boundaries of every k-tuple's indicator, in
+    canonical order.  Stop early by leaving the loop.  Only the rows of
+    faces that miss vertex 0, the last C(n-1, k-1) in canonical order, are
+    kept (boundary_block): they are independent on boundaries and decide
+    them, so they imply the others for every target that is a boundary.
 
     The costs are divided by their max and each target by its largest entry
     before solving, and cost, chain and y are multiplied back, so every
-    tolerance inside the solver is relative.  Each answer is certified
-    against rounding drift in the warm-started tableau: the chain passes a
-    residual check on all faces (a target that is not a boundary fails
-    there), and the dual y, zero on the dropped rows, must satisfy
+    tolerance inside the solver is relative.  With no allowed simplex a zero
+    target costs 0 and any other is refused as not fillable.  Each answer is
+    certified against rounding drift in the warm-started tableau: the chain
+    passes a residual check on all faces (a target that is not a boundary
+    fails there), and the dual y, zero on the dropped rows, must satisfy
     |coboundary(y)| <= w (1 + tol) + tol max(w) on cols and
     <target, y> = cost to tol = lp.DEFAULT_TOL, or LPError is raised.  It is
     the one dual check: by weak duality cost is optimal, and y, an embedding
     column in coboundary, never expands w.  A program that would peak over
     MAX_LP_BYTES is refused with ValueError before any allocation.
     """
-    dim = faces.shape[0] - 1
+    w = np.asarray(weights, dtype=float)
+    dim = k - 1
+    faces = face_ranks(n, dim)
     size, first = comb(n, dim), comb(n - 1, dim - 1)
+    if cols is None:
+        cols = np.arange(faces.shape[1])
+    if targets is None:
+        targets = (boundary_rows(faces[:, [i]], np.ones(1), size) for i in range(faces.shape[1]))
     m = size - first
     needed = 8 * (m * cols.size + 2 * (m + 1) * (cols.size + m + 1))
     if needed > MAX_LP_BYTES:
         raise ValueError(f"bounding-chain LP needs {needed:.3g} bytes, budget {MAX_LP_BYTES}")
     allowed = faces[:, cols]
     Br = boundary_block(allowed, size, first)
-    scale = float(w[cols].max()) or 1.0
+    scale = float(w[cols].max(initial=0.0)) or 1.0
     c = w[cols] / scale
     simplex = Simplex(Br, c, c)
     for target in targets:
@@ -210,20 +218,6 @@ def _bounding_chains(w: np.ndarray, n: int, faces: np.ndarray, cols: np.ndarray,
         yield sol.objective * scale * unit, Chain(n=n, dim=dim, coeffs=coeffs), y
 
 
-def bounding_sweep(weights: np.ndarray, n: int, k: int, cols: Optional[np.ndarray] = None):
-    """(cost, chain, y) for every k-tuple in canonical order, as one sweep.
-
-    The chains bound the boundary of each tuple's indicator on the allowed
-    (k-1)-simplices cols (all of them by default).  Stop early by leaving
-    the loop.
-    """
-    faces = face_ranks(n, k - 1)
-    every = np.arange(faces.shape[1])
-    targets = (boundary_rows(faces[:, [i]], np.ones(1), comb(n, k - 1)) for i in every)
-    return _bounding_chains(np.asarray(weights, dtype=float), n, faces,
-                            every if cols is None else cols, targets)
-
-
 def min_bounding_chain(
     weights: np.ndarray,
     target: Chain,
@@ -244,18 +238,16 @@ def min_bounding_chain(
     Returns:
         (cost, chain) with the chain living on the full simplex list.
     """
-    n = target.n
-    dim = target.dim + 1
-    count = comb(n, dim + 1)
+    n, k = target.n, target.dim + 2
+    count = comb(n, k)
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.shape != (count,):
         raise ValueError(f"expected {count} weights, got {w.shape[0]}")
     if (w < 0).any() or not np.isfinite(w).all():
         raise ValueError("weights must be finite and nonnegative")
 
-    if mask is None:
-        cols = np.arange(count)
-    else:
+    cols = None
+    if mask is not None:
         idx = []
         for item in mask:
             if isinstance(item, (bool, np.bool_)):
@@ -271,12 +263,7 @@ def min_bounding_chain(
         allowed[idx] = True
         cols = np.flatnonzero(allowed)  # sorted and distinct; np.unique would import numpy.ma
 
-    if cols.size == 0:
-        if not target.coeffs.any():
-            return 0.0, zero_chain(n, dim)
-        raise UnfillableBoundaryError("boundary not fillable: empty simplex mask")
-
-    cost, chain, _ = next(_bounding_chains(w, n, face_ranks(n, dim), cols, [target.coeffs]))
+    cost, chain, _ = next(bounding_sweep(w, n, k, cols, [target.coeffs]))
     return cost, chain
 
 

@@ -136,6 +136,8 @@ class Chain:
                 f"expected {count} coefficients for dim={self.dim}, n={self.n}, "
                 f"got {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ValueError("chain coefficients must be finite")
         object.__setattr__(self, "coeffs", _freeze(arr))
 
     def support(self) -> list:

@@ -140,11 +140,15 @@ def volume_to_coboundary(cloud: PointCloud, k: int) -> ChainMatrix:
         )
     # The cone from the origin over points p_1..p_{k-1} has the points
     # themselves as its difference columns, so each entry is the determinant
-    # of the transposed projected points: one det over (simplex, axis set).
-    P = cloud.points[np.array(enumerate_simplices(cloud.count, k - 2))]
+    # of the transposed projected points: one det over (simplex, axis set),
+    # for a block of simplices ((k-1)**2 floats per axis set each) at a time.
+    tuples = np.array(enumerate_simplices(cloud.count, k - 2))
     axis_sets = np.array(list(itertools.combinations(range(cloud.m), k - 1)))
-    cones = P[:, :, axis_sets].transpose(0, 2, 3, 1)
-    data = np.linalg.det(cones) / factorial(k - 1)
+    data = np.empty((tuples.shape[0], axis_sets.shape[0]))
+    step = max(1, _EVAL_BLOCK // (axis_sets.size * (k - 1)))
+    for a in range(0, tuples.shape[0], step):
+        cones = cloud.points[tuples[a : a + step]][:, :, axis_sets].transpose(0, 2, 3, 1)
+        data[a : a + step] = np.linalg.det(cones) / factorial(k - 1)
     return ChainMatrix(n=cloud.count, k=k, data=data)
 
 

@@ -1,6 +1,7 @@
 """Every named instance must satisfy its own expectation map."""
 
 import math
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -17,6 +18,8 @@ from kmetrics import (
     eval_coboundary_metric,
     indicator_chain,
 )
+from kmetrics import corpus
+from kmetrics.hypertree import WeightedComplex, mbc_metric
 from kmetrics.corpus import (
     discrete_metric,
     four_point_equilateral,
@@ -113,6 +116,19 @@ def test_perimeter_unit_equilateral():
     assert max_side_metric(cloud).payload.value((0, 1, 2)) == pytest.approx(1.0)
 
 
+def test_perimeter_and_max_side_tables_match_a_per_triple_reference():
+    rng = np.random.default_rng(46)
+    cloud = PointCloud(points=rng.normal(size=(9, 3)))
+    pts = cloud.points
+
+    def dist(u, v):
+        return math.sqrt(sum((x - y) * (x - y) for x, y in zip(pts[u], pts[v])))
+
+    sides = [(dist(a, b), dist(a, c), dist(b, c)) for a, b, c in combinations(range(9), 3)]
+    assert np.array_equal(perimeter_metric(cloud).payload.values, [x + y + z for x, y, z in sides])
+    assert np.array_equal(max_side_metric(cloud).payload.values, [max(s) for s in sides])
+
+
 def test_max_side_metric_collinear_is_meta():
     cloud = PointCloud(points=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
     inst = max_side_metric(cloud)
@@ -130,9 +146,20 @@ def test_random_strong_metric_expectations():
         random_strong_metric(2, 3, seed=1)
 
 
-def test_random_strong_equal_weights_scale_the_discrete_table():
-    inst = random_strong_metric(5, 3, seed=0, weight_range=(1.5, 1.5))
+def test_random_strong_equal_weights_scale_the_discrete_table(monkeypatch):
+    monkeypatch.setattr(corpus, "_WEIGHT_RANGE", (1.5, 1.5))
+    inst = random_strong_metric(5, 3, seed=0)
     assert np.allclose(inst.payload.values, 1.5, atol=1e-9)
+
+
+@pytest.mark.parametrize("n, k", [(6, 2), (9, 3), (7, 4)])
+def test_random_strong_is_the_mbc_metric_of_the_complete_complex(n, k):
+    # the table is one sweep over every tuple; a complex of all C(n, k)
+    # facets under the same weights, through mbc_metric, is the oracle
+    inst = random_strong_metric(n, k, seed=n * k)
+    complete = WeightedComplex(n=n, k=k, facets=tuple(combinations(range(n), k)),
+                               weights=inst.aux["weights"])
+    assert np.array_equal(inst.payload.values, mbc_metric(complete).values)
 
 
 def test_random_strong_single_tuple():

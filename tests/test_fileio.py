@@ -462,6 +462,17 @@ def test_cloud_rows_must_be_rectangular(tmp_path):
     assert "expected a list of 2 coordinates" in info.value.message
 
 
+def test_chain_coeffs_must_be_finite(tmp_path):
+    # Python's json reads NaN and Infinity
+    path = _write_json(
+        tmp_path / "c.json", {"n": 3, "dim": 1, "coeffs": [float("nan"), 1.0, 2.0]}
+    )
+    with pytest.raises(InputError) as info:
+        read_chain(path)
+    assert info.value.field == "coeffs"
+    assert "finite" in info.value.message
+
+
 def test_chain_coeff_count_must_match(tmp_path):
     path = _write_json(
         tmp_path / "c.json", {"n": 4, "dim": 1, "coeffs": [1.0, 2.0]}

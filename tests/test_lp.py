@@ -208,9 +208,11 @@ def test_sweep_refuses_an_uncertified_optimum(monkeypatch):
         return LPSolution(sol.status, sol.x, 2.0 * sol.y, sol.objective)
 
     d = random_strong_metric(6, 3, 32).payload
+    target = Chain(n=6, dim=1, coeffs=boundary_operator(6, 2).matrix[:, 0])
     monkeypatch.setattr(Simplex, "solve", drifted)
     for run in (lambda: check_strong(d, exhaustive=True), lambda: frechet_embed(d),
-                lambda: frechet_column(d, (0, 1, 2))):
+                lambda: frechet_column(d, (0, 1, 2)), lambda: min_bounding_chain(d.values, target),
+                lambda: random_strong_metric(6, 3, 32)):
         with pytest.raises(LPError, match="not certified"):
             run()
 

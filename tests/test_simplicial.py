@@ -1,5 +1,6 @@
 """Simplex enumeration, orientation signs, and the chain complex operators."""
 
+import math
 from math import comb
 
 import numpy as np
@@ -259,3 +260,9 @@ def test_replacement_simplices_share_the_boundary():
                     ).coeffs
                 want = apply_operator(bd, indicator_chain(n, t)).coeffs
                 assert np.array_equal(total, want)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_chain_refuses_non_finite_coefficients(value):
+    with pytest.raises(ValueError, match="finite"):
+        indicator_chain(3, (0, 1), value=value)

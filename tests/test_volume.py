@@ -130,6 +130,29 @@ def test_volume_metric_gathers_tuples_in_blocks(monkeypatch):
     assert np.array_equal(volume_metric(small, 3).values, whole)
 
 
+def test_volume_to_coboundary_gathers_simplices_in_blocks(monkeypatch):
+    # 60 points in R^30 at k=3: a 1,770 x 435 table (6.2 MB); stacking every
+    # edge's 2x2 cones at once takes four times the table, and a copy more
+    rng = np.random.default_rng(31)
+    cloud = PointCloud(points=rng.standard_normal((60, 30)))
+    tracemalloc.start()
+    try:
+        F = volume_to_coboundary(cloud, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * F.data.nbytes, peak
+    # blocks of 5 simplices, the last one short (36 = 7 * 5 + 1 edges, 84 =
+    # 16 * 5 + 4 triangles), and blocks of one give the data of one block
+    # bit for bit
+    small = PointCloud(points=rng.standard_normal((9, 4)))
+    whole = {k: volume_to_coboundary(small, k).data for k in (3, 4)}
+    for k, per_simplex in ((3, 6 * 2 * 2), (4, 4 * 3 * 3)):
+        for block in (1, 5 * per_simplex):
+            monkeypatch.setattr(kmetrics.volume, "_EVAL_BLOCK", block)
+            assert np.array_equal(volume_to_coboundary(small, k).data, whole[k])
+
+
 def test_volume_metric_warns_when_flat():
     with pytest.warns(UserWarning):
         d = volume_metric(PointCloud(points=np.zeros((4, 1))), 3)
