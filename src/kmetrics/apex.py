@@ -17,7 +17,7 @@ import numpy as np
 
 from .coboundary import ChainMatrix
 from .metric import KMetric
-from .simplicial import LinearChainOperator, enumerate_simplices, simplex_index
+from .simplicial import LinearChainOperator, _check_dense, enumerate_simplices, simplex_index
 
 
 def _apex_positions(n: int, dim: int) -> np.ndarray:
@@ -39,12 +39,14 @@ def project_operator(n: int, h: int) -> LinearChainOperator:
 
     A simplex containing the apex maps to itself minus the apex with sign +1
     (the apex is the largest vertex, so it sits last in canonical order);
-    apex-free simplices map to zero.
+    apex-free simplices map to zero.  One over MAX_LP_BYTES is refused
+    before any allocation.
     """
     if h < 1 or h > n:
         raise ValueError(f"need 1 <= h <= n, got h={h}, n={n}")
-    rows = comb(n, h)
-    mat = np.zeros((rows, comb(n + 1, h + 1)), dtype=np.int64)
+    rows, cols = comb(n, h), comb(n + 1, h + 1)
+    _check_dense(rows, cols)
+    mat = np.zeros((rows, cols), dtype=np.int64)
     mat[np.arange(rows), _apex_positions(n, h - 1)] = 1
     return LinearChainOperator(n=n + 1, src_dim=h, dst_dim=h - 1, matrix=mat, dst_n=n)
 

@@ -7,62 +7,41 @@ one large list, written _WRITE_BLOCK items at a time, so a write holds one
 block of Python objects and text instead of the whole file; the bytes are
 those of json.dumps(obj, separators=(",", ":")) and a newline.  Every block
 goes through one encode call, the only path on which CPython runs its C
-encoder (json.dump and any indent fall back to the pure-Python one).  Reads
-check each list as a whole and convert it in one numpy call; the per-entry
-validators run only to name the first bad entry.  Parse problems raise
-InputError carrying the file, the offending field, and the line number when
-the JSON itself is malformed.
+encoder (json.dump and any indent fall back to the pure-Python one).
+
+Reads mirror the writes: jsonblocks.read_object hands each reader's builder
+its list a block of text at a time, so a read holds one block of text and of
+Python objects besides the arrays it fills.  Each block is checked as a whole
+and converted in one numpy call; the per-entry validators run only to name
+the first bad entry, by its position in the whole list.  Values and errors are
+those of json.load and a whole-list check.  Parse problems raise InputError
+carrying the file, the offending field, and the line number when the JSON
+itself is malformed.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
 from math import comb
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .coboundary import ChainMatrix
 from .hypertree import WeightedComplex
+from .jsonblocks import InputError, get_blocks, read_object
 from .metric import KMetric
-from .simplicial import Chain, enumerate_simplices, simplex_index, validate_simplex
+from .simplicial import (
+    MAX_SIMPLICES,
+    Chain,
+    _check_counts,
+    enumerate_simplices,
+    simplex_index,
+    validate_simplex,
+)
 from .volume import PointCloud
-
-
-class InputError(Exception):
-    """A file could not be parsed or validated."""
-
-    def __init__(
-        self,
-        path: str,
-        message: str,
-        field: Optional[str] = None,
-        line: Optional[int] = None,
-    ):
-        self.path = path
-        self.field = field
-        self.line = line
-        self.message = message
-        where = path
-        if line is not None:
-            where += f":{line}"
-        if field is not None:
-            where += f" (field {field})"
-        super().__init__(f"{where}: {message}")
-
-
-def _load_object(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputError(path, f"cannot read file: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(path, f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
-    if not isinstance(obj, dict):
-        raise InputError(path, f"expected a JSON object, got {type(obj).__name__}")
-    return obj
 
 
 # List items encoded per call of the C encoder.
@@ -107,14 +86,6 @@ def _get_int(obj: dict, key: str, path: str, minimum: int = 0) -> int:
     return value
 
 
-def _get_list(obj: dict, key: str, path: str) -> list:
-    if key not in obj:
-        raise InputError(path, "missing required field", field=key)
-    if not isinstance(obj[key], list):
-        raise InputError(path, "expected a list", field=key)
-    return obj[key]
-
-
 def _as_number(value, path: str, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(path, f"expected a number, got {value!r}", field=field)
@@ -143,9 +114,13 @@ def _read_simplex(entry, path: str, field: str, n: int, size: int) -> tuple:
         raise InputError(path, str(exc), field=field) from None
 
 
-def _read_entries(obj: dict, path: str, name: str, key: str, n: int, k: int):
-    """(vertex rows, numbers) of the {"s": simplex, key: number} list obj[name]."""
-    entries = _get_list(obj, name, path)
+def _read_entries(entries: list, first: int, path: str, name: str, key: str, n: int, k: int):
+    """(ranks, numbers) of a block of {"s": simplex, key: number} entries of the list name.
+
+    entries[0] is name[first].  ranks is None when the entries are valid but
+    C(n, k) is over MAX_SIMPLICES, the one way a valid block fails the
+    list-wide check: simplex_index refuses to rank it.
+    """
     try:
         simplices = [entry["s"] for entry in entries]
         numbers = [entry[key] for entry in entries]
@@ -156,19 +131,19 @@ def _read_entries(obj: dict, path: str, name: str, key: str, n: int, k: int):
         ):
             flat = itertools.chain.from_iterable(simplices)
             rows = np.fromiter(flat, np.int64, k * len(simplices)).reshape(-1, k)
-            simplex_index(n, rows)  # refuses any row that is not canonical
-            return rows, _as_numbers(numbers, path, lambda i: f"{name}[{i}].{key}")
+            ranks = simplex_index(n, rows)  # refuses any row that is not canonical
+            return ranks, _as_numbers(numbers, path, lambda i: f"{name}[{first + i}].{key}")
     except (KeyError, TypeError, OverflowError, ValueError):
         pass
     # name the first bad entry, one entry at a time
-    verts, numbers = [], []
-    for pos, entry in enumerate(entries):
+    numbers = []
+    for pos, entry in enumerate(entries, first):
         field = f"{name}[{pos}]"
         if not isinstance(entry, dict) or "s" not in entry or key not in entry:
             raise InputError(path, f"expected an object with s and {key}", field=field)
-        verts.extend(_read_simplex(entry["s"], path, field + ".s", n, k))
+        _read_simplex(entry["s"], path, field + ".s", n, k)
         numbers.append(_as_number(entry[key], path, f"{field}.{key}"))
-    return np.array(verts, dtype=np.int64).reshape(-1, k), np.array(numbers, dtype=float)
+    return None, np.array(numbers, dtype=float)
 
 
 # --- arity-k tables -------------------------------------------------------
@@ -181,7 +156,7 @@ def write_kmetric(d: KMetric, path: str) -> None:
 
 
 def read_kmetric(path: str) -> KMetric:
-    return _kmetric_from(_load_object(path), path)
+    return read_object(path, {"values": _kmetric_from})[1]
 
 
 def _kmetric_from(obj: dict, path: str) -> KMetric:
@@ -189,16 +164,31 @@ def _kmetric_from(obj: dict, path: str) -> KMetric:
     k = _get_int(obj, "k", path, minimum=2)
     if n < k:
         raise InputError(path, f"need n >= k, got n={n}, k={k}", field="n")
-    rows, numbers = _read_entries(obj, path, "values", "d", n, k)
-    index = simplex_index(n, rows)
-    first = np.unique(index, return_index=True)[1]
-    if first.size < index.size:
-        pos = int(np.setdiff1d(np.arange(index.size), first)[0])
-        key = tuple(rows[pos].tolist())
-        raise InputError(path, f"duplicate entry for {key}", field=f"values[{pos}].s")
+    blocks = get_blocks(obj, "values", path)
     count = comb(n, k)
-    values = np.full(count, np.nan)
-    values[index] = numbers
+    if count > MAX_SIMPLICES:  # no tuple can be ranked: check every entry, then refuse
+        for offset, entries in blocks:
+            _read_entries(entries, offset, path, "values", "d", n, k)
+        _check_counts(n, k - 1)  # raises
+    values, seen = np.full(count, np.nan), np.zeros(count, dtype=bool)
+    duplicate = None  # refused once every entry is checked
+    for offset, entries in blocks:
+        ranks, numbers = _read_entries(entries, offset, path, "values", "d", n, k)
+        if duplicate is None:
+            again = seen[ranks]
+            order = np.argsort(ranks, kind="stable")
+            again[order[1:]] |= ranks[order[1:]] == ranks[order[:-1]]
+            if again.any():
+                pos = int(np.argmax(again))
+                duplicate = InputError(
+                    path,
+                    f"duplicate entry for {tuple(entries[pos]['s'])}",
+                    field=f"values[{offset + pos}].s",
+                )
+        seen[ranks] = True
+        values[ranks] = numbers
+    if duplicate is not None:
+        raise duplicate
     missing = np.isnan(values)
     if missing.any():
         first = enumerate_simplices(n, k - 1)[int(np.nonzero(missing)[0][0])]
@@ -221,22 +211,33 @@ def write_chain_matrix(F: ChainMatrix, path: str) -> None:
 
 
 def read_chain_matrix(path: str) -> ChainMatrix:
-    return _chain_matrix_from(_load_object(path), path)
+    return read_object(path, {"data": _chain_matrix_from})[1]
 
 
 def _chain_matrix_from(obj: dict, path: str) -> ChainMatrix:
     n = _get_int(obj, "n", path, minimum=1)
     k = _get_int(obj, "k", path, minimum=2)
     m = _get_int(obj, "m", path, minimum=1)
-    data = _get_list(obj, "data", path)
+    blocks = get_blocks(obj, "data", path)
     rows = comb(n, k - 1)
-    if len(data) != rows * m:
+    size = rows * m
+    # size numbers take 2 size - 1 characters; a header that claims more is
+    # refused by the length check below, so nothing is allocated for it
+    flat = np.empty(size) if 2 * size - 1 <= os.path.getsize(path) else None
+    count, bad = 0, None  # the length is checked before the numbers
+    for offset, items in blocks:
+        count += len(items)
+        if bad is None and flat is not None and count <= size:
+            try:
+                flat[offset:count] = _as_numbers(items, path, lambda i: f"data[{offset + i}]")
+            except InputError as exc:
+                bad = exc
+    if count != size:
         raise InputError(
-            path,
-            f"expected {rows} x {m} = {rows * m} numbers, got {len(data)}",
-            field="data",
+            path, f"expected {rows} x {m} = {size} numbers, got {count}", field="data"
         )
-    flat = _as_numbers(data, path, lambda i: f"data[{i}]")
+    if bad is not None:
+        raise bad
     try:
         return ChainMatrix(n=n, k=k, data=flat.reshape(rows, m))
     except ValueError as exc:
@@ -251,15 +252,18 @@ def write_complex(K: WeightedComplex, path: str) -> None:
 
 
 def read_complex(path: str) -> WeightedComplex:
-    return _complex_from(_load_object(path), path)
+    return read_object(path, {"facets": _complex_from})[1]
 
 
 def _complex_from(obj: dict, path: str) -> WeightedComplex:
     n = _get_int(obj, "n", path, minimum=1)
     k = _get_int(obj, "k", path, minimum=2)
-    rows, weights = _read_entries(obj, path, "facets", "w", n, k)
+    facets, weights = [], [np.empty(0)]
+    for offset, entries in get_blocks(obj, "facets", path):
+        weights.append(_read_entries(entries, offset, path, "facets", "w", n, k)[1])
+        facets.extend(tuple(entry["s"]) for entry in entries)
     try:
-        return WeightedComplex(n=n, k=k, facets=tuple(map(tuple, rows.tolist())), weights=weights)
+        return WeightedComplex(n=n, k=k, facets=tuple(facets), weights=np.concatenate(weights))
     except ValueError as exc:
         raise InputError(path, str(exc), field="facets") from exc
 
@@ -272,21 +276,25 @@ def write_cloud(cloud: PointCloud, path: str) -> None:
 
 
 def read_cloud(path: str) -> PointCloud:
-    return _cloud_from(_load_object(path), path)
+    return read_object(path, {"points": _cloud_from})[1]
 
 
 def _cloud_from(obj: dict, path: str) -> PointCloud:
     m = _get_int(obj, "m", path, minimum=1)
-    rows = _get_list(obj, "points", path)
-    shaped = (isinstance(row, list) and len(row) == m for row in rows)
-    bad = next((pos for pos, ok in enumerate(shaped) if not ok), len(rows))
-    # a bad coordinate before the first bad row is the first error, as row by row
-    flat = list(itertools.chain.from_iterable(rows[:bad]))
-    points = _as_numbers(flat, path, lambda i: f"points[{i // m}]")
-    if bad < len(rows):
-        raise InputError(path, f"expected a list of {m} coordinates", field=f"points[{bad}]")
+    coords, count = [np.empty(0)], 0
+    for offset, rows in get_blocks(obj, "points", path):
+        shaped = (isinstance(row, list) and len(row) == m for row in rows)
+        bad = next((pos for pos, ok in enumerate(shaped) if not ok), len(rows))
+        # a bad coordinate before the first bad row is the first error, as row by row
+        flat = list(itertools.chain.from_iterable(rows[:bad]))
+        coords.append(_as_numbers(flat, path, lambda i: f"points[{offset + i // m}]"))
+        if bad < len(rows):
+            raise InputError(
+                path, f"expected a list of {m} coordinates", field=f"points[{offset + bad}]"
+            )
+        count += len(rows)
     try:
-        return PointCloud(points=points.reshape(len(rows), m))
+        return PointCloud(points=np.concatenate(coords).reshape(count, m))
     except ValueError as exc:
         raise InputError(path, str(exc), field="points") from exc
 
@@ -299,13 +307,17 @@ def write_chain(chain: Chain, path: str) -> None:
 
 
 def read_chain(path: str) -> Chain:
-    obj = _load_object(path)
+    return read_object(path, {"coeffs": _chain_from})[1]
+
+
+def _chain_from(obj: dict, path: str) -> Chain:
     n = _get_int(obj, "n", path, minimum=1)
     dim = _get_int(obj, "dim", path, minimum=0)
-    coeffs = _get_list(obj, "coeffs", path)
-    values = _as_numbers(coeffs, path, lambda i: f"coeffs[{i}]")
+    coeffs = [np.empty(0)]
+    for offset, items in get_blocks(obj, "coeffs", path):
+        coeffs.append(_as_numbers(items, path, lambda i: f"coeffs[{offset + i}]"))
     try:
-        return Chain(n=n, dim=dim, coeffs=values)
+        return Chain(n=n, dim=dim, coeffs=np.concatenate(coeffs))
     except ValueError as exc:
         raise InputError(path, str(exc), field="coeffs") from exc
 
@@ -324,12 +336,5 @@ def read_any(path: str):
     Returns (kind, object) with kind one of kmetric, chain_matrix, complex,
     cloud.  The file is parsed once.
     """
-    obj = _load_object(path)
-    for key, (kind, build) in _BUILDERS.items():
-        if key in obj:
-            return kind, build(obj, path)
-    raise InputError(
-        path,
-        "unrecognised payload: expected one of the fields "
-        + ", ".join(_BUILDERS),
-    )
+    key, obj = read_object(path, {key: build for key, (_, build) in _BUILDERS.items()})
+    return _BUILDERS[key][0], obj

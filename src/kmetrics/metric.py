@@ -22,6 +22,7 @@ import numpy as np
 
 from .lp import DEFAULT_TOL, LPError, Simplex
 from .simplicial import (
+    MAX_LP_BYTES,
     Chain,
     SimplexKey,
     _check_counts,
@@ -36,7 +37,6 @@ from .simplicial import (
 # Downstream comparisons of metric values; looser than the LP pivot tolerance.
 VALUE_TOL = 1e-6
 RESIDUAL_TOL = 1e-6
-MAX_LP_BYTES = 1 << 30  # kept rows and two tableaux (a pivot's update is one)
 
 
 class UnfillableBoundaryError(Exception):

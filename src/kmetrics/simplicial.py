@@ -26,6 +26,9 @@ import numpy as np
 # Hard cap on the number of simplices materialised per dimension; the dense
 # matrices are quadratic in this count.
 MAX_SIMPLICES = 2_000_000
+# Bytes one dense build may peak at: a bounding-chain LP's kept rows and two
+# tableaux (a pivot's update is one), a hypertree block, a dense operator.
+MAX_LP_BYTES = 1 << 30
 
 SimplexKey = tuple  # strictly increasing tuple of vertex indices
 
@@ -252,12 +255,25 @@ def boundary_block(faces: np.ndarray, size: int, first: int = 0, dtype=float) ->
     return block
 
 
+def _check_dense(rows: int, cols: int) -> None:
+    """Refuse a dense int64 rows x cols operator over MAX_LP_BYTES with ValueError.
+
+    The count is two matrices: LinearChainOperator keeps its own copy.
+    """
+    needed = 2 * 8 * rows * cols
+    if needed > MAX_LP_BYTES:
+        raise ValueError(f"dense operator needs {needed:.3g} bytes, budget {MAX_LP_BYTES}")
+
+
 def boundary_operator(n: int, dim: int) -> LinearChainOperator:
     """Boundary of dim-chains: alternating sum of facets, leading face positive.
 
     The column of a simplex (x1, ..., x_{dim+1}) holds (-1)**(i+1) at the face
-    that omits x_i (1-based i).  Entries are exact integers.
+    that omits x_i (1-based i).  Entries are exact integers.  One over
+    MAX_LP_BYTES is refused before any allocation.
     """
+    if dim >= 1:  # face_ranks refuses the rest
+        _check_dense(comb(n, dim), comb(n, dim + 1))
     mat = boundary_block(face_ranks(n, dim), comb(n, dim), dtype=np.int64)
     return LinearChainOperator(n=n, src_dim=dim, dst_dim=dim - 1, matrix=mat)
 

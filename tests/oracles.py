@@ -9,6 +9,7 @@ so that agreement is meaningful.
 from __future__ import annotations
 
 import heapq
+import json
 from itertools import combinations
 from math import comb
 
@@ -17,6 +18,10 @@ import numpy as np
 import kmetrics.lp
 from kmetrics import KMetric, enumerate_simplices, orientation_sign, simplex_index
 from kmetrics.coboundary import ChainMatrix
+from kmetrics.fileio import InputError
+from kmetrics.hypertree import WeightedComplex
+from kmetrics.simplicial import Chain, validate_simplex
+from kmetrics.volume import PointCloud
 
 
 def dijkstra_all_pairs(n: int, edge_weights: dict) -> np.ndarray:
@@ -189,3 +194,126 @@ def count_pivots(monkeypatch) -> list:
     pivot = kmetrics.lp._pivot
     monkeypatch.setattr(kmetrics.lp, "_pivot", lambda *a: pivots.append(1) or pivot(*a))
     return pivots
+
+
+# --- whole-file reads -------------------------------------------------------
+
+
+def json_load_read(path: str, kind: str):
+    """Reference reader: json.load of the whole file, then every entry checked in turn.
+
+    kind is kmetric, chain_matrix, complex, cloud, chain, or any (returns
+    (kind, object) like fileio.read_any).  Errors are fileio's, in the same
+    order: JSON, the object, its integers, the list, the first bad entry,
+    then whole-list checks.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise InputError(path, f"cannot read file: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(path, f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    if not isinstance(obj, dict):
+        raise InputError(path, f"expected a JSON object, got {type(obj).__name__}")
+    keys = {"values": "kmetric", "data": "chain_matrix", "facets": "complex", "points": "cloud"}
+    if kind == "any":
+        key = next((key for key in keys if key in obj), None)
+        if key is None:
+            raise InputError(path, "unrecognised payload: expected one of the fields "
+                             + ", ".join(keys))
+        return keys[key], json_load_read_object(obj, path, keys[key])
+    return json_load_read_object(obj, path, kind)
+
+
+def json_load_read_object(obj: dict, path: str, kind: str):
+    def integer(key, minimum):
+        if key not in obj:
+            raise InputError(path, "missing required field", field=key)
+        value = obj[key]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InputError(path, f"expected an integer, got {value!r}", field=key)
+        if value < minimum:
+            raise InputError(path, f"must be at least {minimum}, got {value}", field=key)
+        return value
+
+    def items(key):
+        if key not in obj:
+            raise InputError(path, "missing required field", field=key)
+        if not isinstance(obj[key], list):
+            raise InputError(path, "expected a list", field=key)
+        return obj[key]
+
+    def number(value, field):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InputError(path, f"expected a number, got {value!r}", field=field)
+        try:
+            return float(value)
+        except OverflowError:
+            raise InputError(path, "number too large for a float", field=field) from None
+
+    def entries(name, key, n, k):
+        simplices, numbers = [], []
+        for pos, entry in enumerate(items(name)):
+            field = f"{name}[{pos}]"
+            if not isinstance(entry, dict) or "s" not in entry or key not in entry:
+                raise InputError(path, f"expected an object with s and {key}", field=field)
+            s = entry["s"]
+            if not isinstance(s, list) or len(s) != k:
+                raise InputError(path, f"expected a list of {k} vertices", field=field + ".s")
+            try:
+                simplices.append(validate_simplex(n, s))
+            except ValueError as exc:
+                raise InputError(path, str(exc), field=field + ".s") from None
+            numbers.append(number(entry[key], f"{field}.{key}"))
+        return simplices, np.array(numbers, dtype=float)
+
+    def build(field, make):
+        try:
+            return make()
+        except ValueError as exc:
+            raise InputError(path, str(exc), field=field) from exc
+
+    if kind == "kmetric":
+        n, k = integer("n", 1), integer("k", 2)
+        if n < k:
+            raise InputError(path, f"need n >= k, got n={n}, k={k}", field="n")
+        simplices, numbers = entries("values", "d", n, k)
+        ranks = simplex_index(n, np.array(simplices, dtype=np.int64).reshape(-1, k))
+        values = np.full(comb(n, k), np.nan)
+        for pos, rank in enumerate(ranks.tolist()):
+            if ranks[:pos].tolist().count(rank):
+                raise InputError(path, f"duplicate entry for {simplices[pos]}",
+                                 field=f"values[{pos}].s")
+            values[rank] = numbers[pos]
+        missing = np.flatnonzero(np.isnan(values))
+        if missing.size:
+            raise InputError(path, f"{missing.size} of {values.size} tuples missing, "
+                             f"first {enumerate_simplices(n, k - 1)[missing[0]]}", field="values")
+        return build("values", lambda: KMetric(n=n, k=k, values=values))
+    if kind == "chain_matrix":
+        n, k, m = integer("n", 1), integer("k", 2), integer("m", 1)
+        data, rows = items("data"), comb(n, k - 1)
+        if len(data) != rows * m:
+            raise InputError(path, f"expected {rows} x {m} = {rows * m} numbers, got {len(data)}",
+                             field="data")
+        flat = np.array([number(v, f"data[{i}]") for i, v in enumerate(data)], dtype=float)
+        return build("data", lambda: ChainMatrix(n=n, k=k, data=flat.reshape(rows, m)))
+    if kind == "complex":
+        n, k = integer("n", 1), integer("k", 2)
+        facets, weights = entries("facets", "w", n, k)
+        return build("facets", lambda: WeightedComplex(n=n, k=k, facets=tuple(facets),
+                                                       weights=weights))
+    if kind == "cloud":
+        m = integer("m", 1)
+        points = []
+        for pos, row in enumerate(items("points")):
+            if not isinstance(row, list) or len(row) != m:
+                raise InputError(path, f"expected a list of {m} coordinates",
+                                 field=f"points[{pos}]")
+            points.extend(number(v, f"points[{pos}]") for v in row)
+        count = len(points) // m
+        return build("points", lambda: PointCloud(points=np.array(points).reshape(count, m)))
+    n, dim = integer("n", 1), integer("dim", 0)
+    coeffs = [number(v, f"coeffs[{i}]") for i, v in enumerate(items("coeffs"))]
+    return build("coeffs", lambda: Chain(n=n, dim=dim, coeffs=np.array(coeffs, dtype=float)))

@@ -1,16 +1,19 @@
 """Round trips and error reporting for the JSON file formats."""
 
+import copy
 import json
 import struct
 import tracemalloc
+from dataclasses import fields, is_dataclass
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmetrics import fileio
+from kmetrics import fileio, jsonblocks
 from kmetrics.coboundary import ChainMatrix
 from kmetrics.fileio import (
     InputError,
@@ -30,6 +33,7 @@ from kmetrics.hypertree import WeightedComplex
 from kmetrics.metric import KMetric
 from kmetrics.simplicial import Chain
 from kmetrics.volume import PointCloud
+from oracles import json_load_read
 
 
 def _write_json(path, obj):
@@ -167,6 +171,173 @@ def test_writes_hold_one_block_at_a_time(tmp_path, write, payload, limit_mb):
     assert peak < limit_mb * 2**20
 
 
+# --- blocked reads -----------------------------------------------------------
+
+_KINDS = ["kmetric", "chain_matrix", "complex", "cloud", "chain"]
+_READ_BLOCKS = [1, 3, 4, 2**20]  # characters; the first three cut inside numbers and keys
+# the default block, and one that puts a bad entry in a later block than the first
+_ERROR_BLOCKS = [2**16, 4]
+
+
+def _layout(whole: dict, key: str, layout: str) -> str:
+    """whole as text: indented, its large list whole[key] first, or both repeated.
+
+    "repeated" opens with a bogus large list and ends by restating the first
+    key, so the last list and the last value of each key must win.
+    """
+    if layout == "indent":
+        return json.dumps(whole, indent=1)
+    if layout == "list_first":
+        return json.dumps({key: whole[key], **whole})
+    first = next(iter(whole))
+    body = json.dumps(whole)[1:-1]
+    return f'{{"{key}": [0], {body}, "{first}": {json.dumps(whole[first])}}}'
+
+
+@pytest.mark.parametrize("layout", ["writer", "indent", "list_first", "repeated"])
+@pytest.mark.parametrize("block", _READ_BLOCKS)
+@pytest.mark.parametrize("kind", _KINDS)
+def test_blocked_reads_equal_the_whole_object(tmp_path, monkeypatch, kind, block, layout):
+    monkeypatch.setattr(jsonblocks, "_READ_BLOCK", block)
+    payload, write, read, whole, same = _write_cases()[kind]
+    path = tmp_path / "in.json"
+    if layout == "writer":
+        write(payload, str(path))
+    else:
+        path.write_text(_layout(whole, list(whole)[-1], layout), encoding="utf-8")
+    assert same(read(str(path)))
+    if kind != "chain":
+        found, back = read_any(str(path))
+        assert found == kind and same(back)
+
+
+@pytest.mark.parametrize("write, read, payload, limit_mb", [
+    (write_chain_matrix, read_chain_matrix,
+     lambda rng: ChainMatrix(n=400, k=2, data=rng.standard_normal((400, 1000))), 8),
+    (write_kmetric, read_kmetric,
+     lambda rng: KMetric(n=120, k=3, values=rng.uniform(0.5, 2.0, comb(120, 3))), 32),
+])
+def test_reads_hold_one_block_at_a_time(tmp_path, write, read, payload, limit_mb):
+    path = str(tmp_path / "in.json")
+    write(payload(np.random.default_rng(13)), path)
+    tracemalloc.start()
+    try:
+        read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20
+
+
+def _state(x):
+    """Everything a read returns, arrays as their bits."""
+    if isinstance(x, tuple):
+        return tuple(map(_state, x))
+    if isinstance(x, np.ndarray):
+        return x.shape, x.tobytes()
+    if is_dataclass(x):
+        return type(x).__name__, tuple(_state(getattr(x, f.name)) for f in fields(x))
+    return x
+
+
+def _outcome(read, path):
+    try:
+        return "ok", _state(read(path))
+    except InputError as exc:
+        return "InputError", exc.message, exc.field, exc.line
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+_HEADER_VALUES = [0, 1, 2, 3, 5, 9, -1, 10**30, True, None, "3", 1.5, [3]]
+_ITEM_VALUES = [0, 1, -1, 2**70, 10**400, 1.5, -0.0, 1e308, float("nan"), float("inf"), True,
+                None, "x", [], [0, 1], [1, 0], [0, 1, 2], [0.5, 1.5], {}, {"s": [0, 1]},
+                {"s": [0, 1], "d": 1.0}, {"s": [0, 2], "w": 2.0}]
+
+
+@st.composite
+def _mutated_files(draw):
+    """(read kind, text): a valid file, a few edits of its object, a layout, a text edit."""
+
+    def value(pool):  # a copy: later edits may change it in place
+        return copy.deepcopy(draw(st.sampled_from(pool)))
+
+    base = draw(st.sampled_from(_KINDS))
+    whole = copy.deepcopy(_write_cases()[base][3])
+    key = list(whole)[-1]
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["set", "del", "item", "field", "dup", "drop"]))
+        items, i = whole.get(key), draw(st.integers(0, 40))
+        if op == "set":
+            whole[draw(st.sampled_from([*whole, "x"]))] = value(_HEADER_VALUES)
+        elif op == "del" and whole:
+            whole.pop(draw(st.sampled_from(list(whole))), None)
+        elif isinstance(items, list) and items:
+            i %= len(items)
+            if op == "item":
+                items[i] = value(_ITEM_VALUES)
+            elif op == "field" and isinstance(items[i], dict):
+                field = draw(st.sampled_from(["s", "d", "w"]))
+                items[i][field] = value(_ITEM_VALUES)
+            elif op == "dup":
+                items.insert(draw(st.integers(0, len(items))), copy.deepcopy(items[i]))
+            elif op == "drop":
+                del items[i]
+    layouts = ["writer", "indent"] + (["list_first", "repeated"] if key in whole else [])
+    layout = draw(st.sampled_from(layouts))
+    if layout == "writer":
+        text = json.dumps(whole, separators=(",", ":")) + "\n"
+    else:
+        text = _layout(whole, key, layout)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(' ,:[]{}"0123456789.-eENtfx\n\\'))
+        cut = draw(st.sampled_from([0, 1]))  # insert, or replace the character at `at`
+        text = text[:at] + char + text[at + cut:]
+    kind = draw(st.sampled_from([base, "any"]))
+    return kind, text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_mutated_files(), st.sampled_from([1, 3, 4, 16, 2**16]))
+def test_blocked_reads_match_a_json_load_reader(tmp_path_factory, case, block):
+    kind, text = case
+    path = tmp_path_factory.mktemp("mutated") / "in.json"
+    path.write_text(text, encoding="utf-8")
+    read = read_any if kind == "any" else globals()[f"read_{kind}"]
+    with mock.patch.object(jsonblocks, "_READ_BLOCK", block):
+        got = _outcome(read, str(path))
+    assert got == _outcome(lambda p: json_load_read(p, kind), str(path))
+
+
+@pytest.mark.parametrize("kind, obj", [
+    ("cloud", {"m": 10**30, "points": []}),
+    ("cloud", {"m": 9 * 10**18, "points": []}),
+    ("cloud", {"m": 10**30, "points": [[1.0]]}),
+    ("chain", {"n": 10**30, "dim": 2, "coeffs": [1.0]}),
+    ("chain_matrix", {"n": 10**30, "k": 3, "m": 10**30, "data": [1.0, 2.0]}),
+    ("kmetric", {"n": 10**30, "k": 2, "values": [{"s": [0, 1], "d": 1.0}, {"s": [1, 0], "d": 1}]}),
+    ("kmetric", {"n": 10**30, "k": 2, "values": [{"s": [0, 1], "d": 1.0}, {"s": [0, 1], "d": 1}]}),
+    ("complex", {"n": 10**30, "k": 2, "facets": [{"s": [0, 5], "w": 1.0}]}),
+])
+def test_huge_header_counts_read_like_a_json_load_reader(tmp_path, monkeypatch, kind, obj):
+    path = _write_json(tmp_path / "in.json", obj)
+    want = _outcome(lambda p: json_load_read(p, kind), path)
+    for block in _ERROR_BLOCKS:
+        monkeypatch.setattr(jsonblocks, "_READ_BLOCK", block)
+        assert _outcome(globals()[f"read_{kind}"], path) == want
+
+
+def test_undecodable_text_fails_like_a_json_load_reader(tmp_path, monkeypatch):
+    path = tmp_path / "in.json"  # a byte that is not UTF-8, after a bad entry
+    path.write_bytes(json.dumps(_matrix(0.0, "x", *range(40))).encode()[:-12] + b"\xff, 1]}")
+    want = _outcome(lambda p: json_load_read(p, "chain_matrix"), str(path))
+    assert want[0] == "UnicodeDecodeError"
+    for block in _ERROR_BLOCKS:
+        monkeypatch.setattr(jsonblocks, "_READ_BLOCK", block)
+        assert _outcome(read_chain_matrix, str(path)) == want
+
+
 _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308]
 _NUMBERS = st.one_of(
     st.sampled_from(_EDGE_FLOATS),
@@ -231,14 +402,22 @@ def test_missing_file_names_the_path(tmp_path):
     assert info.value.line is None
 
 
-def test_malformed_json_reports_the_line(tmp_path):
+def test_malformed_json_reports_the_line(tmp_path, monkeypatch):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 4,\n "k": }\n', encoding="utf-8")
-    with pytest.raises(InputError) as info:
-        read_kmetric(str(path))
-    assert "invalid JSON" in info.value.message
-    assert info.value.line == 2
-    assert ":2:" in str(info.value) or str(info.value).count(":2") >= 1
+    deep = tmp_path / "deep.json"  # a bad number, data[17], on line 23
+    deep.write_text(json.dumps(_matrix(*range(30)), indent=1).replace("17", "1.7.", 1))
+    for block in _ERROR_BLOCKS:
+        monkeypatch.setattr(jsonblocks, "_READ_BLOCK", block)
+        with pytest.raises(InputError) as info:
+            read_kmetric(str(path))
+        assert "invalid JSON" in info.value.message
+        assert info.value.line == 2
+        assert ":2:" in str(info.value) or str(info.value).count(":2") >= 1
+        with pytest.raises(InputError) as info:
+            read_chain_matrix(str(deep))
+        assert info.value.message == "invalid JSON: Expecting ',' delimiter"
+        assert info.value.line == 23
 
 
 def test_top_level_array_is_rejected(tmp_path):
@@ -272,14 +451,16 @@ def test_kmetric_needs_n_at_least_k(tmp_path):
     assert "need n >= k" in info.value.message
 
 
-def test_kmetric_duplicate_entry_named(tmp_path):
+def test_kmetric_duplicate_entry_named(tmp_path, monkeypatch):
     entries = [{"s": [0, 1], "d": 1.0}, {"s": [0, 1], "d": 2.0},
                {"s": [0, 2], "d": 1.0}, {"s": [1, 2], "d": 1.0}]
     path = _write_json(tmp_path / "d.json", {"n": 3, "k": 2, "values": entries})
-    with pytest.raises(InputError) as info:
-        read_kmetric(path)
-    assert info.value.field == "values[1].s"
-    assert "duplicate entry for (0, 1)" in info.value.message
+    for block in _ERROR_BLOCKS:
+        monkeypatch.setattr(jsonblocks, "_READ_BLOCK", block)
+        with pytest.raises(InputError) as info:
+            read_kmetric(path)
+        assert info.value.field == "values[1].s"
+        assert "duplicate entry for (0, 1)" in info.value.message
 
 
 def test_kmetric_missing_tuples_counted(tmp_path):
@@ -336,20 +517,22 @@ def test_kmetric_value_must_be_numeric(tmp_path):
     assert "expected a number" in info.value.message
 
 
-def test_number_too_large_for_a_float_is_an_input_error(tmp_path):
+def test_number_too_large_for_a_float_is_an_input_error(tmp_path, monkeypatch):
     huge = 10**400  # json reads it as an int that float() cannot hold
     path = _write_json(
         tmp_path / "d.json", {"n": 2, "k": 2, "values": [{"s": [0, 1], "d": huge}]}
     )
-    with pytest.raises(InputError) as info:
-        read_kmetric(path)
-    assert info.value.field == "values[0].d"
-    path = _write_json(
+    matrix = _write_json(
         tmp_path / "F.json", {"n": 3, "k": 2, "m": 1, "data": [0.0, huge, 1.0]}
     )
-    with pytest.raises(InputError) as info:
-        read_chain_matrix(path)
-    assert info.value.field == "data[1]"
+    for block in _ERROR_BLOCKS:
+        monkeypatch.setattr(jsonblocks, "_READ_BLOCK", block)
+        with pytest.raises(InputError) as info:
+            read_kmetric(path)
+        assert info.value.field == "values[0].d"
+        with pytest.raises(InputError) as info:
+            read_chain_matrix(matrix)
+        assert info.value.field == "data[1]"
 
 
 def test_kmetric_negative_value_wrapped_as_input_error(tmp_path):
@@ -390,23 +573,41 @@ def _matrix(*data):
          "expected a number, got True"),
     ],
 )
-def test_whole_list_reads_refuse_like_the_per_entry_check(tmp_path, read, obj, field, message):
+def test_whole_list_reads_refuse_like_the_per_entry_check(tmp_path, monkeypatch, read, obj,
+                                                          field, message):
     path = _write_json(tmp_path / "x.json", obj)
-    with pytest.raises(InputError) as info:
-        read(path)
-    assert (info.value.field, info.value.line, info.value.message) == (field, None, message)
+    for block in _ERROR_BLOCKS:
+        monkeypatch.setattr(jsonblocks, "_READ_BLOCK", block)
+        with pytest.raises(InputError) as info:
+            read(path)
+        assert (info.value.field, info.value.line, info.value.message) == (field, None, message)
 
 
-def test_first_bad_entry_wins_across_fields(tmp_path):
+def test_first_bad_entry_wins_across_fields(tmp_path, monkeypatch):
     obj = _table(2, "s", [2, 1])
     obj["values"][1]["d"] = "x"  # an earlier bad value beats a later bad simplex
-    with pytest.raises(InputError) as info:
-        read_kmetric(_write_json(tmp_path / "d.json", obj))
-    assert info.value.field == "values[1].d"
+    table = _write_json(tmp_path / "d.json", obj)
     cloud = {"m": 2, "points": [[0.0, None], [1.0]]}  # a bad coordinate before a short row
-    with pytest.raises(InputError) as info:
-        read_cloud(_write_json(tmp_path / "P.json", cloud))
-    assert (info.value.field, info.value.message) == ("points[0]", "expected a number, got None")
+    cloud = _write_json(tmp_path / "P.json", cloud)
+    obj = _table(2, "d", "x")
+    obj["values"][1]["s"] = [0, 1]  # a bad value after a duplicate: entries come first
+    again = _write_json(tmp_path / "dup.json", obj)
+    short = _write_json(tmp_path / "F.json", _matrix(0.0, "x"))  # the length comes first
+    for block in _ERROR_BLOCKS:
+        monkeypatch.setattr(jsonblocks, "_READ_BLOCK", block)
+        with pytest.raises(InputError) as info:
+            read_kmetric(table)
+        assert info.value.field == "values[1].d"
+        with pytest.raises(InputError) as info:
+            read_kmetric(again)
+        assert info.value.field == "values[2].d"
+        with pytest.raises(InputError) as info:
+            read_chain_matrix(short)
+        assert info.value.message == "expected 3 x 1 = 3 numbers, got 2"
+        with pytest.raises(InputError) as info:
+            read_cloud(cloud)
+        assert info.value.field == "points[0]"
+        assert info.value.message == "expected a number, got None"
 
 
 # --- chain matrix, complex, cloud, chain errors -----------------------------
@@ -508,8 +709,8 @@ def test_read_any_parses_the_file_once(tmp_path, monkeypatch):
     path = str(tmp_path / "F.json")
     write_chain_matrix(ChainMatrix(n=4, k=2, data=np.ones((4, 2))), path)
     calls = []
-    load = fileio._load_object
-    monkeypatch.setattr(fileio, "_load_object", lambda p: calls.append(p) or load(p))
+    monkeypatch.setattr(jsonblocks, "open", lambda p, *a, **kw: calls.append(p) or open(p, *a, **kw),
+                        raising=False)
     assert read_any(path)[0] == "chain_matrix"
     assert calls == [path]
 

@@ -8,17 +8,22 @@ import pytest
 
 from kmetrics import (
     Chain,
+    apex,
     apply_operator,
     boundary_operator,
     chain_from_dict,
     coboundary_operator,
     enumerate_simplices,
     indicator_chain,
+    lift_operator,
     orientation_sign,
+    project_operator,
     simplex_index,
+    simplicial,
     zero_chain,
 )
 from kmetrics.simplicial import (
+    MAX_SIMPLICES,
     boundary_block,
     boundary_rows,
     coboundary_rows,
@@ -139,6 +144,23 @@ def test_face_table_scatter_matches_the_search_oracle():
 def test_boundary_rejects_dim_zero():
     with pytest.raises(ValueError):
         boundary_operator(4, 0)
+
+
+def test_dense_operators_refuse_over_the_byte_budget(monkeypatch):
+    # n=200 k=3 passes MAX_SIMPLICES, but its boundary is 19,900 x 1,313,400 int64
+    # (209 GB). Every allocation the builders make is stubbed out first, so a
+    # builder without the budget check fails here instead of allocating.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense build before the byte budget")
+
+    monkeypatch.setattr(simplicial, "face_ranks", refuse)
+    monkeypatch.setattr(apex, "_apex_positions", refuse)
+    monkeypatch.setattr(np, "zeros", refuse)
+    assert comb(200, 3) <= MAX_SIMPLICES
+    for build, dim in [(boundary_operator, 2), (coboundary_operator, 1),
+                       (project_operator, 2), (lift_operator, 2)]:
+        with pytest.raises(ValueError, match="dense operator needs 4.[12].e\\+11 bytes, budget"):
+            build(200, dim)
 
 
 def test_boundary_squares_to_zero():
