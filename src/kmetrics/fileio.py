@@ -10,13 +10,15 @@ goes through one encode call, the only path on which CPython runs its C
 encoder (json.dump and any indent fall back to the pure-Python one).
 
 Reads mirror the writes: jsonblocks.read_object hands each reader's builder
-its list a block of text at a time, so a read holds one block of text and of
-Python objects besides the arrays it fills.  Each block is checked as a whole
-and converted in one numpy call; the per-entry validators run only to name
-the first bad entry, by its position in the whole list.  Values and errors are
-those of json.load and a whole-list check.  Parse problems raise InputError
-carrying the file, the offending field, and the line number when the JSON
-itself is malformed.
+its list a block of text at a time when the list comes last, as the writers
+and json.dump put it, so a read holds one block of text and of Python objects
+besides the arrays it fills.  Each block is checked as a whole and converted
+in one numpy call; the per-entry validators run only to name the first bad
+entry, by its position in the whole list.  Any other layout, and any refusal,
+is read again by one whole-file json.load and built from one block, so values
+and errors are those of json.load and a whole-list check.  Parse problems
+raise InputError carrying the file, the offending field, and the line number
+when the JSON itself is malformed.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .simplicial import (
     MAX_SIMPLICES,
     Chain,
     _check_counts,
-    enumerate_simplices,
     simplex_index,
     validate_simplex,
 )
@@ -166,36 +167,31 @@ def _kmetric_from(obj: dict, path: str) -> KMetric:
         raise InputError(path, f"need n >= k, got n={n}, k={k}", field="n")
     blocks = get_blocks(obj, "values", path)
     count = comb(n, k)
-    if count > MAX_SIMPLICES:  # no tuple can be ranked: check every entry, then refuse
-        for offset, entries in blocks:
-            _read_entries(entries, offset, path, "values", "d", n, k)
-        _check_counts(n, k - 1)  # raises
-    values, seen = np.full(count, np.nan), np.zeros(count, dtype=bool)
-    duplicate = None  # refused once every entry is checked
+    # over MAX_SIMPLICES no tuple can be ranked, and the first block refuses
+    values, total = np.full(count if count <= MAX_SIMPLICES else 0, np.nan), 0
     for offset, entries in blocks:
         ranks, numbers = _read_entries(entries, offset, path, "values", "d", n, k)
-        if duplicate is None:
-            again = seen[ranks]
-            order = np.argsort(ranks, kind="stable")
-            again[order[1:]] |= ranks[order[1:]] == ranks[order[:-1]]
-            if again.any():
-                pos = int(np.argmax(again))
-                duplicate = InputError(
-                    path,
-                    f"duplicate entry for {tuple(entries[pos]['s'])}",
-                    field=f"values[{offset + pos}].s",
-                )
-        seen[ranks] = True
+        if ranks is None:
+            _check_counts(n, k - 1)  # raises
+        order = np.argsort(ranks, kind="stable")
+        again = np.zeros(len(ranks), dtype=bool)
+        again[order[1:]] = ranks[order[1:]] == ranks[order[:-1]]
+        if again.any():
+            pos = int(np.argmax(again))
+            raise InputError(
+                path,
+                f"duplicate entry for {tuple(entries[pos]['s'])}",
+                field=f"values[{offset + pos}].s",
+            )
         values[ranks] = numbers
-    if duplicate is not None:
-        raise duplicate
-    missing = np.isnan(values)
-    if missing.any():
-        first = enumerate_simplices(n, k - 1)[int(np.nonzero(missing)[0][0])]
+        total += len(ranks)
+    if total > count:  # a duplicate across blocks: the whole read, one block, names it
+        raise InputError(path, f"{total} entries for {count} tuples", field="values")
+    missing = np.flatnonzero(np.isnan(values))
+    if missing.size:
+        first = next(itertools.islice(itertools.combinations(range(n), k), int(missing[0]), None))
         raise InputError(
-            path,
-            f"{int(missing.sum())} of {count} tuples missing, first {first}",
-            field="values",
+            path, f"{missing.size} of {count} tuples missing, first {first}", field="values"
         )
     try:
         return KMetric(n=n, k=k, values=values)

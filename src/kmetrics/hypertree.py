@@ -12,6 +12,7 @@ embeds its metric exactly into an entrywise-1-norm coboundary table.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import comb
 
@@ -146,9 +147,10 @@ def mbc_metric(K: WeightedComplex, jobs: int = 1) -> KMetric:
         for cost, _, _ in bounding_sweep(weights, K.n, K.k, np.sort(idx)):
             values.append(cost)
     except UnfillableBoundaryError as exc:
+        tuples = itertools.combinations(range(K.n), K.k)
         raise UnfillableBoundaryError(
             f"complex does not fill all boundaries: no facet chain bounds "
-            f"{enumerate_simplices(K.n, K.k - 1)[len(values)]}"
+            f"{next(itertools.islice(tuples, len(values), None))}"
         ) from exc
     return KMetric(n=K.n, k=K.k, values=np.array(values))
 

@@ -212,6 +212,8 @@ def json_load_read(path: str, kind: str):
             obj = json.load(fh)
     except OSError as exc:
         raise InputError(path, f"cannot read file: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(path, f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(path, f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     if not isinstance(obj, dict):

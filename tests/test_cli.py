@@ -434,6 +434,17 @@ def test_missing_file_is_an_input_error(tmp_path, capsys):
     assert "cannot read file" in err["message"]
 
 
+def test_undecodable_file_is_an_input_error_naming_it(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_bytes(b'{"n": 3, "k": 2, "values": [\xff]}')
+    code, report = _run(["verify", str(path)], capsys)
+    assert code == 2
+    err = report["error"]
+    assert err["kind"] == "input"
+    assert err["file"] == str(path)
+    assert err["message"].startswith("not UTF-8 text: ")
+
+
 def test_schema_error_names_field(tmp_path, capsys):
     path = tmp_path / "d.json"
     path.write_text('{"n": 3, "k": 2, "values": [{"s": [0, 1], "d": 1.0}]}',

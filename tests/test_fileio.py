@@ -1,6 +1,7 @@
 """Round trips and error reporting for the JSON file formats."""
 
 import copy
+import itertools
 import json
 import struct
 import tracemalloc
@@ -31,7 +32,7 @@ from kmetrics.fileio import (
 )
 from kmetrics.hypertree import WeightedComplex
 from kmetrics.metric import KMetric
-from kmetrics.simplicial import Chain
+from kmetrics.simplicial import Chain, enumerate_simplices
 from kmetrics.volume import PointCloud
 from oracles import json_load_read
 
@@ -211,6 +212,29 @@ def test_blocked_reads_equal_the_whole_object(tmp_path, monkeypatch, kind, block
         assert found == kind and same(back)
 
 
+@pytest.mark.parametrize("layout, whole", [("writer", False), ("dump", False), ("indent", False),
+                                           ("list_first", True), ("repeated", True)])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_only_other_layouts_are_read_whole(tmp_path, monkeypatch, kind, layout, whole):
+    payload, write, read, obj, same = _write_cases()[kind]
+    path = tmp_path / "in.json"
+    if layout == "writer":
+        write(payload, str(path))
+    elif layout == "dump":  # json.dump with default separators, as a script writes a file
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+    else:
+        path.write_text(_layout(obj, list(obj)[-1], layout), encoding="utf-8")
+    loads = []
+    load = json.load
+    monkeypatch.setattr(jsonblocks.json, "load", lambda fh: loads.append(fh) or load(fh))
+    assert same(read(str(path)))
+    if kind != "chain":
+        found, back = read_any(str(path))
+        assert found == kind and same(back)
+    assert bool(loads) == whole
+
+
 @pytest.mark.parametrize("write, read, payload, limit_mb", [
     (write_chain_matrix, read_chain_matrix,
      lambda rng: ChainMatrix(n=400, k=2, data=rng.standard_normal((400, 1000))), 8),
@@ -332,7 +356,7 @@ def test_undecodable_text_fails_like_a_json_load_reader(tmp_path, monkeypatch):
     path = tmp_path / "in.json"  # a byte that is not UTF-8, after a bad entry
     path.write_bytes(json.dumps(_matrix(0.0, "x", *range(40))).encode()[:-12] + b"\xff, 1]}")
     want = _outcome(lambda p: json_load_read(p, "chain_matrix"), str(path))
-    assert want[0] == "UnicodeDecodeError"
+    assert want[0] == "InputError" and want[1].startswith("not UTF-8 text: ")
     for block in _ERROR_BLOCKS:
         monkeypatch.setattr(jsonblocks, "_READ_BLOCK", block)
         assert _outcome(read_chain_matrix, str(path)) == want
@@ -470,6 +494,17 @@ def test_kmetric_missing_tuples_counted(tmp_path):
         read_kmetric(path)
     assert info.value.field == "values"
     assert "4 of 6 tuples missing, first (0, 2)" in info.value.message
+
+
+def test_kmetric_missing_tuple_named_without_enumerating(tmp_path):
+    entries = [{"s": list(s), "d": 1.0} for s in itertools.combinations(range(30), 3)]
+    del entries[1000]
+    path = _write_json(tmp_path / "d.json", {"n": 30, "k": 3, "values": entries})
+    enumerate_simplices.cache_clear()
+    with pytest.raises(InputError) as info:
+        read_kmetric(path)
+    assert enumerate_simplices.cache_info().currsize == 0
+    assert info.value.message == f"1 of 4060 tuples missing, first {enumerate_simplices(30, 2)[1000]}"
 
 
 def test_kmetric_entry_must_have_s_and_d(tmp_path):

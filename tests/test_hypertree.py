@@ -97,6 +97,7 @@ def test_mbc_metric_unfillable_target():
     with pytest.raises(UnfillableBoundaryError) as err:
         mbc_metric(K)
     assert "does not fill" in str(err.value)
+    assert str(err.value).endswith("bounds (0, 1, 3)")
 
 
 def test_mbc_metric_matches_dijkstra_on_graphs():
