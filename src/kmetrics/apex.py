@@ -17,7 +17,7 @@ import numpy as np
 
 from .coboundary import ChainMatrix
 from .metric import KMetric
-from .simplicial import LinearChainOperator, _check_dense, enumerate_simplices, simplex_index
+from .simplicial import LinearChainOperator, _check_bytes, enumerate_simplices, simplex_index
 
 
 def _apex_positions(n: int, dim: int) -> np.ndarray:
@@ -39,13 +39,14 @@ def project_operator(n: int, h: int) -> LinearChainOperator:
 
     A simplex containing the apex maps to itself minus the apex with sign +1
     (the apex is the largest vertex, so it sits last in canonical order);
-    apex-free simplices map to zero.  One over MAX_LP_BYTES is refused
-    before any allocation.
+    apex-free simplices map to zero.  Its peak is two int64 matrices, as
+    boundary_operator's is; one over the byte budget is refused before any
+    allocation (_check_bytes).
     """
     if h < 1 or h > n:
         raise ValueError(f"need 1 <= h <= n, got h={h}, n={n}")
     rows, cols = comb(n, h), comb(n + 1, h + 1)
-    _check_dense(rows, cols)
+    _check_bytes("dense operator", 2 * 8 * rows * cols)
     mat = np.zeros((rows, cols), dtype=np.int64)
     mat[np.arange(rows), _apex_positions(n, h - 1)] = 1
     return LinearChainOperator(n=n + 1, src_dim=h, dst_dim=h - 1, matrix=mat, dst_n=n)

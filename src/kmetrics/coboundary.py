@@ -19,10 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .metric import KMetric, VALUE_TOL, bounding_sweep
-from .simplicial import Chain, SimplexKey, boundary_rows, coboundary_rows, face_ranks, simplex_index
-
-# Random projections wider than this are refused before R is drawn.
-MAX_PROJECTION_COLUMNS = 1_000_000
+from .simplicial import (
+    Chain, SimplexKey, _check_bytes, boundary_rows, coboundary_rows, face_ranks, simplex_index,
+)
 
 # Entries that eval_coboundary_metric and volume_metric gather at once (0.5 MB of floats).
 _EVAL_BLOCK = 2**16
@@ -167,15 +166,12 @@ def random_project(
     Entries are scaled by 1/(c_p * m_target^(1/p)) where c_p is the p-th
     absolute moment root of the standard normal, so the expected p-norm of a
     projected row matches its Euclidean length (for p=2 this is the familiar
-    1/sqrt(m') scaling).
+    1/sqrt(m') scaling).  The peak is R, F R^T and ChainMatrix's copy of it;
+    one over the byte budget is refused before R is drawn (_check_bytes).
     """
     if m_target < 1:
         raise ValueError(f"target dimension must be positive, got {m_target}")
-    if m_target > MAX_PROJECTION_COLUMNS:
-        raise ValueError(
-            f"projection needs {m_target} columns, above the "
-            f"{MAX_PROJECTION_COLUMNS} limit; raise eps"
-        )
+    _check_bytes("projection", 8 * m_target * (F.m + 2 * F.data.shape[0]))
     if norm_out.is_inf:
         raise ValueError("projection requires a finite p")
     rng = np.random.default_rng(seed)

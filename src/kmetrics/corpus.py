@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from .apex import apex_extend_chain_matrix
 from .coboundary import ChainMatrix
 from .metric import KMetric, bounding_sweep
 from .simplicial import Chain, _check_counts, chain_from_dict, enumerate_simplices, simplex_index
@@ -129,8 +130,6 @@ def six_point_apex_discrete() -> CorpusInstance:
     The resulting arity-4 table is one on apex-carrying tuples and zero on
     the rest; it is a 1-norm coboundary table but not a volume table.
     """
-    from .apex import apex_extend_chain_matrix  # local import, avoids a cycle
-
     base = discrete_metric(5, 3)
     payload = apex_extend_chain_matrix(base.aux["inducing_chain_matrix"])
     values = {}

@@ -19,13 +19,9 @@ from math import comb
 import numpy as np
 
 from .coboundary import ChainMatrix
-from .metric import (
-    MAX_LP_BYTES,
-    KMetric,
-    UnfillableBoundaryError,
-    bounding_sweep,
-)
+from .metric import KMetric, UnfillableBoundaryError, bounding_sweep
 from .simplicial import (
+    _check_bytes,
     _check_counts,
     boundary_block,
     enumerate_simplices,
@@ -101,13 +97,11 @@ def cycle_space_dim(n: int, dim: int) -> int:
 def _kept_block(K: WeightedComplex, copies: int) -> np.ndarray:
     """The facet columns of the boundary, on the rows of the faces that miss vertex 0.
 
-    A block whose bytes, with copies more arrays of its size, exceed
-    MAX_LP_BYTES is refused with ValueError before any allocation.
+    The peak is the block and copies more arrays of its size; one over the
+    byte budget is refused with ValueError before any allocation (_check_bytes).
     """
     first, rows = comb(K.n - 1, K.k - 2), cycle_space_dim(K.n, K.k - 2)
-    needed = (1 + copies) * 8 * rows * len(K.facets)
-    if needed > MAX_LP_BYTES:
-        raise ValueError(f"hypertree block needs {needed:.3g} bytes, budget {MAX_LP_BYTES}")
+    _check_bytes("hypertree block", (1 + copies) * 8 * rows * len(K.facets))
     faces = face_ranks(K.n, K.k - 1)[:, K.facet_indices()]
     return boundary_block(faces, first + rows, first)
 
@@ -204,12 +198,15 @@ def random_2hypertree(n: int, seed: int) -> WeightedComplex:
     projection applied twice).  By matroid reverse-delete this is the set
     left by deleting triangles in random order while the rest still bound
     every 1-cycle: acyclic and spanning.  Weights are drawn from U(0.5, 2).
+    A basis over the byte budget is refused before anything is drawn.
     """
     if n < 3:
         raise ValueError(f"need at least 3 vertices, got {n}")
+    shape = (comb(n, 2), cycle_space_dim(n, 1))
+    _check_bytes("Gram-Schmidt basis", 8 * shape[0] * shape[1])
     rng = np.random.default_rng(seed)
     faces = face_ranks(n, 2)
-    Q = np.zeros((comb(n, 2), cycle_space_dim(n, 1)))
+    Q = np.zeros(shape)
     kept = []
     for j in rng.permutation(faces.shape[1])[::-1]:
         if len(kept) == Q.shape[1]:

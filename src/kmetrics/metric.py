@@ -22,9 +22,9 @@ import numpy as np
 
 from .lp import DEFAULT_TOL, LPError, Simplex
 from .simplicial import (
-    MAX_LP_BYTES,
     Chain,
     SimplexKey,
+    _check_bytes,
     _check_counts,
     boundary_block,
     boundary_rows,
@@ -121,7 +121,8 @@ def check_weak(d: KMetric, tol: float = VALUE_TOL) -> VerificationReport:
 
     Swapping t_i for y gives the face of t that drops t_i, plus y, so the
     totals are gathers through one coface table: coface[f, y] is the tuple
-    f + y, or a NaN slot, which never fails, when y is in f.
+    f + y, or a NaN slot, which never fails, when y is in f.  The failures
+    of each y are kept as codes t * n + y, sorted once into (t, y) order.
     """
     _check_tol(tol)
     simplices = d.simplices()
@@ -131,13 +132,14 @@ def check_weak(d: KMetric, tol: float = VALUE_TOL) -> VerificationReport:
     for face, vertex in zip(faces, np.array(simplices).T):
         coface[face, vertex] = np.arange(count)
     table = np.append(d.values, np.nan)
-    failed = np.zeros((count, d.n), dtype=bool)
+    codes = []
     for y in range(d.n):
         total = table[coface[faces[0], y]]
         for face in faces[1:]:  # summed in the order of i, as the inequality reads
             total = total + table[coface[face, y]]
-        failed[:, y] = d.values > total + tol * d.values
-    violations = [(simplices[t], int(y)) for t, y in zip(*np.nonzero(failed))]
+        codes.append(np.flatnonzero(d.values > total + tol * d.values) * d.n + y)
+    failed = np.divmod(np.sort(np.concatenate(codes)), d.n)
+    violations = [(simplices[t], int(y)) for t, y in zip(*failed)]
     pseudo = tuple(simplices[t] for t in np.flatnonzero(d.values == 0.0))
     return VerificationReport(
         is_weak=not violations,
@@ -171,8 +173,9 @@ def bounding_sweep(weights: np.ndarray, n: int, k: int, cols: Optional[np.ndarra
     |coboundary(y)| <= w (1 + tol) + tol max(w) on cols and
     <target, y> = cost to tol = lp.DEFAULT_TOL, or LPError is raised.  It is
     the one dual check: by weak duality cost is optimal, and y, an embedding
-    column in coboundary, never expands w.  A program that would peak over
-    MAX_LP_BYTES is refused with ValueError before any allocation.
+    column in coboundary, never expands w.  The peak is the kept rows and two
+    tableaux (a pivot's update is one); a program over the byte budget is
+    refused with ValueError before any allocation (_check_bytes).
     """
     w = np.asarray(weights, dtype=float)
     dim = k - 1
@@ -183,9 +186,7 @@ def bounding_sweep(weights: np.ndarray, n: int, k: int, cols: Optional[np.ndarra
     if targets is None:
         targets = (boundary_rows(faces[:, [i]], np.ones(1), size) for i in range(faces.shape[1]))
     m = size - first
-    needed = 8 * (m * cols.size + 2 * (m + 1) * (cols.size + m + 1))
-    if needed > MAX_LP_BYTES:
-        raise ValueError(f"bounding-chain LP needs {needed:.3g} bytes, budget {MAX_LP_BYTES}")
+    _check_bytes("bounding-chain LP", 8 * (m * cols.size + 2 * (m + 1) * (cols.size + m + 1)))
     allowed = faces[:, cols]
     Br = boundary_block(allowed, size, first)
     scale = float(w[cols].max(initial=0.0)) or 1.0

@@ -26,11 +26,19 @@ import numpy as np
 # Hard cap on the number of simplices materialised per dimension; the dense
 # matrices are quadratic in this count.
 MAX_SIMPLICES = 2_000_000
-# Bytes one dense build may peak at: a bounding-chain LP's kept rows and two
-# tableaux (a pivot's update is one), a hypertree block, a dense operator.
+# Bytes one dense build may peak at; _check_bytes alone reads it.
 MAX_LP_BYTES = 1 << 30
 
 SimplexKey = tuple  # strictly increasing tuple of vertex indices
+
+
+def _check_bytes(what: str, needed: int) -> None:
+    """Refuse, with ValueError, a dense build whose peak bytes exceed MAX_LP_BYTES.
+
+    Each builder computes its own peak and calls this before it allocates.
+    """
+    if needed > MAX_LP_BYTES:
+        raise ValueError(f"{what} needs {needed:.3g} bytes, budget {MAX_LP_BYTES}")
 
 
 def _check_counts(n: int, dim: int) -> int:
@@ -255,25 +263,16 @@ def boundary_block(faces: np.ndarray, size: int, first: int = 0, dtype=float) ->
     return block
 
 
-def _check_dense(rows: int, cols: int) -> None:
-    """Refuse a dense int64 rows x cols operator over MAX_LP_BYTES with ValueError.
-
-    The count is two matrices: LinearChainOperator keeps its own copy.
-    """
-    needed = 2 * 8 * rows * cols
-    if needed > MAX_LP_BYTES:
-        raise ValueError(f"dense operator needs {needed:.3g} bytes, budget {MAX_LP_BYTES}")
-
-
 def boundary_operator(n: int, dim: int) -> LinearChainOperator:
     """Boundary of dim-chains: alternating sum of facets, leading face positive.
 
     The column of a simplex (x1, ..., x_{dim+1}) holds (-1)**(i+1) at the face
-    that omits x_i (1-based i).  Entries are exact integers.  One over
-    MAX_LP_BYTES is refused before any allocation.
+    that omits x_i (1-based i).  Entries are exact integers.  Its peak is two
+    int64 matrices, as LinearChainOperator keeps its own copy; one over the
+    byte budget is refused before any allocation (_check_bytes).
     """
     if dim >= 1:  # face_ranks refuses the rest
-        _check_dense(comb(n, dim), comb(n, dim + 1))
+        _check_bytes("dense operator", 2 * 8 * comb(n, dim) * comb(n, dim + 1))
     mat = boundary_block(face_ranks(n, dim), comb(n, dim), dtype=np.int64)
     return LinearChainOperator(n=n, src_dim=dim, dst_dim=dim - 1, matrix=mat)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .coboundary import _EVAL_BLOCK, ChainMatrix
 from .metric import KMetric
-from .simplicial import enumerate_simplices
+from .simplicial import _check_bytes, enumerate_simplices
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,9 @@ def volume_to_coboundary(cloud: PointCloud, k: int) -> ChainMatrix:
 
     Column I assigns to a (k-2)-simplex the signed volume of the cone from
     the origin over its points projected to the axes I.  Evaluating the
-    result at p=2 reproduces volume_metric(cloud, k).
+    result at p=2 reproduces volume_metric(cloud, k).  The peak is the table
+    and ChainMatrix's copy of it; one over the byte budget is refused before
+    any allocation (_check_bytes).
     """
     if k < 2:
         raise ValueError(f"arity must be at least 2, got {k}")
@@ -138,6 +140,7 @@ def volume_to_coboundary(cloud: PointCloud, k: int) -> ChainMatrix:
         raise ValueError(
             f"arity {k} needs ambient dimension at least {k - 1}, got {cloud.m}"
         )
+    _check_bytes("cone chains", 2 * 8 * comb(cloud.count, k - 1) * comb(cloud.m, k - 1))
     # The cone from the origin over points p_1..p_{k-1} has the points
     # themselves as its difference columns, so each entry is the determinant
     # of the transposed projected points: one det over (simplex, axis set),

@@ -1,9 +1,10 @@
 """The library calls that the frozen perfbench replay makes must keep working.
 
 perfbench/ lies outside the test paths, so this module imports its replay
-(which fails if any name it imports from kmetrics is gone) and repeats, on a
-small table and a small hypertree, the calls and checks of its strong_k3 and
-hypertree_l1 replays.  Nothing under perfbench/ is written.
+and its frontier script, with the run module that both start from (each fails
+if any name it imports from kmetrics is gone), and repeats, on a small table
+and a small hypertree, the calls and checks of the strong_k3 and hypertree_l1
+replays.  Nothing under perfbench/ is written, and sys.path is restored.
 """
 
 import importlib
@@ -19,10 +20,22 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture
-def replay(monkeypatch):
+def bench(monkeypatch):
+    # the whole of sys.path is restored afterwards, frontier's own insert included
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no __pycache__ there
-    return importlib.import_module("replay")
+    return importlib.import_module
+
+
+@pytest.fixture
+def replay(bench):
+    return bench("replay")
+
+
+def test_frontier_and_run_import(bench):
+    frontier = bench("frontier")
+    assert frontier.run is bench("run")
+    assert callable(frontier.main) and callable(frontier.run.main)
 
 
 def test_replay_imports_and_its_strong_k3_calls_run(replay):

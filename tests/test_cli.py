@@ -270,7 +270,7 @@ def test_jl_projection_reports_target_dimension(tmp_path, capsys):
         (["--cprime", "nan"], "cprime"),
         (["--cprime", "0"], "cprime"),
         (["--cprime", "-8"], "cprime"),
-        (["--eps", "1e-4"], "limit"),
+        (["--eps", "1e-4"], "budget"),
     ],
     ids=["cprime-inf", "cprime-nan", "cprime-zero", "cprime-negative", "tiny-eps"],
 )
@@ -508,6 +508,27 @@ def test_a_failed_write_is_an_input_error_with_no_outputs(tmp_path, capsys):
         assert list(report) == ["error"], argv
         assert report["error"]["kind"] == "input", argv
         assert captured.err == ""
+
+
+def test_cone_chains_too_large_for_memory_are_an_input_error(tmp_path, capsys, monkeypatch):
+    # 40 points in R^40 at k=4: 9,880 triangles x 9,880 axis sets would take 1.6 GB with
+    # ChainMatrix's copy. np.empty refuses anything large, so a build before the check fails.
+    empty = np.empty
+
+    def small_only(shape, *args, **kwargs):
+        if np.prod(shape) > 2**20:
+            raise AssertionError("cone chains allocated before the byte budget")
+        return empty(shape, *args, **kwargs)
+
+    cloud = str(tmp_path / "P.json")
+    write_cloud(PointCloud(np.random.default_rng(3).normal(size=(40, 40))), cloud)
+    monkeypatch.setattr(np, "empty", small_only)
+    out = tmp_path / "F.json"
+    code, report = _run(["volume", cloud, "--k", "4", "--to-coboundary", "-o", str(out)], capsys)
+    assert code == 2
+    assert report["error"]["kind"] == "input"
+    assert "budget" in report["error"]["message"]
+    assert not out.exists()
 
 
 def test_strong_check_too_large_for_memory_is_an_input_error(tmp_path, capsys):

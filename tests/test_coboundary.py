@@ -324,7 +324,7 @@ def test_embed_l2_to_lp_size_guard():
         embed_l2_to_lp(F, 800.0, 0.1, seed=1)
     # the refusal sits in random_project, before R is drawn, so the JL path
     # has it too: jl_target_dim(40, 3, 1e-4) asks for 8,853,310,690 columns
-    with pytest.raises(ValueError, match="limit"):
+    with pytest.raises(ValueError, match="budget"):
         random_project(F, jl_target_dim(40, 3, 1e-4), NormSpec(2), seed=1)
 
 

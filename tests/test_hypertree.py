@@ -25,7 +25,7 @@ from kmetrics import (
     random_2hypertree,
     random_spanning_tree,
 )
-from kmetrics.metric import MAX_LP_BYTES
+from kmetrics.simplicial import MAX_LP_BYTES
 from oracles import cycle_space_dim_by_rank, dijkstra_all_pairs, random_2hypertree_by_deletion
 
 SUBDIVISION = ((0, 1, 4), (0, 3, 4), (1, 2, 5), (1, 4, 5), (0, 2, 3), (2, 3, 5), (3, 4, 5))
@@ -296,6 +296,20 @@ def test_a_hypertree_block_over_the_byte_budget_is_refused_before_allocating():
         for check in (is_hypertree, hypertree_to_l1):
             with pytest.raises(ValueError, match="budget"):
                 check(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_LP_BYTES / 10
+
+
+def test_random_2hypertree_over_the_byte_budget_is_refused_before_allocating():
+    # n=200: the Gram-Schmidt basis would be 19,900 x 19,701 floats, 3.1 GB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="Gram-Schmidt basis needs 3.14e\\+09 bytes, budget"):
+            random_2hypertree(200, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -20,7 +20,8 @@ from kmetrics import (
     zero_chain,
 )
 from kmetrics.corpus import discrete_metric, random_strong_metric, subdivided_triangle
-from kmetrics.metric import MAX_LP_BYTES, bounding_sweep
+from kmetrics.metric import bounding_sweep
+from kmetrics.simplicial import MAX_LP_BYTES
 from oracles import check_weak_loop, random_closure_2metric, relabel_kmetric
 
 SUBDIVISION = ((0, 1, 4), (0, 4, 3), (1, 2, 5), (1, 5, 4), (0, 3, 2), (2, 3, 5), (3, 4, 5))
@@ -268,6 +269,23 @@ def test_an_lp_over_the_byte_budget_is_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < MAX_LP_BYTES / 10
+
+
+def test_weak_check_holds_no_tuple_by_point_matrix():
+    # n=600, k=2: a count x n bool matrix of failures alone would be 108 MB
+    import tracemalloc
+
+    values = np.ones(comb(600, 2))
+    values[simplex_index(600, (3, 7))] = 3.0  # fails against every outside point
+    d = KMetric(n=600, k=2, values=values)
+    tracemalloc.start()
+    try:
+        report = check_weak(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.weak_violations == tuple(((3, 7), y) for y in range(600) if y not in (3, 7))
+    assert peak < 40 * 2**20
 
 
 def test_strong_check_refuses_the_lp_budget_before_the_weak_pass(monkeypatch):

@@ -163,6 +163,42 @@ def test_dense_operators_refuse_over_the_byte_budget(monkeypatch):
             build(200, dim)
 
 
+def test_one_budget_refuses_every_dense_build(monkeypatch):
+    # one patch of the one budget reaches every dense builder, on small inputs
+    from kmetrics import (
+        ChainMatrix, NormSpec, PointCloud, WeightedComplex, check_strong, embed_l2_to_lp,
+        frechet_embed, hypertree_to_l1, is_hypertree, mbc_metric, min_bounding_chain,
+        random_2hypertree, random_project, volume_to_coboundary,
+    )
+    from kmetrics.corpus import discrete_metric
+
+    monkeypatch.setattr(simplicial, "MAX_LP_BYTES", 0)
+    d = discrete_metric(4, 3).payload
+    K = WeightedComplex(n=4, k=3, facets=((0, 1, 2), (0, 1, 3), (0, 2, 3)), weights=np.ones(3))
+    F = ChainMatrix(n=4, k=3, data=np.ones((6, 2)))
+    cloud = PointCloud(np.arange(15.0).reshape(5, 3))
+    builds = {
+        "min_bounding_chain": lambda: min_bounding_chain(d.values, zero_chain(4, 1)),
+        "check_strong": lambda: check_strong(d),
+        "frechet_embed": lambda: frechet_embed(d),
+        "mbc_metric": lambda: mbc_metric(K),
+        "boundary_operator": lambda: boundary_operator(4, 2),
+        "coboundary_operator": lambda: coboundary_operator(4, 1),
+        "project_operator": lambda: project_operator(3, 2),
+        "lift_operator": lambda: lift_operator(3, 2),
+        "is_hypertree": lambda: is_hypertree(K),
+        "hypertree_to_l1": lambda: hypertree_to_l1(K),
+        "random_project": lambda: random_project(F, 3, NormSpec(2), seed=1),
+        "embed_l2_to_lp": lambda: embed_l2_to_lp(F, 1.0, 0.5, seed=1),
+        "volume_to_coboundary": lambda: volume_to_coboundary(cloud, 3),
+        "random_2hypertree": lambda: random_2hypertree(5, 0),
+    }
+    for name, build in builds.items():
+        with pytest.raises(ValueError, match="bytes, budget 0"):
+            build()
+            pytest.fail(f"{name} built past the budget")
+
+
 def test_boundary_squares_to_zero():
     for n in range(3, 9):
         for dim in range(2, min(4, n)):
