@@ -67,6 +67,8 @@ def apex_extend_chain_matrix(F: ChainMatrix) -> ChainMatrix:
     Rows move as lift_operator moves them (+ 0.0 clears -0.0, as its product does).
     """
     positions = _apex_positions(F.n, F.k - 2)  # checks the extended count before allocating
-    data = np.zeros((comb(F.n + 1, F.k), F.m))
+    rows = comb(F.n + 1, F.k)  # the peak: data, F.data + 0.0 and ChainMatrix's copy
+    _check_bytes("apex chains", 8 * F.m * (2 * rows + F.data.shape[0]))
+    data = np.zeros((rows, F.m))
     data[positions] = F.data + 0.0
     return ChainMatrix(n=F.n + 1, k=F.k + 1, data=data)

@@ -355,7 +355,7 @@ def _cmd_hypertree(args, inputs, outputs):
     if args.to_l1:
         F = hypertree_to_l1(K)  # the one check: raises NotHypertreeError on a bad complex
         _write(F, args.output, outputs)
-        count = len(K.facets)  # a hypertree's facets are a basis of the cycle space
+        count = len(K.facets)  # its block was square and nonsingular: rank = count = cycle dim
         report = HypertreeReport(True, True, True, count, count, count)
     else:
         report = is_hypertree(K)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, sqrt
-from typing import Optional
 
 import numpy as np
 

@@ -156,24 +156,25 @@ def hypertree_to_l1(K: WeightedComplex) -> ChainMatrix:
     j and zero on every other facet; it is zero on the faces through vertex
     0 and solves the square kept block on the rest.  Any such columns give
     the same table: the one facet chain bounding the boundary of a tuple t
-    has cost sum_j |coboundary(F_j)(t)|.  A non-hypertree, by is_hypertree's
-    rank or by the solve's residual, raises NotHypertreeError here alone.
+    has cost sum_j |coboundary(F_j)(t)|.  The facets are a hypertree exactly
+    when that block is square and nonsingular, so NotHypertreeError is raised
+    here alone: by the facet count, the solve's singularity or its residual.
     """
-    report = is_hypertree(K)  # its block and SVD copy are freed before the next block
-    if not report.is_hypertree:
-        raise NotHypertreeError(
-            f"not a hypertree: rank {report.facet_rank} vs "
-            f"{report.facet_count} facets and cycle space {report.cycle_space_dim}"
-        )
+    count, cyc = len(K.facets), cycle_space_dim(K.n, K.k - 2)
+    if count != cyc:
+        raise NotHypertreeError(f"not a hypertree: {count} facets, cycle space {cyc}")
     rows = _kept_block(K, 4).T  # the solve, then the residual, hold four more of its size
     target = np.diag(K.weights)
-    F = np.zeros((comb(K.n, K.k - 1), len(K.facets)))
+    F = np.zeros((comb(K.n, K.k - 1), count))
     kept = F[comb(K.n - 1, K.k - 2):]  # F is zero on the faces through vertex 0
-    kept[:] = np.linalg.solve(rows, target)
-    residual = float(np.abs(rows @ kept - target).max())
-    limit = L1_RESIDUAL_TOL * float(K.weights.max())  # relative: weights may be any scale
-    if residual > limit:
-        raise NotHypertreeError(f"facet system residual {residual:.3e} exceeds {limit:.3e}")
+    try:
+        kept[:] = np.linalg.solve(rows, target)
+    except np.linalg.LinAlgError as exc:  # a ValueError, which the CLI reads as bad input
+        raise NotHypertreeError("not a hypertree: the facet system is singular") from exc
+    # per column, relative to its weight: a facet cycle leaves some j off by >= w_j/sqrt(count)
+    residual = float((np.abs(rows @ kept - target).max(axis=0) / K.weights).max())
+    if residual > L1_RESIDUAL_TOL:
+        raise NotHypertreeError(f"facet system residual {residual:.3e} exceeds {L1_RESIDUAL_TOL}")
     return ChainMatrix(n=K.n, k=K.k, data=F)
 
 
@@ -213,8 +214,9 @@ def random_2hypertree(n: int, seed: int) -> WeightedComplex:
             break
         v = np.zeros(Q.shape[0])
         v[faces[:, j]] = (1.0, -1.0, 1.0)
+        basis = Q[:, :len(kept)]  # the filled columns
         for _ in range(2):
-            v -= Q @ (Q.T @ v)
+            v -= basis @ (basis.T @ v)
         norm = float(np.linalg.norm(v))
         if norm > RANK_TOL:
             Q[:, len(kept)] = v / norm

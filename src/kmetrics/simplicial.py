@@ -70,12 +70,7 @@ def simplex_index(n: int, verts: Sequence[int] | np.ndarray) -> int | np.ndarray
     increasing run of integer vertices in 0..n-1 raises ValueError.
     """
     if not (isinstance(verts, np.ndarray) and verts.ndim == 2):
-        key = validate_simplex(n, verts)
-        k = len(key)
-        rank = comb(n, k) - 1
-        for j, s in enumerate(key):
-            rank -= comb(n - 1 - s, k - j)
-        return rank
+        return int(simplex_index(n, np.array([validate_simplex(n, verts)]))[0])
     m, k = verts.shape
     if verts.dtype.kind not in "iu":
         raise ValueError(f"vertices must be integers, got an array of {verts.dtype}")

@@ -407,6 +407,30 @@ def test_hypertree_cycle_fails_verification(tmp_path, capsys):
     assert "not a hypertree" in report["error"]["message"]
 
 
+def test_hypertree_to_l1_takes_no_svd(tmp_path, capsys, monkeypatch):
+    # the solve decides: an exactly singular block (vertex 3 on no edge) is a
+    # verification failure, not the ValueError that LinAlgError also is
+    def no_svd(*args, **kwargs):
+        raise AssertionError("hypertree --to-l1 took an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg, "matrix_rank", no_svd)
+    tree, cycle = str(tmp_path / "T.json"), str(tmp_path / "C.json")
+    write_complex(random_spanning_tree(6, seed=1), tree)
+    write_complex(WeightedComplex(n=4, k=2, facets=((0, 1), (0, 2), (1, 2)), weights=np.ones(3)),
+                  cycle)
+    code, report = _run(["hypertree", tree, "--to-l1", "-o", str(tmp_path / "F.json")], capsys)
+    assert code == 0
+    assert report["results"]["hypertree"] is True
+    assert report["results"]["facet_rank"] == 5
+
+    code, report = _run(["hypertree", cycle, "--to-l1", "-o", str(tmp_path / "G.json")], capsys)
+    assert code == 1
+    assert report["error"]["kind"] == "verification"
+    assert report["error"]["message"].startswith("not a hypertree")
+    assert not (tmp_path / "G.json").exists()
+
+
 def test_hypertree_too_large_for_memory_is_an_input_error(tmp_path, capsys):
     # the 19,701 triangles through vertex 0 at n=200: the kept block would take 3.1 GB
     facets = tuple((0, i, j) for i, j in combinations(range(1, 200), 2))

@@ -25,6 +25,7 @@ from kmetrics import (
     random_2hypertree,
     random_spanning_tree,
 )
+from kmetrics.hypertree import _kept_block
 from kmetrics.simplicial import MAX_LP_BYTES
 from oracles import cycle_space_dim_by_rank, dijkstra_all_pairs, random_2hypertree_by_deletion
 
@@ -330,6 +331,61 @@ def test_l1_refuses_a_solve_that_misses_its_residual(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-3))
     with pytest.raises(NotHypertreeError, match="residual"):
         hypertree_to_l1(K)
+
+
+def _swaps(n, seed, count):
+    """Facet sets of random_2hypertree(n, seed) with one facet swapped for another triangle."""
+    K = random_2hypertree(n, seed)
+    rng = np.random.default_rng(seed)
+    triangles = enumerate_simplices(n, 2)
+    for _ in range(count):
+        new = triangles[int(rng.integers(len(triangles)))]
+        if new not in K.facets:
+            out = int(rng.integers(len(K.facets)))
+            yield tuple(sorted(K.facets[:out] + K.facets[out + 1:] + (new,)))
+
+
+def _lu_flags(K):
+    try:
+        np.linalg.solve(_kept_block(K, 0).T, np.eye(len(K.facets)))
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def test_l1_verdict_matches_the_rank():
+    # count, solve and residual decide what is_hypertree's SVD rank decides, with
+    # facet weights spread over 1e-6..1e6, on every equal-count set at (5, 3) and
+    # (6, 2) and on swaps, some of them singular blocks that LU does not flag
+    rng = np.random.default_rng(18)
+    sets = [(n, k, f) for n, k in [(5, 3), (6, 2)]
+            for f in combinations(enumerate_simplices(n, k - 1), cycle_space_dim(n, k - 2))]
+    sets += [(n, 3, f) for n in (8, 12, 16, 20, 25) for seed in range(2)
+             for f in _swaps(n, seed, 6)]
+    verdicts, unflagged = set(), 0
+    for n, k, facets in sets:
+        weights = 10.0 ** rng.uniform(-6, 6, len(facets))
+        K = WeightedComplex(n=n, k=k, facets=facets, weights=weights)
+        hypertree = is_hypertree(K).is_hypertree
+        weightings = [K]
+        if not hypertree and not _lu_flags(K):
+            unflagged += 1
+            # the facet cycle light and the rest heavy: a residual measured
+            # against the largest weight alone would pass this one
+            cycle = np.abs(np.linalg.svd(_kept_block(K, 0))[2][-1]) > 1e-8
+            light = np.where(cycle, 1e-6, 1e6)
+            weightings.append(WeightedComplex(n=n, k=k, facets=facets, weights=light))
+        for L in weightings:
+            try:
+                hypertree_to_l1(L)
+                accepted = True
+            except NotHypertreeError as exc:
+                assert str(exc).startswith(("not a hypertree", "facet system residual"))
+                accepted = False
+            assert accepted == hypertree, (n, k, facets)
+        verdicts.add(hypertree)
+    assert verdicts == {True, False}
+    assert unflagged > 0
 
 
 def test_generators_are_deterministic():

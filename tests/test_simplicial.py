@@ -166,9 +166,9 @@ def test_dense_operators_refuse_over_the_byte_budget(monkeypatch):
 def test_one_budget_refuses_every_dense_build(monkeypatch):
     # one patch of the one budget reaches every dense builder, on small inputs
     from kmetrics import (
-        ChainMatrix, NormSpec, PointCloud, WeightedComplex, check_strong, embed_l2_to_lp,
-        frechet_embed, hypertree_to_l1, is_hypertree, mbc_metric, min_bounding_chain,
-        random_2hypertree, random_project, volume_to_coboundary,
+        ChainMatrix, NormSpec, PointCloud, WeightedComplex, apex_extend_chain_matrix,
+        check_strong, embed_l2_to_lp, frechet_embed, hypertree_to_l1, is_hypertree, mbc_metric,
+        min_bounding_chain, random_2hypertree, random_project, volume_to_coboundary,
     )
     from kmetrics.corpus import discrete_metric
 
@@ -192,6 +192,7 @@ def test_one_budget_refuses_every_dense_build(monkeypatch):
         "embed_l2_to_lp": lambda: embed_l2_to_lp(F, 1.0, 0.5, seed=1),
         "volume_to_coboundary": lambda: volume_to_coboundary(cloud, 3),
         "random_2hypertree": lambda: random_2hypertree(5, 0),
+        "apex_extend_chain_matrix": lambda: apex_extend_chain_matrix(F),
     }
     for name, build in builds.items():
         with pytest.raises(ValueError, match="bytes, budget 0"):
