@@ -17,13 +17,12 @@ import numpy as np
 
 from .coboundary import ChainMatrix
 from .metric import KMetric
-from .simplicial import LinearChainOperator, _check_bytes, enumerate_simplices, simplex_index
+from .simplicial import LinearChainOperator, _check_bytes, simplex_index, simplex_rows
 
 
 def _apex_positions(n: int, dim: int) -> np.ndarray:
     """Positions on n+1 vertices of every dim-simplex on n with the apex appended."""
-    base = np.array(enumerate_simplices(n, dim))
-    return simplex_index(n + 1, np.column_stack([base, np.full(len(base), n)]))
+    return simplex_index(n + 1, np.pad(simplex_rows(n, dim), ((0, 0), (0, 1)), constant_values=n))
 
 
 def apex_extend(d: KMetric) -> KMetric:

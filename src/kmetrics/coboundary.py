@@ -20,7 +20,8 @@ import numpy as np
 
 from .metric import KMetric, VALUE_TOL, bounding_sweep
 from .simplicial import (
-    Chain, SimplexKey, _check_bytes, boundary_rows, coboundary_rows, face_ranks, simplex_index,
+    Chain, SimplexKey, _check_bytes, boundary_rows, coboundary_rows, face_ranks, simplex_at,
+    simplex_index,
 )
 
 # Entries that eval_coboundary_metric and volume_metric gather at once (0.5 MB of floats).
@@ -90,9 +91,6 @@ class ChainMatrix:
     def m(self) -> int:
         return self.data.shape[1]
 
-    def column(self, j: int) -> Chain:
-        return Chain(n=self.n, dim=self.k - 2, coeffs=self.data[:, j])
-
 
 def eval_coboundary_metric(F: ChainMatrix, norm: NormSpec) -> KMetric:
     """Arity-k table whose entry at t is the p-norm of row t of coboundary(F)."""
@@ -109,7 +107,7 @@ def _strong_column(d: KMetric, idx: int, cost: float, y: np.ndarray) -> np.ndarr
     """y, unless a chain of this cost bounds tuple idx below its value (NotStrongError)."""
     value = float(d.values[idx])
     if cost < value * (1.0 - VALUE_TOL):
-        raise NotStrongError(d.simplices()[idx], value, cost)
+        raise NotStrongError(simplex_at(d.n, d.k - 1, idx), value, cost)
     return y
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .apex import apex_extend_chain_matrix
 from .coboundary import ChainMatrix
 from .metric import KMetric, bounding_sweep
-from .simplicial import Chain, _check_counts, chain_from_dict, enumerate_simplices, simplex_index
+from .simplicial import Chain, _check_counts, chain_from_dict, simplex_index, simplex_rows
 from .volume import PointCloud
 
 # Bounds of the uniform costs that random_strong_metric draws, one per k-tuple.
@@ -131,9 +131,7 @@ def six_point_apex_discrete() -> CorpusInstance:
     """
     base = discrete_metric(5, 3)
     payload = apex_extend_chain_matrix(base.aux["inducing_chain_matrix"])
-    values = {}
-    for s in enumerate_simplices(6, 3):
-        values[s] = 1.0 if s[-1] == 5 else 0.0
+    values = {tuple(s): 1.0 if s[-1] == 5 else 0.0 for s in simplex_rows(6, 3).tolist()}
     return CorpusInstance(
         name="six-point-apex-discrete",
         payload=payload,
@@ -156,7 +154,7 @@ def _pairwise_distances(cloud: PointCloud) -> np.ndarray:
 def perimeter_metric(cloud: PointCloud) -> CorpusInstance:
     """Arity-3 table summing the three pairwise distances of each triple."""
     dist = _pairwise_distances(cloud)
-    a, b, c = np.array(enumerate_simplices(cloud.count, 2)).T
+    a, b, c = simplex_rows(cloud.count, 2).T
     payload = KMetric(n=cloud.count, k=3, values=dist[a, b] + dist[a, c] + dist[b, c])
     return CorpusInstance(
         name="perimeter", payload=payload, expected={"weak": True}
@@ -166,7 +164,7 @@ def perimeter_metric(cloud: PointCloud) -> CorpusInstance:
 def max_side_metric(cloud: PointCloud) -> CorpusInstance:
     """Arity-3 table taking the longest pairwise distance of each triple."""
     dist = _pairwise_distances(cloud)
-    a, b, c = np.array(enumerate_simplices(cloud.count, 2)).T
+    a, b, c = simplex_rows(cloud.count, 2).T
     longest = np.maximum.reduce([dist[a, b], dist[a, c], dist[b, c]])
     payload = KMetric(n=cloud.count, k=3, values=longest)
     return CorpusInstance(

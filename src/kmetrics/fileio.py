@@ -39,6 +39,7 @@ from .simplicial import (
     MAX_SIMPLICES,
     Chain,
     _check_counts,
+    simplex_at,
     simplex_index,
     validate_simplex,
 )
@@ -151,7 +152,7 @@ def _read_entries(entries: list, first: int, path: str, name: str, key: str, n: 
 
 
 def write_kmetric(d: KMetric, path: str) -> None:
-    # the canonical order of d.simplices(), without building and caching that tuple
+    # the canonical order, streamed rather than simplex_rows, so a write holds one block
     tuples = itertools.combinations(range(d.n), d.k)
     _dump({"n": d.n, "k": d.k}, "values", _entries(tuples, d.values, "d"), path)
 
@@ -189,7 +190,7 @@ def _kmetric_from(obj: dict, path: str) -> KMetric:
         raise InputError(path, f"{total} entries for {count} tuples", field="values")
     missing = np.flatnonzero(np.isnan(values))
     if missing.size:
-        first = next(itertools.islice(itertools.combinations(range(n), k), int(missing[0]), None))
+        first = simplex_at(n, k - 1, int(missing[0]))
         raise InputError(
             path, f"{missing.size} of {count} tuples missing, first {first}", field="values"
         )

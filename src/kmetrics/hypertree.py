@@ -12,7 +12,6 @@ embeds its metric exactly into an entrywise-1-norm coboundary table.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 
@@ -24,9 +23,10 @@ from .simplicial import (
     _check_bytes,
     _check_counts,
     boundary_block,
-    enumerate_simplices,
     face_ranks,
+    simplex_at,
     simplex_index,
+    simplex_rows,
     validate_simplex,
 )
 
@@ -141,11 +141,9 @@ def mbc_metric(K: WeightedComplex, jobs: int = 1) -> KMetric:
         for cost, _, _ in bounding_sweep(weights, K.n, K.k, np.sort(idx)):
             values.append(cost)
     except UnfillableBoundaryError as exc:
-        tuples = itertools.combinations(range(K.n), K.k)
-        raise UnfillableBoundaryError(
-            f"complex does not fill all boundaries: no facet chain bounds "
-            f"{next(itertools.islice(tuples, len(values), None))}"
-        ) from exc
+        unfilled = simplex_at(K.n, K.k - 1, len(values))
+        msg = f"complex does not fill all boundaries: no facet chain bounds {unfilled}"
+        raise UnfillableBoundaryError(msg) from exc
     return KMetric(n=K.n, k=K.k, values=np.array(values))
 
 
@@ -221,6 +219,6 @@ def random_2hypertree(n: int, seed: int) -> WeightedComplex:
         if norm > RANK_TOL:
             Q[:, len(kept)] = v / norm
             kept.append(j)
-    facets = tuple(enumerate_simplices(n, 2)[j] for j in sorted(kept))
+    facets = tuple(map(tuple, simplex_rows(n, 2)[sorted(kept)].tolist()))
     weights = rng.uniform(0.5, 2.0, size=len(facets))
     return WeightedComplex(n=n, k=3, facets=facets, weights=weights)

@@ -30,7 +30,9 @@ from .simplicial import (
     boundary_rows,
     enumerate_simplices,
     face_ranks,
+    simplex_at,
     simplex_index,
+    simplex_rows,
     validate_simplex,
 )
 
@@ -122,14 +124,15 @@ def check_weak(d: KMetric, tol: float = VALUE_TOL) -> VerificationReport:
     Swapping t_i for y gives the face of t that drops t_i, plus y, so the
     totals are gathers through one coface table: coface[f, y] is the tuple
     f + y, or a NaN slot, which never fails, when y is in f.  The failures
-    of each y are kept as codes t * n + y, sorted once into (t, y) order.
+    of each y are kept as codes t * n + y, sorted once into (t, y) order,
+    and only the reported tuples are made from simplex_rows.
     """
     _check_tol(tol)
-    simplices = d.simplices()
-    count = len(simplices)
+    rows = simplex_rows(d.n, d.k - 1)
+    count = rows.shape[0]
     faces = face_ranks(d.n, d.k - 1)
     coface = np.full((comb(d.n, d.k - 1), d.n), count)
-    for face, vertex in zip(faces, np.array(simplices).T):
+    for face, vertex in zip(faces, rows.T):
         coface[face, vertex] = np.arange(count)
     table = np.append(d.values, np.nan)
     codes = []
@@ -138,9 +141,9 @@ def check_weak(d: KMetric, tol: float = VALUE_TOL) -> VerificationReport:
         for face in faces[1:]:  # summed in the order of i, as the inequality reads
             total = total + table[coface[face, y]]
         codes.append(np.flatnonzero(d.values > total + tol * d.values) * d.n + y)
-    failed = np.divmod(np.sort(np.concatenate(codes)), d.n)
-    violations = [(simplices[t], int(y)) for t, y in zip(*failed)]
-    pseudo = tuple(simplices[t] for t in np.flatnonzero(d.values == 0.0))
+    t, y = np.divmod(np.sort(np.concatenate(codes)), d.n)
+    violations = [(tuple(s), v) for s, v in zip(rows[t].tolist(), y.tolist())]
+    pseudo = tuple(map(tuple, rows[d.values == 0.0].tolist()))
     return VerificationReport(
         is_weak=not violations,
         weak_violations=tuple(violations),
@@ -282,19 +285,19 @@ def check_strong(
     exhaustive mode records the margin of every tuple.  The tuples are one
     sequential sweep, so jobs has no effect; it is kept for callers that
     pass it.  The sweep runs before the weak pass, so a table too large for
-    the LP budget is refused without paying for the weak pass first.
+    the LP budget is refused without paying for the weak pass first, and
+    tuples are made only for the witness and the swept margins.
     """
     _check_tol(tol)
-    simplices = d.simplices()
-    margins = []
-    witness = None
+    values, costs, witness = d.values.tolist(), [], None
     for i, (cost, chain, _) in enumerate(bounding_sweep(d.values, d.n, d.k)):
-        value = float(d.values[i])
-        margins.append((simplices[i], cost, value))
-        if witness is None and cost < value * (1.0 - tol):
-            witness = StrongWitness(simplex=simplices[i], value=value, cost=cost, chain=chain)
+        costs.append(cost)
+        if witness is None and cost < values[i] * (1.0 - tol):
+            witness = StrongWitness(simplex_at(d.n, d.k - 1, i), values[i], cost, chain)
             if not exhaustive:
                 break
+    swept = map(tuple, simplex_rows(d.n, d.k - 1)[: len(costs)].tolist())
+    margins = tuple(zip(swept, costs, values))
 
     weak = check_weak(d, tol=tol)
     return VerificationReport(
@@ -303,5 +306,5 @@ def check_strong(
         pseudo_violations=weak.pseudo_violations,
         is_strong=witness is None,
         strong_witness=witness,
-        strong_margins=tuple(margins),
+        strong_margins=margins,
     )

@@ -2,10 +2,11 @@
 
 Vertices are integers 0..n-1.  A simplex of dimension d is stored canonically
 as a strictly increasing tuple of d+1 vertices, and the simplices of one
-dimension are ordered lexicographically.  face_ranks states the incidence once:
-coboundary_rows gathers over it, boundary_rows scatters over it, and
-boundary_block builds every dense boundary from it; its docstring shows why
-the rows of the faces that miss vertex 0 decide every boundary.
+dimension are ordered lexicographically, as simplex_rows lists them and
+simplex_at picks one.  face_ranks states the incidence once: coboundary_rows
+gathers over it, boundary_rows scatters over it, and boundary_block builds
+every dense boundary from it; its docstring shows why the rows of the faces
+that miss vertex 0 decide every boundary.
 
 simplex_index alone maps a canonical s_1 < ... < s_k to its position, the
 combinadic rank C(n, k) - 1 - sum_{j=1..k} C(n - 1 - s_j, k + 1 - j): the
@@ -55,9 +56,23 @@ def _check_counts(n: int, dim: int) -> int:
     return count
 
 
+def simplex_rows(n: int, dim: int) -> np.ndarray:
+    """All dim-simplices on n vertices as the rows of an int64 array, in canonical order."""
+    count = _check_counts(n, dim)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), dim + 1))
+    return np.fromiter(flat, np.int64, count * (dim + 1)).reshape(count, dim + 1)
+
+
+def simplex_at(n: int, dim: int, rank: int) -> SimplexKey:
+    """The dim-simplex at position rank in canonical order, without building the others."""
+    if not 0 <= rank < _check_counts(n, dim):
+        raise ValueError(f"position {rank} out of range for dim={dim}, n={n}")
+    return next(itertools.islice(itertools.combinations(range(n), dim + 1), int(rank), None))
+
+
 @lru_cache(maxsize=None)
 def enumerate_simplices(n: int, dim: int) -> tuple:
-    """All dim-simplices on n vertices, lexicographically sorted tuples."""
+    """The rows of simplex_rows as cached tuples: a public view the library does not use."""
     _check_counts(n, dim)
     return tuple(itertools.combinations(range(n), dim + 1))
 
@@ -105,20 +120,12 @@ def validate_simplex(n: int, verts: Sequence[int]) -> SimplexKey:
 def orientation_sign(sequence: Sequence[int]) -> int:
     """Sign of the permutation sorting the sequence; repeats are rejected.
 
-    +1 when an even number of transpositions sorts the vertices, -1 for odd.
+    +1 when an even number of vertex pairs are out of order (inversions), -1 for odd.
     """
     seq = list(sequence)
     if len(set(seq)) != len(seq):
         raise ValueError(f"repeated vertex in {tuple(sequence)}")
-    sign = 1
-    # insertion sort, counting swaps; sequences here are short
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and seq[j - 1] > seq[j]:
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            sign = -sign
-            j -= 1
-    return sign
+    return -1 if sum(a > b for a, b in itertools.combinations(seq, 2)) % 2 else 1
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -147,8 +154,7 @@ class Chain:
         object.__setattr__(self, "coeffs", _freeze(arr))
 
     def support(self) -> list:
-        simp = enumerate_simplices(self.n, self.dim)
-        return [simp[i] for i in np.nonzero(self.coeffs)[0]]
+        return [tuple(s) for s in simplex_rows(self.n, self.dim)[self.coeffs != 0].tolist()]
 
     def norm1(self) -> float:
         return float(np.sum(np.abs(self.coeffs)))
@@ -164,11 +170,7 @@ def indicator_chain(n: int, sequence: Sequence[int], value: float = 1.0) -> Chai
     The sequence may be unsorted; its permutation parity becomes the sign of
     the coefficient on the canonical simplex.
     """
-    sign = orientation_sign(sequence)
-    key = validate_simplex(n, sorted(sequence))
-    coeffs = np.zeros(comb(n, len(key)))
-    coeffs[simplex_index(n, key)] = sign * value
-    return Chain(n=n, dim=len(key) - 1, coeffs=coeffs)
+    return chain_from_dict(n, len(sequence) - 1, {tuple(sequence): value})
 
 
 def chain_from_dict(n: int, dim: int, entries: dict) -> Chain:
@@ -214,7 +216,7 @@ def face_ranks(n: int, dim: int) -> np.ndarray:
     """Face positions of each dim-simplex (a column): row i drops vertex i, sign (-1)**i."""
     if dim < 1:
         raise ValueError(f"boundary is defined for dimension >= 1, got {dim}")
-    simplices = np.array(enumerate_simplices(n, dim))
+    simplices = simplex_rows(n, dim)
     return np.stack([simplex_index(n, np.delete(simplices, i, 1)) for i in range(dim + 1)])
 
 

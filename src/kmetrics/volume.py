@@ -20,7 +20,7 @@ import numpy as np
 
 from .coboundary import _EVAL_BLOCK, ChainMatrix
 from .metric import KMetric
-from .simplicial import _check_bytes, enumerate_simplices
+from .simplicial import _check_bytes, simplex_rows
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def volume_metric(cloud: PointCloud, k: int) -> KMetric:
             stacklevel=2,
         )
     # rows x_i - x_1 of a block of tuples (k*m floats each) at a time, stacked
-    tuples = np.array(enumerate_simplices(cloud.count, k - 1))
+    tuples = simplex_rows(cloud.count, k - 1)
     step = max(1, _EVAL_BLOCK // (k * cloud.m))
     grams = []
     for a in range(0, tuples.shape[0], step):
@@ -145,8 +145,8 @@ def volume_to_coboundary(cloud: PointCloud, k: int) -> ChainMatrix:
     # themselves as its difference columns, so each entry is the determinant
     # of the transposed projected points: one det over (simplex, axis set),
     # for a block of simplices ((k-1)**2 floats per axis set each) at a time.
-    tuples = np.array(enumerate_simplices(cloud.count, k - 2))
-    axis_sets = np.array(list(itertools.combinations(range(cloud.m), k - 1)))
+    tuples = simplex_rows(cloud.count, k - 2)
+    axis_sets = simplex_rows(cloud.m, k - 2)  # the (k-1)-subsets of the axes
     data = np.empty((tuples.shape[0], axis_sets.shape[0]))
     step = max(1, _EVAL_BLOCK // (axis_sets.size * (k - 1)))
     for a in range(0, tuples.shape[0], step):

@@ -1,6 +1,8 @@
-"""Every name a kmetrics module imports is used in that module.
+"""Every name a kmetrics module imports is used in that module, and every method is called.
 
-__init__.py is left out: its imports are the package's public names.
+__init__.py is left out of the import check: its imports are the package's
+public names.  A method counts as used when its name is read as an attribute
+anywhere in src/, tests/, perfbench/ or demos/.
 """
 
 import ast
@@ -8,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "kmetrics"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "kmetrics"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -35,3 +38,38 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert _unused_imports((SRC / module).read_text()) == []
+
+
+def _unaccessed_methods(defining: list, reading: list) -> list:
+    """Class.method defined in the defining sources whose name no reading source reads as .name.
+
+    Dunder methods are left out: Python calls them.
+    """
+    accessed = {
+        node.attr for source in reading for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+    }
+    return sorted(
+        f"{cls.name}.{f.name}"
+        for source in defining for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef)
+        for f in cls.body
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (f.name.startswith("__") and f.name.endswith("__"))
+        and f.name not in accessed
+    )
+
+
+def test_the_check_finds_an_unaccessed_method():
+    source = "class A:\n    def __init__(self): pass\n    def used(self): pass\n"
+    source += "    @property\n    def size(self): return 1\n    def dead(self): pass\n"
+    assert _unaccessed_methods([source], [source, "A().used()\nprint(A().size)\n"]) == ["A.dead"]
+
+
+def test_every_method_is_accessed():
+    reading = [
+        p.read_text() for d in ("src", "tests", "perfbench", "demos")
+        for p in sorted((ROOT / d).rglob("*.py"))
+    ]
+    defining = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert _unaccessed_methods(defining, reading) == []

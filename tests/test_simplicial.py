@@ -1,5 +1,6 @@
 """Simplex enumeration, orientation signs, and the chain complex operators."""
 
+import itertools
 import math
 from math import comb
 
@@ -28,6 +29,8 @@ from kmetrics.simplicial import (
     boundary_rows,
     coboundary_rows,
     face_ranks,
+    simplex_at,
+    simplex_rows,
     validate_simplex,
 )
 from oracles import boundary_matrix_reference
@@ -56,6 +59,85 @@ def test_index_round_trip():
         for dim in range(n):
             rows = np.array(enumerate_simplices(n, dim))
             assert np.array_equal(simplex_index(n, rows), np.arange(len(rows)))
+            # the library's enumeration: the same order as rows, and one row by its position
+            listed = simplex_rows(n, dim)
+            assert listed.dtype == np.int64
+            assert np.array_equal(listed, np.array(list(itertools.combinations(range(n), dim + 1))))
+            assert np.array_equal(simplex_index(n, listed), np.arange(len(rows)))
+            for i, row in enumerate(listed.tolist()):
+                at = simplex_at(n, dim, i)
+                assert at == tuple(row) and {type(v) for v in at} == {int}
+            with pytest.raises(ValueError, match="out of range"):
+                simplex_at(n, dim, len(rows))
+    count = comb(200, 4)
+    assert count > MAX_SIMPLICES
+    with pytest.raises(ValueError) as info:
+        simplex_rows(200, 3)
+    assert str(info.value) == (
+        f"refusing to enumerate {count} simplices (n=200, dim=3); limit is {MAX_SIMPLICES}"
+    )
+
+
+def test_library_lists_the_order_without_the_tuple_cache(tmp_path):
+    # every library path lists simplices through simplex_rows and simplex_at, so the
+    # cached enumerate_simplices stays empty, and every reported vertex is a plain int
+    import json
+
+    from kmetrics import (
+        InputError, KMetric, NormSpec, NotStrongError, PointCloud, UnfillableBoundaryError,
+        WeightedComplex, apex_extend_chain_matrix, check_strong, check_weak,
+        eval_coboundary_metric, frechet_embed, hypertree_to_l1, mbc_metric, min_bounding_chain,
+        random_2hypertree, read_kmetric, volume_metric, volume_to_coboundary,
+    )
+    from kmetrics import corpus
+
+    values = np.ones(comb(5, 3))
+    values[0], values[simplex_index(5, (1, 2, 3))] = 10.0, 0.0
+    d = KMetric(n=5, k=3, values=values)
+    cloud = PointCloud(np.random.default_rng(0).normal(size=(6, 3)))
+    unfillable = WeightedComplex(n=4, k=3, facets=((0, 1, 2),), weights=np.ones(1))
+    entries = [{"s": list(s), "d": 1.0} for s in itertools.combinations(range(5), 3)]
+    del entries[4]
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps({"n": 5, "k": 3, "values": entries}))
+
+    enumerate_simplices.cache_clear()
+    weak = check_weak(d)
+    strong = check_strong(d, exhaustive=True)
+    F = frechet_embed(corpus.discrete_metric(5, 3).payload)
+    eval_coboundary_metric(F, NormSpec(float("inf")))
+    min_bounding_chain(values, zero_chain(5, 1))
+    K = random_2hypertree(6, 0)
+    mbc_metric(K)
+    hypertree_to_l1(K)
+    volume_metric(cloud, 3)
+    eval_coboundary_metric(apex_extend_chain_matrix(volume_to_coboundary(cloud, 3)), NormSpec(2))
+    support = strong.strong_witness.chain.support()
+    for make in (corpus.subdivided_triangle, corpus.four_point_equilateral,
+                 corpus.six_point_apex_discrete, corpus.subdivision_chain):
+        make()
+    corpus.discrete_metric(5, 3)
+    corpus.perimeter_metric(cloud)
+    corpus.max_side_metric(cloud)
+    corpus.random_strong_metric(5, 3, seed=0)
+    with pytest.raises(NotStrongError) as not_strong:
+        frechet_embed(d)
+    with pytest.raises(UnfillableBoundaryError) as unfilled:
+        mbc_metric(unfillable)
+    with pytest.raises(InputError) as missing:
+        read_kmetric(str(path))
+    assert enumerate_simplices.cache_info().currsize == 0
+
+    assert weak.weak_violations and weak.pseudo_violations == ((1, 2, 3),)
+    reported = [s + (y,) for s, y in weak.weak_violations] + list(weak.pseudo_violations)
+    reported += [strong.strong_witness.simplex] + support
+    reported += [s for s, _, _ in strong.strong_margins]
+    assert {type(v) for s in reported for v in s} == {int}
+    assert "at (0, 1, 2) is below" in str(not_strong.value)
+    assert str(unfilled.value).endswith("no facet chain bounds (0, 1, 3)")
+    assert missing.value.message == "1 of 10 tuples missing, first (0, 2, 4)"
+    assert not_strong.value.simplex == (0, 1, 2)
+    assert {type(v) for v in not_strong.value.simplex} == {int}
 
 
 def test_index_rejects_non_canonical():
