@@ -16,12 +16,12 @@ from kmetrics import (
 )
 
 rng = np.random.default_rng(7)
-n, k, m = 12, 3, 5000
+n, k, m = 12, 3, 500
 F = ChainMatrix(n=n, k=k, data=rng.standard_normal((66, m)))
 base = eval_coboundary_metric(F, NormSpec(2))
 print(f"start: n={n}, k={k}, {m} columns, {len(base.values)} tuples")
 
-eps = 0.2
+eps = 0.5
 target = jl_target_dim(n, k, eps)
 print(f"eps={eps} asks for {target} columns")
 for seed in (1, 2, 3):

@@ -55,7 +55,7 @@ from .metric import (
     check_weak,
     min_bounding_chain,
 )
-from .simplicial import Chain, boundary_rows, face_ranks, indicator_chain
+from .simplicial import Chain, chain_from_dict, orientation_sign, validate_simplex
 from .volume import volume_metric, volume_to_coboundary
 
 OK, VERIFY_FAIL, INPUT_FAIL, SOLVER_FAIL = 0, 1, 2, 3
@@ -261,10 +261,10 @@ def _cmd_min_chain(args, inputs, outputs):
     weights = np.zeros(math.comb(K.n, K.k))
     idx = K.facet_indices()
     weights[idx] = K.weights
-    rows = boundary_rows(face_ranks(K.n, K.k - 1), indicator_chain(K.n, target).coeffs,
-                         math.comb(K.n, K.k - 1))
-    boundary = Chain(n=K.n, dim=K.k - 2, coeffs=rows)
-    cost, chain = min_bounding_chain(weights, boundary, mask=idx)
+    orientation_sign(target)  # a repeated or out-of-range vertex is named by the whole target
+    validate_simplex(K.n, sorted(target))
+    faces = {target[:i] + target[i + 1:]: (-1) ** i for i in range(K.k)}
+    cost, chain = min_bounding_chain(weights, chain_from_dict(K.n, K.k - 2, faces), mask=idx)
     _write(chain, args.output, outputs)
     results = {
         "target": list(target),

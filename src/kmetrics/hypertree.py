@@ -23,6 +23,7 @@ from .simplicial import (
     _check_bytes,
     _check_counts,
     boundary_block,
+    coboundary_rows,
     face_ranks,
     simplex_at,
     simplex_index,
@@ -94,26 +95,18 @@ def cycle_space_dim(n: int, dim: int) -> int:
     return comb(n - 1, dim + 1)
 
 
-def _kept_block(K: WeightedComplex, copies: int) -> np.ndarray:
-    """The facet columns of the boundary, on the rows of the faces that miss vertex 0.
-
-    The peak is the block and copies more arrays of its size; one over the
-    byte budget is refused with ValueError before any allocation (_check_bytes).
-    """
-    first, rows = comb(K.n - 1, K.k - 2), cycle_space_dim(K.n, K.k - 2)
-    _check_bytes("hypertree block", (1 + copies) * 8 * rows * len(K.facets))
-    faces = face_ranks(K.n, K.k - 1)[:, K.facet_indices()]
-    return boundary_block(faces, first + rows, first)
-
-
 def is_hypertree(K: WeightedComplex) -> HypertreeReport:
     """Two rank checks on the kept block, which has the rank of the full facet columns.
 
     The facets are acyclic when the rank equals their count, and fill every
-    cycle when it equals cycle_space_dim, the block's row count.
+    cycle when it equals cycle_space_dim, the block's row count.  The peak is
+    the block and the SVD's copy; one over the byte budget is refused with
+    ValueError before any allocation (_check_bytes).
     """
-    rank = int(np.linalg.matrix_rank(_kept_block(K, 1), tol=RANK_TOL))  # the SVD's copy
-    cyc = cycle_space_dim(K.n, K.k - 2)
+    first, cyc = comb(K.n - 1, K.k - 2), cycle_space_dim(K.n, K.k - 2)
+    _check_bytes("hypertree block", 2 * 8 * cyc * len(K.facets))
+    faces = face_ranks(K.n, K.k - 1)[:, K.facet_indices()]
+    rank = int(np.linalg.matrix_rank(boundary_block(faces, first + cyc, first), tol=RANK_TOL))
     acyclic = rank == len(K.facets)
     fills = rank == cyc
     return HypertreeReport(
@@ -161,16 +154,18 @@ def hypertree_to_l1(K: WeightedComplex) -> ChainMatrix:
     count, cyc = len(K.facets), cycle_space_dim(K.n, K.k - 2)
     if count != cyc:
         raise NotHypertreeError(f"not a hypertree: {count} facets, cycle space {cyc}")
-    rows = _kept_block(K, 4).T  # the solve, then the residual, hold four more of its size
+    first, size = comb(K.n - 1, K.k - 2), comb(K.n, K.k - 1)
+    # F beside the block, diag(w), the solve's answer and its two LAPACK copies
+    _check_bytes("hypertree solve", 8 * (size + 5 * count) * count)
+    faces = face_ranks(K.n, K.k - 1)[:, K.facet_indices()]
     target = np.diag(K.weights)
-    F = np.zeros((comb(K.n, K.k - 1), count))
-    kept = F[comb(K.n - 1, K.k - 2):]  # F is zero on the faces through vertex 0
+    F = np.zeros((size, count))  # zero on the faces through vertex 0
     try:
-        kept[:] = np.linalg.solve(rows, target)
+        F[first:] = np.linalg.solve(boundary_block(faces, size, first).T, target)
     except np.linalg.LinAlgError as exc:  # a ValueError, which the CLI reads as bad input
         raise NotHypertreeError("not a hypertree: the facet system is singular") from exc
     # per column, relative to its weight: a facet cycle leaves some j off by >= w_j/sqrt(count)
-    residual = float((np.abs(rows @ kept - target).max(axis=0) / K.weights).max())
+    residual = float((np.abs(coboundary_rows(faces, F) - target).max(axis=0) / K.weights).max())
     if residual > L1_RESIDUAL_TOL:
         raise NotHypertreeError(f"facet system residual {residual:.3e} exceeds {L1_RESIDUAL_TOL}")
     return ChainMatrix(n=K.n, k=K.k, data=F)

@@ -94,17 +94,17 @@ class Simplex:
     down costs c + c_neg - d.  Each row's sign is the side of zero its basic
     variable is on.  Artificial variables (basis entries >= nv) are held at
     zero and have no column: once one leaves the basis it cannot return.
+    A only fills the tableau; its shape is kept, not A.
     """
 
     def __init__(self, A: np.ndarray, c: np.ndarray, c_neg):
-        self.A = np.asarray(A, dtype=float)
         self.c = np.asarray(c, dtype=float)
         self.c_neg = np.broadcast_to(np.asarray(c_neg, dtype=float), self.c.shape)
         if (self.c < 0).any() or (self.c_neg < 0).any():
             raise ValueError("costs must be nonnegative")
-        m, nv = self.A.shape
+        m, nv = self.shape = np.shape(A)
         self.T = np.zeros((m + 1, nv + m + 1))
-        self.T[:m, :nv] = self.A
+        self.T[:m, :nv] = A
         self.T[:m, nv : nv + m] = np.eye(m)
         self.T[m, :nv] = self.c
         self.basis = np.arange(nv, nv + m)
@@ -121,7 +121,7 @@ class Simplex:
         row whose value is off zero is one.
         """
         T, basis, tol = self.T, self.basis, DEFAULT_TOL
-        m, nv = self.A.shape
+        m, nv = self.shape
         b = np.asarray(b, dtype=float)
         T[:, -1] = T[:, nv : nv + m] @ b
         off_zero = _feasibility_tol(b)
@@ -145,7 +145,7 @@ class Simplex:
         raise LPError("pivot limit exceeded; dual simplex did not terminate")
 
     def _solution(self) -> LPSolution:
-        m, nv = self.A.shape
+        m, nv = self.shape
         x = np.zeros(nv)
         real = self.basis < nv
         x[self.basis[real]] = (self.sign * np.maximum(self.sign * self.T[:m, -1], 0.0))[real]

@@ -8,8 +8,9 @@ value at t by the weighted mass of every chain whose boundary matches the
 boundary of the indicator of t, and is decided here by one small linear
 program per tuple, all solved as one warm-started sweep.  Both checks read
 the incidence from face_ranks alone: the weak one through a coface table,
-the programs for their targets and residuals, and for their rows through
-simplicial.boundary_block, which keeps those of the faces that miss vertex 0.
+the programs for their targets, residuals and dual checks, and for their
+rows through simplicial.boundary_block, which keeps those of the faces that
+miss vertex 0 and only fills the tableau.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .simplicial import (
     _check_counts,
     boundary_block,
     boundary_rows,
+    coboundary_rows,
     enumerate_simplices,
     face_ranks,
     simplex_at,
@@ -173,10 +175,11 @@ def bounding_sweep(weights: np.ndarray, n: int, k: int, cols: Optional[np.ndarra
     certified against rounding drift in the warm-started tableau: the chain
     passes a residual check on all faces (a target that is not a boundary
     fails there), and the dual y, zero on the dropped rows, must satisfy
-    |coboundary(y)| <= w (1 + tol) + tol max(w) on cols and
-    <target, y> = cost to tol = lp.DEFAULT_TOL, or LPError is raised.  It is
-    the one dual check: by weak duality cost is optimal, and y, an embedding
-    column in coboundary, never expands w.  The peak is the kept rows and two
+    |coboundary(y)| <= w (1 + tol) + tol max(w) on cols, read by the
+    face-table gather, and <target, y> = cost to tol = lp.DEFAULT_TOL, or
+    LPError is raised.  It is the one dual check: by weak duality cost is
+    optimal, and y, an embedding column in coboundary, never expands w.  The
+    kept block only fills the tableau and is not held, so the peak is two
     tableaux (a pivot's update is one); a program over the byte budget is
     refused with ValueError before any allocation (_check_bytes).
     """
@@ -189,12 +192,11 @@ def bounding_sweep(weights: np.ndarray, n: int, k: int, cols: Optional[np.ndarra
     if targets is None:
         targets = (boundary_rows(faces[:, [i]], np.ones(1), size) for i in range(faces.shape[1]))
     m = size - first
-    _check_bytes("bounding-chain LP", 8 * (m * cols.size + 2 * (m + 1) * (cols.size + m + 1)))
+    _check_bytes("bounding-chain LP", 8 * 2 * (m + 1) * (cols.size + m + 1))
     allowed = faces[:, cols]
-    Br = boundary_block(allowed, size, first)
     scale = float(w[cols].max(initial=0.0)) or 1.0
     c = w[cols] / scale
-    simplex = Simplex(Br, c, c)
+    simplex = Simplex(boundary_block(allowed, size, first), c, c)
     for target in targets:
         unit = float(np.abs(target).max(initial=0.0)) or 1.0
         target = target / unit
@@ -202,7 +204,9 @@ def bounding_sweep(weights: np.ndarray, n: int, k: int, cols: Optional[np.ndarra
         sol = simplex.solve(b)
         if sol.status == "infeasible":
             raise UnfillableBoundaryError("boundary not fillable on the allowed simplices")
-        expansion = (np.abs(Br.T @ sol.y) - c * (1.0 + DEFAULT_TOL)).max(initial=0.0)
+        y = np.zeros(size)
+        y[first:] = sol.y
+        expansion = (np.abs(coboundary_rows(allowed, y)) - c * (1.0 + DEFAULT_TOL)).max(initial=0.0)
         gap = abs(float(b @ sol.y) - sol.objective)
         if expansion > DEFAULT_TOL or gap > DEFAULT_TOL * max(1.0, sol.objective):
             raise LPError(
@@ -217,9 +221,7 @@ def bounding_sweep(weights: np.ndarray, n: int, k: int, cols: Optional[np.ndarra
             )
         coeffs = np.zeros(faces.shape[1])
         coeffs[cols] = sol.x * unit
-        y = np.zeros(size)
-        y[first:] = sol.y * scale
-        yield sol.objective * scale * unit, Chain(n=n, dim=dim, coeffs=coeffs), y
+        yield sol.objective * scale * unit, Chain(n=n, dim=dim, coeffs=coeffs), y * scale
 
 
 def min_bounding_chain(

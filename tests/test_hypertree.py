@@ -25,8 +25,7 @@ from kmetrics import (
     random_2hypertree,
     random_spanning_tree,
 )
-from kmetrics.hypertree import _kept_block
-from kmetrics.simplicial import MAX_LP_BYTES
+from kmetrics.simplicial import MAX_LP_BYTES, boundary_block, face_ranks
 from oracles import cycle_space_dim_by_rank, dijkstra_all_pairs, random_2hypertree_by_deletion
 
 SUBDIVISION = ((0, 1, 4), (0, 3, 4), (1, 2, 5), (1, 4, 5), (0, 2, 3), (2, 3, 5), (3, 4, 5))
@@ -303,6 +302,28 @@ def test_a_hypertree_block_over_the_byte_budget_is_refused_before_allocating():
     assert peak < MAX_LP_BYTES / 10
 
 
+def test_l1_peak_is_within_its_byte_request(monkeypatch):
+    # n=60: F and three 1,711 x 1,711 blocks are traced, about 90 MiB; a kept
+    # block held through the residual would make it 112 MiB.  The request also
+    # counts the block's two LAPACK copies in the solve, which are not traced
+    import tracemalloc
+
+    from kmetrics import hypertree
+
+    requests, check = [], hypertree._check_bytes
+    monkeypatch.setattr(hypertree, "_check_bytes",
+                        lambda what, needed: (requests.append(needed), check(what, needed)))
+    K = _star(60)  # the peak depends on the sizes alone; the star is the quickest to build
+    tracemalloc.start()
+    try:
+        hypertree_to_l1(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(requests) == 1
+    assert peak < 100 * 2**20 and peak <= requests[0]
+
+
 def test_random_2hypertree_over_the_byte_budget_is_refused_before_allocating():
     # n=200: the Gram-Schmidt basis would be 19,900 x 19,701 floats, 3.1 GB
     import tracemalloc
@@ -345,9 +366,16 @@ def _swaps(n, seed, count):
             yield tuple(sorted(K.facets[:out] + K.facets[out + 1:] + (new,)))
 
 
+def _kept_block(K):
+    """The facet columns of the boundary, on the rows of the faces that miss vertex 0."""
+    n, k = K.n, K.k
+    return boundary_block(face_ranks(n, k - 1)[:, K.facet_indices()], comb(n, k - 1),
+                          comb(n - 1, k - 2))
+
+
 def _lu_flags(K):
     try:
-        np.linalg.solve(_kept_block(K, 0).T, np.eye(len(K.facets)))
+        np.linalg.solve(_kept_block(K).T, np.eye(len(K.facets)))
     except np.linalg.LinAlgError:
         return True
     return False
@@ -372,7 +400,7 @@ def test_l1_verdict_matches_the_rank():
             unflagged += 1
             # the facet cycle light and the rest heavy: a residual measured
             # against the largest weight alone would pass this one
-            cycle = np.abs(np.linalg.svd(_kept_block(K, 0))[2][-1]) > 1e-8
+            cycle = np.abs(np.linalg.svd(_kept_block(K))[2][-1]) > 1e-8
             light = np.where(cycle, 1e-6, 1e6)
             weightings.append(WeightedComplex(n=n, k=k, facets=facets, weights=light))
         for L in weightings:

@@ -217,6 +217,23 @@ def test_sweep_refuses_an_uncertified_optimum(monkeypatch):
             run()
 
 
+def test_a_dual_that_keeps_the_objective_but_expands_is_refused(monkeypatch):
+    # y moved orthogonally to b keeps <b, y> = cost, so only the gathered
+    # |coboundary(y)| <= w check can refuse it
+    solve_b = Simplex.solve
+
+    def tilted(self, b):
+        sol = solve_b(self, b)
+        r = np.random.default_rng(0).standard_normal(b.size)
+        r -= (r @ b) / (b @ b) * b
+        return LPSolution(sol.status, sol.x, sol.y + 10.0 * r, sol.objective)
+
+    d = random_strong_metric(6, 3, 32).payload
+    monkeypatch.setattr(Simplex, "solve", tilted)
+    with pytest.raises(LPError, match="not certified: dual excess"):
+        check_strong(d)
+
+
 def test_dual_simplex_detects_infeasible_and_recovers():
     simplex = Simplex(np.array([[1.0, 1.0]]), np.array([1.0, 2.0]), np.inf)
     assert simplex.solve(np.array([1.0])).objective == pytest.approx(1.0)
@@ -224,6 +241,18 @@ def test_dual_simplex_detects_infeasible_and_recovers():
     again = simplex.solve(np.array([2.0]))
     assert again.status == "optimal"
     assert again.objective == pytest.approx(2.0)
+
+
+def test_the_simplex_holds_no_reference_to_its_matrix():
+    # A only fills the tableau, so a caller that drops A frees it
+    import weakref
+
+    A = np.array([[1.0, 1.0]])
+    dropped = weakref.ref(A)
+    simplex = Simplex(A, np.array([1.0, 2.0]), np.inf)
+    del A
+    assert dropped() is None
+    assert simplex.solve(np.array([1.0])).objective == pytest.approx(1.0)
 
 
 def test_dual_simplex_warm_starts_match_cold_solves():

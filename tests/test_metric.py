@@ -256,8 +256,8 @@ def test_strong_verdict_survives_tiny_scale():
 
 
 def test_an_lp_over_the_byte_budget_is_refused_before_allocating():
-    # n=120, k=3: 280,840 tuples pass MAX_SIMPLICES, but the 7,021 kept
-    # rows and the two tableaux would take about 45 GiB
+    # n=120, k=3: 280,840 tuples pass MAX_SIMPLICES, but the two tableaux
+    # would take about 45 GiB
     import tracemalloc
 
     d = discrete_metric(120, 3).payload
@@ -269,6 +269,30 @@ def test_an_lp_over_the_byte_budget_is_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < MAX_LP_BYTES / 10
+
+
+@pytest.mark.parametrize("n", [25, 30])
+def test_the_sweep_peaks_at_its_two_tableaux(n, monkeypatch):
+    # the kept block only fills the tableau; held beside it for the whole
+    # sweep, it would raise the first target's peak to about 1.47 times this
+    import tracemalloc
+
+    from kmetrics import metric
+
+    requests, check = [], metric._check_bytes
+    monkeypatch.setattr(metric, "_check_bytes",
+                        lambda what, needed: (requests.append(needed), check(what, needed)))
+    m, count = comb(n - 1, 2), comb(n, 3)
+    two_tableaux = 2 * 8 * (m + 1) * (count + m + 1)
+    d = discrete_metric(n, 3).payload
+    tracemalloc.start()
+    try:
+        next(bounding_sweep(d.values, n, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert requests == [two_tableaux]
+    assert peak <= 1.1 * two_tableaux
 
 
 def test_weak_check_holds_no_tuple_by_point_matrix():
