@@ -21,7 +21,7 @@ import numpy as np
 from .metric import KMetric, VALUE_TOL, bounding_sweep
 from .simplicial import (
     Chain, SimplexKey, _check_bytes, boundary_rows, coboundary_rows, face_ranks, simplex_at,
-    simplex_index,
+    simplex_index, simplex_rows,
 )
 
 # Entries that eval_coboundary_metric and volume_metric gather at once (0.5 MB of floats).
@@ -94,7 +94,7 @@ class ChainMatrix:
 
 def eval_coboundary_metric(F: ChainMatrix, norm: NormSpec) -> KMetric:
     """Arity-k table whose entry at t is the p-norm of row t of coboundary(F)."""
-    faces = face_ranks(F.n, F.k - 1)
+    faces = face_ranks(F.n, simplex_rows(F.n, F.k - 1))
     step = max(1, _EVAL_BLOCK // F.m)  # tuples whose coboundary rows are held at a time
     norms = [
         norm.row_norms(coboundary_rows(faces[:, a : a + step], F.data))
@@ -128,11 +128,11 @@ def frechet_column(d: KMetric, t: Sequence[int]):
     if len(t) != d.k:
         raise ValueError(f"expected a {d.k}-tuple, got {tuple(t)}")
     idx = simplex_index(d.n, t)
-    faces = face_ranks(d.n, d.k - 1)
-    target = boundary_rows(faces[:, [idx]], np.ones(1), comb(d.n, d.k - 1))
+    faces = face_ranks(d.n, np.array([t]))  # t's column alone; simplex_index checked t
+    target = boundary_rows(faces, np.ones(1), comb(d.n, d.k - 1))
     cost, _, y = next(bounding_sweep(d.values, d.n, d.k, targets=[target]))
     y = _strong_column(d, idx, cost, y)
-    return Chain(n=d.n, dim=d.k - 2, coeffs=y), float(coboundary_rows(faces[:, [idx]], y)[0])
+    return Chain(n=d.n, dim=d.k - 2, coeffs=y), float(coboundary_rows(faces, y)[0])
 
 
 def frechet_embed(d: KMetric, jobs: int = 1) -> ChainMatrix:

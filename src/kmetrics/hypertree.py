@@ -7,7 +7,8 @@ shortest-path metric).  A hypertree is a facet set that is acyclic in the
 top dimension yet still bounds every cycle one dimension down: two ranks,
 read on the kept rows of simplicial.boundary_block, where a hypertree's block
 is square and nonsingular.  One solve of that block against the weights
-embeds its metric exactly into an entrywise-1-norm coboundary table.
+embeds its metric exactly into an entrywise-1-norm coboundary table.  Both
+read the face positions of the facets alone, never those of all k-tuples.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def is_hypertree(K: WeightedComplex) -> HypertreeReport:
     """
     first, cyc = comb(K.n - 1, K.k - 2), cycle_space_dim(K.n, K.k - 2)
     _check_bytes("hypertree block", 2 * 8 * cyc * len(K.facets))
-    faces = face_ranks(K.n, K.k - 1)[:, K.facet_indices()]
+    faces = face_ranks(K.n, np.array(K.facets))
     rank = int(np.linalg.matrix_rank(boundary_block(faces, first + cyc, first), tol=RANK_TOL))
     acyclic = rank == len(K.facets)
     fills = rank == cyc
@@ -157,7 +158,7 @@ def hypertree_to_l1(K: WeightedComplex) -> ChainMatrix:
     first, size = comb(K.n - 1, K.k - 2), comb(K.n, K.k - 1)
     # F beside the block, diag(w), the solve's answer and its two LAPACK copies
     _check_bytes("hypertree solve", 8 * (size + 5 * count) * count)
-    faces = face_ranks(K.n, K.k - 1)[:, K.facet_indices()]
+    faces = face_ranks(K.n, np.array(K.facets))
     target = np.diag(K.weights)
     F = np.zeros((size, count))  # zero on the faces through vertex 0
     try:
@@ -199,7 +200,8 @@ def random_2hypertree(n: int, seed: int) -> WeightedComplex:
     shape = (comb(n, 2), cycle_space_dim(n, 1))
     _check_bytes("Gram-Schmidt basis", 8 * shape[0] * shape[1])
     rng = np.random.default_rng(seed)
-    faces = face_ranks(n, 2)
+    rows = simplex_rows(n, 2)
+    faces = face_ranks(n, rows)
     Q = np.zeros(shape)
     kept = []
     for j in rng.permutation(faces.shape[1])[::-1]:
@@ -214,6 +216,6 @@ def random_2hypertree(n: int, seed: int) -> WeightedComplex:
         if norm > RANK_TOL:
             Q[:, len(kept)] = v / norm
             kept.append(j)
-    facets = tuple(map(tuple, simplex_rows(n, 2)[sorted(kept)].tolist()))
+    facets = tuple(map(tuple, rows[sorted(kept)].tolist()))
     weights = rng.uniform(0.5, 2.0, size=len(facets))
     return WeightedComplex(n=n, k=3, facets=facets, weights=weights)

@@ -7,15 +7,15 @@ inequality (replace one point at a time); the strong property bounds the
 value at t by the weighted mass of every chain whose boundary matches the
 boundary of the indicator of t, and is decided here by one small linear
 program per tuple, all solved as one warm-started sweep.  Both checks read
-the incidence from face_ranks alone: the weak one through a coface table,
-the programs for their targets, residuals and dual checks, and for their
-rows through simplicial.boundary_block, which keeps those of the faces that
-miss vertex 0 and only fills the tableau.
+the incidence from face_ranks alone, on the rows they list once: the weak
+one through a coface table, the programs for their targets, residuals and
+dual checks, and for their rows through simplicial.boundary_block, which
+keeps those of the faces that miss vertex 0 and only fills the tableau.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb, isfinite
 from typing import Iterable, Optional, Sequence
 
@@ -132,7 +132,7 @@ def check_weak(d: KMetric, tol: float = VALUE_TOL) -> VerificationReport:
     _check_tol(tol)
     rows = simplex_rows(d.n, d.k - 1)
     count = rows.shape[0]
-    faces = face_ranks(d.n, d.k - 1)
+    faces = face_ranks(d.n, rows)
     coface = np.full((comb(d.n, d.k - 1), d.n), count)
     for face, vertex in zip(faces, rows.T):
         coface[face, vertex] = np.arange(count)
@@ -181,18 +181,19 @@ def bounding_sweep(weights: np.ndarray, n: int, k: int, cols: Optional[np.ndarra
     optimal, and y, an embedding column in coboundary, never expands w.  The
     kept block only fills the tableau and is not held, so the peak is two
     tableaux (a pivot's update is one); a program over the byte budget is
-    refused with ValueError before any allocation (_check_bytes).
+    refused with ValueError before anything is listed or allocated (_check_bytes).
     """
     w = np.asarray(weights, dtype=float)
     dim = k - 1
-    faces = face_ranks(n, dim)
     size, first = comb(n, dim), comb(n - 1, dim - 1)
+    m = size - first
+    width = comb(n, k) if cols is None else cols.size
+    _check_bytes("bounding-chain LP", 8 * 2 * (m + 1) * (width + m + 1))
+    faces = face_ranks(n, simplex_rows(n, dim))
     if cols is None:
         cols = np.arange(faces.shape[1])
     if targets is None:
         targets = (boundary_rows(faces[:, [i]], np.ones(1), size) for i in range(faces.shape[1]))
-    m = size - first
-    _check_bytes("bounding-chain LP", 8 * 2 * (m + 1) * (cols.size + m + 1))
     allowed = faces[:, cols]
     scale = float(w[cols].max(initial=0.0)) or 1.0
     c = w[cols] / scale
@@ -286,27 +287,21 @@ def check_strong(
     default the scan stops at the first failing tuple in canonical order;
     exhaustive mode records the margin of every tuple.  The tuples are one
     sequential sweep, so jobs has no effect; it is kept for callers that
-    pass it.  The sweep runs before the weak pass, so a table too large for
-    the LP budget is refused without paying for the weak pass first, and
-    tuples are made only for the witness and the swept margins.
+    pass it.  Nothing is listed before the sweep, so a table over the LP
+    budget is refused before any allocation; the sweep, the margins and the
+    weak pass list the order once each, and tuples are made only for the
+    witness and the swept margins.
     """
     _check_tol(tol)
-    values, costs, witness = d.values.tolist(), [], None
+    costs, witness = [], None
     for i, (cost, chain, _) in enumerate(bounding_sweep(d.values, d.n, d.k)):
         costs.append(cost)
-        if witness is None and cost < values[i] * (1.0 - tol):
-            witness = StrongWitness(simplex_at(d.n, d.k - 1, i), values[i], cost, chain)
+        value = float(d.values[i])
+        if witness is None and cost < value * (1.0 - tol):
+            witness = StrongWitness(simplex_at(d.n, d.k - 1, i), value, cost, chain)
             if not exhaustive:
                 break
     swept = map(tuple, simplex_rows(d.n, d.k - 1)[: len(costs)].tolist())
-    margins = tuple(zip(swept, costs, values))
-
-    weak = check_weak(d, tol=tol)
-    return VerificationReport(
-        is_weak=weak.is_weak,
-        weak_violations=weak.weak_violations,
-        pseudo_violations=weak.pseudo_violations,
-        is_strong=witness is None,
-        strong_witness=witness,
-        strong_margins=margins,
-    )
+    margins = tuple(zip(swept, costs, d.values[: len(costs)].tolist()))
+    return replace(check_weak(d, tol=tol), is_strong=witness is None, strong_witness=witness,
+                   strong_margins=margins)

@@ -3,10 +3,10 @@
 Vertices are integers 0..n-1.  A simplex of dimension d is stored canonically
 as a strictly increasing tuple of d+1 vertices, and the simplices of one
 dimension are ordered lexicographically, as simplex_rows lists them and
-simplex_at picks one.  face_ranks states the incidence once: coboundary_rows
-gathers over it, boundary_rows scatters over it, and boundary_block builds
-every dense boundary from it; its docstring shows why the rows of the faces
-that miss vertex 0 decide every boundary.
+simplex_at picks one.  face_ranks states the incidence once, for given rows:
+coboundary_rows gathers over it, boundary_rows scatters over it, and
+boundary_block builds every dense boundary from it; its docstring shows why
+the rows of the faces that miss vertex 0 decide every boundary.
 
 simplex_index alone maps a canonical s_1 < ... < s_k to its position, the
 combinadic rank C(n, k) - 1 - sum_{j=1..k} C(n - 1 - s_j, k + 1 - j): the
@@ -212,12 +212,11 @@ class LinearChainOperator:
         object.__setattr__(self, "matrix", _freeze(np.array(arr)))
 
 
-def face_ranks(n: int, dim: int) -> np.ndarray:
-    """Face positions of each dim-simplex (a column): row i drops vertex i, sign (-1)**i."""
-    if dim < 1:
-        raise ValueError(f"boundary is defined for dimension >= 1, got {dim}")
-    simplices = simplex_rows(n, dim)
-    return np.stack([simplex_index(n, np.delete(simplices, i, 1)) for i in range(dim + 1)])
+def face_ranks(n: int, rows: np.ndarray) -> np.ndarray:
+    """Face positions of each given canonical row (a column): row i drops vertex i, sign (-1)**i."""
+    if rows.shape[1] < 2:
+        raise ValueError(f"boundary is defined for dimension >= 1, got {rows.shape[1] - 1}")
+    return np.stack([simplex_index(n, np.delete(rows, i, 1)) for i in range(rows.shape[1])])
 
 
 def coboundary_rows(faces: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -240,7 +239,7 @@ def boundary_rows(faces: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
 def boundary_block(faces: np.ndarray, size: int, first: int = 0, dtype=float) -> np.ndarray:
     """Dense boundary of the columns of faces, keeping the face rows first..size-1.
 
-    faces is face_ranks(n, dim) or a subset of its columns, size the count
+    faces is face_ranks of some dim-simplices on n vertices, size the count
     C(n, dim) of faces, and entry (f - first, j) is the sign (-1)**i of the
     face f = faces[i, j]; first=0 keeps every row.
 
@@ -270,7 +269,7 @@ def boundary_operator(n: int, dim: int) -> LinearChainOperator:
     """
     if dim >= 1:  # face_ranks refuses the rest
         _check_bytes("dense operator", 2 * 8 * comb(n, dim) * comb(n, dim + 1))
-    mat = boundary_block(face_ranks(n, dim), comb(n, dim), dtype=np.int64)
+    mat = boundary_block(face_ranks(n, simplex_rows(n, dim)), comb(n, dim), dtype=np.int64)
     return LinearChainOperator(n=n, src_dim=dim, dst_dim=dim - 1, matrix=mat)
 
 

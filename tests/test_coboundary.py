@@ -30,7 +30,7 @@ from kmetrics import (
 from kmetrics import WeightedComplex, coboundary
 from kmetrics.corpus import four_point_equilateral, random_strong_metric, subdivided_triangle
 from kmetrics.hypertree import mbc_metric
-from kmetrics.simplicial import coboundary_rows, face_ranks
+from kmetrics.simplicial import coboundary_rows, face_ranks, simplex_rows
 from oracles import random_closure_2metric, relabel_chain_matrix, relabel_kmetric
 
 
@@ -136,7 +136,7 @@ def test_blocked_eval_is_bit_identical_to_one_gather(monkeypatch):
         if block is not None:
             monkeypatch.setattr(coboundary, "_EVAL_BLOCK", block)
         F = ChainMatrix(n=n, k=k, data=rng.standard_normal((comb(n, k - 1), m)))
-        rows = coboundary_rows(face_ranks(n, k - 1), F.data)
+        rows = coboundary_rows(face_ranks(n, simplex_rows(n, k - 1)), F.data)
         for p in (1, 2, math.inf):
             got = eval_coboundary_metric(F, NormSpec(p)).values
             assert np.array_equal(got, NormSpec(p).row_norms(rows)), (n, k, m, block, p)

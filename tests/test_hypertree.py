@@ -369,8 +369,7 @@ def _swaps(n, seed, count):
 def _kept_block(K):
     """The facet columns of the boundary, on the rows of the faces that miss vertex 0."""
     n, k = K.n, K.k
-    return boundary_block(face_ranks(n, k - 1)[:, K.facet_indices()], comb(n, k - 1),
-                          comb(n - 1, k - 2))
+    return boundary_block(face_ranks(n, np.array(K.facets)), comb(n, k - 1), comb(n - 1, k - 2))
 
 
 def _lu_flags(K):

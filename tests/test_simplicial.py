@@ -201,7 +201,8 @@ def test_face_table_and_gather_match_the_search_oracle():
     for n in range(2, 9):
         for dim in range(1, n):
             ref = boundary_matrix_reference(n, dim)
-            faces = face_ranks(n, dim)
+            rows = simplex_rows(n, dim)
+            faces = face_ranks(n, rows)
             cols = np.arange(ref.shape[1])
             dense = np.zeros_like(ref)
             for i, face in enumerate(faces):
@@ -211,6 +212,9 @@ def test_face_table_and_gather_match_the_search_oracle():
             X = rng.integers(-9, 10, size=(ref.shape[0], 3))
             assert np.array_equal(coboundary_rows(faces, X), ref.T @ X)  # exact on integers
             assert np.array_equal(coboundary_rows(faces, X[:, 0]), ref.T @ X[:, 0])
+            # some rows in shuffled order give those columns, as the hypertree paths rank facets
+            picked = rng.permutation(ref.shape[1])[: max(1, ref.shape[1] // 2)]
+            assert np.array_equal(face_ranks(n, rows[picked]), faces[:, picked])
 
 
 def test_face_table_scatter_matches_the_search_oracle():
@@ -219,7 +223,7 @@ def test_face_table_scatter_matches_the_search_oracle():
         for dim in range(1, n):
             ref = boundary_matrix_reference(n, dim)
             x = rng.integers(-9, 10, size=ref.shape[1])
-            out = boundary_rows(face_ranks(n, dim), x.astype(float), ref.shape[0])
+            out = boundary_rows(face_ranks(n, simplex_rows(n, dim)), x.astype(float), ref.shape[0])
             assert np.array_equal(out, ref @ x)  # exact on integers
 
 
@@ -282,6 +286,89 @@ def test_one_budget_refuses_every_dense_build(monkeypatch):
             pytest.fail(f"{name} built past the budget")
 
 
+def _patch_simplex_rows(monkeypatch, replacement):
+    """Put replacement in place of simplex_rows in every kmetrics module that imports it."""
+    import sys
+
+    modules = [mod for name, mod in sys.modules.items()
+               if name.startswith("kmetrics") and hasattr(mod, "simplex_rows")]
+    assert {"simplicial", "metric", "coboundary", "hypertree"} <= {
+        mod.__name__.rsplit(".", 1)[-1] for mod in modules}
+    for mod in modules:
+        monkeypatch.setattr(mod, "simplex_rows", replacement)
+
+
+def test_the_lp_budget_refuses_before_anything_is_listed(monkeypatch):
+    # n=200, k=3: 1,313,400 tuples pass MAX_SIMPLICES, but the bounding-chain
+    # tableaux would take 4.2e+11 bytes (6.2e+9 on three facets); listing and
+    # ranking the tuples first took seconds and a 100 MB peak before the refusal
+    import tracemalloc
+
+    from kmetrics import (
+        WeightedComplex, check_strong, frechet_column, frechet_embed, mbc_metric,
+        min_bounding_chain,
+    )
+    from kmetrics.corpus import discrete_metric, random_strong_metric
+
+    d = discrete_metric(200, 3).payload
+    K = WeightedComplex(n=200, k=3, facets=((0, 1, 2), (0, 1, 3), (1, 2, 3)), weights=np.ones(3))
+    target = zero_chain(200, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simplices listed before the byte budget")
+
+    _patch_simplex_rows(monkeypatch, refuse)
+    builds = {
+        "check_strong": lambda: check_strong(d),
+        "frechet_embed": lambda: frechet_embed(d),
+        "frechet_column": lambda: frechet_column(d, (0, 1, 2)),
+        "min_bounding_chain": lambda: min_bounding_chain(d.values, target),
+        "mbc_metric": lambda: mbc_metric(K),
+        "random_strong_metric": lambda: random_strong_metric(200, 3, 0),
+    }
+    for name, build in builds.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="bounding-chain LP needs .* bytes, budget"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if name.startswith(("check_strong", "frechet")):  # the others draw or check C(n,k) weights
+            assert peak < 2**20, (name, peak)
+
+
+def test_each_library_path_lists_the_canonical_order_at_most_once(monkeypatch):
+    from kmetrics import (
+        KMetric, check_strong, check_weak, frechet_column, hypertree_to_l1, is_hypertree,
+        random_2hypertree,
+    )
+
+    d = KMetric(n=6, k=3, values=np.ones(comb(6, 3)))
+    K = random_2hypertree(6, 0)
+    calls = []
+
+    def counted(n, dim):
+        calls.append((n, dim))
+        return simplex_rows(n, dim)
+
+    _patch_simplex_rows(monkeypatch, counted)
+    runs = {
+        "check_weak": (lambda: check_weak(d), 1),
+        "check_strong": (lambda: check_strong(d, exhaustive=True), 3),
+        "random_2hypertree": (lambda: random_2hypertree(6, 0), 1),
+        "is_hypertree": (lambda: is_hypertree(K), 0),
+        "hypertree_to_l1": (lambda: hypertree_to_l1(K), 0),
+        "frechet_column": (lambda: frechet_column(d, (0, 2, 5)), 1),
+        "frechet_column twice": (
+            lambda: [frechet_column(d, t) for t in [(0, 1, 2), (3, 4, 5)]], 2),
+    }
+    for name, (run, expected) in runs.items():
+        calls.clear()
+        run()
+        assert len(calls) == expected, (name, calls)
+
+
 def test_boundary_squares_to_zero():
     for n in range(3, 9):
         for dim in range(2, min(4, n)):
@@ -338,7 +425,7 @@ def test_kept_boundary_block_matches_the_search_oracle():
         for dim in range(1, min(n, 5)):
             ref = boundary_matrix_reference(n, dim)
             full = boundary_operator(n, dim).matrix
-            faces = face_ranks(n, dim)
+            faces = face_ranks(n, simplex_rows(n, dim))
             first = comb(n - 1, dim - 1)
             lower = enumerate_simplices(n, dim - 1)
             assert all(0 in f for f in lower[:first]) and all(0 not in f for f in lower[first:])
