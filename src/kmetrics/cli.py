@@ -48,7 +48,6 @@ from .fileio import (
 from .hypertree import HypertreeReport, NotHypertreeError, hypertree_to_l1, is_hypertree
 from .lp import LPError
 from .metric import (
-    VALUE_TOL,
     KMetric,
     UnfillableBoundaryError,
     check_strong,
@@ -71,8 +70,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_p(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
     try:
         return float(text)
     except ValueError:
@@ -135,7 +132,7 @@ def _chain_support(chain) -> list:
 
 # gen name -> maker of its corpus instance, in the order usage messages list them
 _MAKERS = {
-    "subdivided-triangle": lambda args, inputs: corpus.subdivided_triangle(high=args.high),
+    "subdivided-triangle": lambda args, inputs: corpus.subdivided_triangle(),
     "discrete": lambda args, inputs: corpus.discrete_metric(args.n, args.k),
     "four-point-equilateral": lambda args, inputs: corpus.four_point_equilateral(),
     "six-point-apex-discrete": lambda args, inputs: corpus.six_point_apex_discrete(),
@@ -156,7 +153,6 @@ def build_parser() -> _Parser:
     p.add_argument("metric")
     p.add_argument("--strong", action="store_true")
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--tol", type=float, default=VALUE_TOL)
 
     p = sub.add_parser("min-chain", help="cheapest facet chain bounding a tuple")
     p.add_argument("complex")
@@ -172,7 +168,6 @@ def build_parser() -> _Parser:
     q.add_argument("chains")
     q.add_argument("--eps", type=float, required=True)
     q.add_argument("--seed", type=int, required=True)
-    q.add_argument("--cprime", type=float, default=8.0)
     q.add_argument("-o", "--output", required=True)
     q = esub.add_parser("l2lp", help="re-norm a Euclidean table into p-norm columns")
     q.add_argument("chains")
@@ -206,7 +201,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--high", type=float, default=10.0)
     p.add_argument("--points", help="cloud file for perimeter/max-side")
     p.add_argument("-o", "--output", required=True)
 
@@ -219,9 +213,9 @@ def build_parser() -> _Parser:
 def _cmd_verify(args, inputs, outputs):
     d = _read(read_kmetric, args.metric, inputs)
     if args.strong:
-        report = check_strong(d, exhaustive=args.exhaustive, tol=args.tol)
+        report = check_strong(d, exhaustive=args.exhaustive)
     else:
-        report = check_weak(d, tol=args.tol)
+        report = check_weak(d)
     results = {
         "n": d.n,
         "k": d.k,
@@ -283,7 +277,7 @@ def _cmd_embed(args, inputs, outputs):
     F = _read(read_chain_matrix, args.chains, inputs)
     if args.mode == "jl":
         p = 2
-        m_target = jl_target_dim(F.n, F.k, args.eps, args.cprime)
+        m_target = jl_target_dim(F.n, F.k, args.eps)
         projected = random_project(F, m_target, NormSpec(p), args.seed)
     else:  # l2lp
         p = _parse_p(args.p)

@@ -180,13 +180,13 @@ def random_project(
     return ChainMatrix(n=F.n, k=F.k, data=data)
 
 
-def jl_target_dim(n: int, k: int, eps: float, cprime: float = 8.0) -> int:
-    """Projection dimension preserving all tuple values within 1 +/- eps whp."""
+def jl_target_dim(n: int, k: int, eps: float) -> int:
+    """Projection dimension 8 k log(n) / eps^2: every tuple value within 1 +/- eps whp."""
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    columns = cprime * k * math.log(n) / (eps * eps)
-    if not (cprime > 0.0 and math.isfinite(columns)):
-        raise ValueError(f"cprime must be positive with a finite dimension, got {cprime}")
+    columns = 8.0 * k * math.log(n) / (eps * eps) if eps * eps else math.inf
+    if not math.isfinite(columns):
+        raise ValueError(f"eps {eps} gives no finite projection dimension")
     return math.ceil(columns)
 
 

@@ -49,14 +49,14 @@ def subdivision_chain() -> Chain:
     return chain_from_dict(6, 2, {t: 1.0 for t in SUBDIVISION_TRIANGLES})
 
 
-def subdivided_triangle(high: float = 10.0) -> CorpusInstance:
+def subdivided_triangle() -> CorpusInstance:
     """Weak-but-not-strong 3-metric: cheap subdivision triangles, dear rest.
 
     The seven subdivision triangles cost 1 and every other triple costs
-    `high`; the subdivision chain then bounds the corner triple (0, 1, 2)
-    at total cost 7, undercutting its table value.
+    10; the subdivision chain then bounds the corner triple (0, 1, 2) at
+    total cost 7, undercutting its table value.
     """
-    values = np.full(comb(6, 3), float(high))
+    values = np.full(comb(6, 3), 10.0)
     for t in SUBDIVISION_TRIANGLES:
         values[simplex_index(6, tuple(sorted(t)))] = 1.0
     payload = KMetric(n=6, k=3, values=values)
@@ -68,7 +68,7 @@ def subdivided_triangle(high: float = 10.0) -> CorpusInstance:
             "strong": False,
             "witness_simplex": (0, 1, 2),
             "witness_cost": 7.0,
-            "witness_value": float(high),
+            "witness_value": 10.0,
         },
         aux={"filling_chain": subdivision_chain()},
     )
@@ -180,9 +180,9 @@ def random_strong_metric(n: int, k: int, seed: int) -> CorpusInstance:
     satisfy the strong inequality by construction; equal costs everywhere
     reduce to a scaled discrete table.
     """
-    count = _check_counts(n, k - 1)
     if k < 2:
         raise ValueError(f"arity must be at least 2, got {k}")
+    count = _check_counts(n, k - 1)
     weights = np.random.default_rng(seed).uniform(*_WEIGHT_RANGE, size=count)
     values = np.array([cost for cost, _, _ in bounding_sweep(weights, n, k)])
     return CorpusInstance(

@@ -16,7 +16,7 @@ keeps those of the faces that miss vertex 0 and only fills the tableau.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import comb, isfinite
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -107,21 +107,14 @@ class VerificationReport:
     strong_margins: tuple = ()
 
 
-def _check_tol(tol: float) -> None:
-    if not (isfinite(tol) and tol < 1.0):
-        raise ValueError(f"tolerance must be finite and below 1, got {tol}")
-
-
-def check_weak(d: KMetric, tol: float = VALUE_TOL) -> VerificationReport:
+def check_weak(d: KMetric) -> VerificationReport:
     """Test the one-point replacement inequality at every tuple.
 
     For each k-subset t and outside point y the value at t must not exceed
     the sum of the values with one vertex of t swapped for y, up to the
-    relative tolerance tol.  Zero values on distinct tuples do not fail the
-    check but are reported so callers can see the table is pseudo rather
-    than positive.  tol must be finite and below 1: at 1 or above no value
-    can exceed its totals, so the check, and the strong check that calls
-    it, would pass any table.
+    relative tolerance VALUE_TOL.  Zero values on distinct tuples do not
+    fail the check but are reported so callers can see the table is pseudo
+    rather than positive.
 
     Swapping t_i for y gives the face of t that drops t_i, plus y, so the
     totals are gathers through one coface table: coface[f, y] is the tuple
@@ -129,7 +122,6 @@ def check_weak(d: KMetric, tol: float = VALUE_TOL) -> VerificationReport:
     of each y are kept as codes t * n + y, sorted once into (t, y) order,
     and only the reported tuples are made from simplex_rows.
     """
-    _check_tol(tol)
     rows = simplex_rows(d.n, d.k - 1)
     count = rows.shape[0]
     faces = face_ranks(d.n, rows)
@@ -142,7 +134,7 @@ def check_weak(d: KMetric, tol: float = VALUE_TOL) -> VerificationReport:
         total = table[coface[faces[0], y]]
         for face in faces[1:]:  # summed in the order of i, as the inequality reads
             total = total + table[coface[face, y]]
-        codes.append(np.flatnonzero(d.values > total + tol * d.values) * d.n + y)
+        codes.append(np.flatnonzero(d.values > total + VALUE_TOL * d.values) * d.n + y)
     t, y = np.divmod(np.sort(np.concatenate(codes)), d.n)
     violations = [(tuple(s), v) for s, v in zip(rows[t].tolist(), y.tolist())]
     pseudo = tuple(map(tuple, rows[d.values == 0.0].tolist()))
@@ -240,7 +232,7 @@ def min_bounding_chain(
     Args:
         weights: nonnegative cost per simplex of dimension target.dim + 1.
         target: the boundary to fill.
-        mask: allowed simplices, as canonical vertex tuples or flat indices.
+        mask: allowed simplices, as flat indices into the canonical order.
 
     Returns:
         (cost, chain) with the chain living on the full simplex list.
@@ -257,12 +249,9 @@ def min_bounding_chain(
     if mask is not None:
         idx = []
         for item in mask:
-            if isinstance(item, (bool, np.bool_)):
-                raise ValueError(f"mask items must be simplices or flat indices, got {item!r}")
-            if isinstance(item, (int, np.integer)):
-                idx.append(int(item))
-            else:
-                idx.append(simplex_index(n, item))
+            if isinstance(item, bool) or not isinstance(item, (int, np.integer)):
+                raise ValueError(f"mask items must be flat simplex indices, got {item!r}")
+            idx.append(int(item))
         idx = np.asarray(idx, dtype=int)
         if idx.size and (idx.min() < 0 or idx.max() >= count):
             raise ValueError("mask index out of range")
@@ -277,31 +266,30 @@ def min_bounding_chain(
 def check_strong(
     d: KMetric,
     exhaustive: bool = False,
-    tol: float = VALUE_TOL,
     jobs: int = 1,
 ) -> VerificationReport:
     """Compare each table value with its minimum bounding-chain cost.
 
     The table is strong when no chain bounds the boundary of a tuple more
-    cheaply than the tuple's own value, up to the relative tolerance tol.  By
-    default the scan stops at the first failing tuple in canonical order;
-    exhaustive mode records the margin of every tuple.  The tuples are one
-    sequential sweep, so jobs has no effect; it is kept for callers that
-    pass it.  Nothing is listed before the sweep, so a table over the LP
-    budget is refused before any allocation; the sweep, the margins and the
-    weak pass list the order once each, and tuples are made only for the
-    witness and the swept margins.
+    cheaply than the tuple's own value, up to the relative tolerance
+    VALUE_TOL, which frechet_embed reads too.  By default the scan stops at
+    the first failing tuple in canonical order; exhaustive mode records the
+    margin of every tuple.  The tuples are one sequential sweep, so jobs has
+    no effect; it is kept for callers that pass it.  Nothing is listed
+    before the sweep, so a table over the LP budget is refused before any
+    allocation; the sweep, the margins and the weak pass list the order
+    once each, and tuples are made only for the witness and the swept
+    margins.
     """
-    _check_tol(tol)
     costs, witness = [], None
     for i, (cost, chain, _) in enumerate(bounding_sweep(d.values, d.n, d.k)):
         costs.append(cost)
         value = float(d.values[i])
-        if witness is None and cost < value * (1.0 - tol):
+        if witness is None and cost < value * (1.0 - VALUE_TOL):
             witness = StrongWitness(simplex_at(d.n, d.k - 1, i), value, cost, chain)
             if not exhaustive:
                 break
     swept = map(tuple, simplex_rows(d.n, d.k - 1)[: len(costs)].tolist())
     margins = tuple(zip(swept, costs, d.values[: len(costs)].tolist()))
-    return replace(check_weak(d, tol=tol), is_strong=witness is None, strong_witness=witness,
+    return replace(check_weak(d), is_strong=witness is None, strong_witness=witness,
                    strong_margins=margins)

@@ -164,13 +164,13 @@ def zero_chain(n: int, dim: int) -> Chain:
     return Chain(n=n, dim=dim, coeffs=np.zeros(comb(n, dim + 1)))
 
 
-def indicator_chain(n: int, sequence: Sequence[int], value: float = 1.0) -> Chain:
-    """Chain carrying `value` on the oriented simplex given by `sequence`.
+def indicator_chain(n: int, sequence: Sequence[int]) -> Chain:
+    """Chain carrying 1 on the oriented simplex given by `sequence`.
 
     The sequence may be unsorted; its permutation parity becomes the sign of
     the coefficient on the canonical simplex.
     """
-    return chain_from_dict(n, len(sequence) - 1, {tuple(sequence): value})
+    return chain_from_dict(n, len(sequence) - 1, {tuple(sequence): 1.0})
 
 
 def chain_from_dict(n: int, dim: int, entries: dict) -> Chain:

@@ -20,6 +20,7 @@ from kmetrics import KMetric, enumerate_simplices, orientation_sign, simplex_ind
 from kmetrics.coboundary import ChainMatrix
 from kmetrics.fileio import InputError
 from kmetrics.hypertree import WeightedComplex
+from kmetrics.metric import VALUE_TOL
 from kmetrics.simplicial import Chain, validate_simplex
 from kmetrics.volume import PointCloud
 
@@ -112,12 +113,12 @@ def relabel_chain_matrix(F: ChainMatrix, perm) -> ChainMatrix:
     return ChainMatrix(n=F.n, k=F.k, data=new_data)
 
 
-def check_weak_loop(d: KMetric, tol: float = 1e-6):
+def check_weak_loop(d: KMetric):
     """(violations, pseudo tuples) of the one-point replacement inequality.
 
     A dictionary from tuple to position and a loop over every (t, y, i):
     value(t) must not exceed the sum over i of the value with t's i-th vertex
-    swapped for y, up to the relative tolerance tol.
+    swapped for y, up to the relative tolerance VALUE_TOL.
     """
     simplices = enumerate_simplices(d.n, d.k - 1)
     index = {s: i for i, s in enumerate(simplices)}
@@ -129,7 +130,7 @@ def check_weak_loop(d: KMetric, tol: float = 1e-6):
             total = 0.0
             for i in range(d.k):
                 total += d.values[index[tuple(sorted(t[:i] + t[i + 1 :] + (y,)))]]
-            if value > total + tol * value:
+            if value > total + VALUE_TOL * value:
                 violations.append((t, y))
     pseudo = tuple(t for t, v in zip(simplices, d.values) if v == 0.0)
     return tuple(violations), pseudo

@@ -2,12 +2,14 @@
 
 perfbench/ lies outside the test paths, so this module imports its replay
 and its frontier script, with the run module that both start from (each fails
-if any name it imports from kmetrics is gone), and repeats, on a small table
-and a small hypertree, the calls and checks of the strong_k3 and hypertree_l1
-replays.  Nothing under perfbench/ is written, and sys.path is restored.
+if any name it imports from kmetrics is gone), and repeats, on a small table,
+a small point cloud and a small hypertree, the calls and checks of the
+strong_k3, weak_volume and hypertree_l1 replays.  Nothing under perfbench/
+is written, and sys.path is restored.
 """
 
 import importlib
+import json
 import math
 import sys
 from itertools import combinations
@@ -54,6 +56,26 @@ def test_replay_imports_and_its_strong_k3_calls_run(replay):
     F = replay.frechet_embed(d, jobs=replay.JOBS)
     back = replay.eval_coboundary_metric(F, replay.NormSpec(math.inf))
     assert back.values == pytest.approx(d.values, rel=1e-9)
+
+
+def test_replay_weak_volume_calls_run(replay, tmp_path):
+    wl = replay.wl
+    path = tmp_path / "cloud.json"
+    points = np.random.default_rng(3).standard_normal((8, 5))
+    path.write_text(json.dumps({"m": 5, "points": points.tolist()}), encoding="utf-8")
+    cloud = replay.read_cloud(str(path))
+    k, eps = wl.VOLUME_K, wl.JL_EPS
+    d = replay.volume_metric(cloud, k)
+    assert d.values == pytest.approx(wl.gram_volumes(cloud.points), rel=1e-9)
+    assert replay.check_weak(d).is_weak
+
+    F = replay.volume_to_coboundary(cloud, k)
+    P = replay.random_project(F, replay.jl_target_dim(F.n, F.k, eps), replay.NormSpec(2),
+                              wl.pass_seed(1, 0))
+    exact = replay.eval_coboundary_metric(F, replay.NormSpec(2))
+    assert exact.values == pytest.approx(d.values, rel=1e-9)
+    sketched = replay.eval_coboundary_metric(P, replay.NormSpec(2))
+    assert replay.max_distortion(sketched, exact) <= eps
 
 
 def test_replay_hypertree_l1_calls_run(replay):

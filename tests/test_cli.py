@@ -15,7 +15,7 @@ import pytest
 import kmetrics
 from kmetrics.cli import main
 from kmetrics.coboundary import NormSpec, eval_coboundary_metric, jl_target_dim
-from kmetrics.corpus import SUBDIVISION_TRIANGLES
+from kmetrics.corpus import SUBDIVISION_TRIANGLES, random_strong_metric
 from kmetrics.fileio import (
     read_chain,
     read_chain_matrix,
@@ -155,13 +155,37 @@ def test_verify_strong_pass_and_exhaustive_margins(tmp_path, capsys):
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "2", "1"])
 def test_verify_refuses_a_tolerance_that_passes_any_table(tmp_path, capsys, tol):
+    # every verdict reads the one fixed tolerance, so verify takes none
     out = str(tmp_path / "d.json")
     _run(["gen", "subdivided-triangle", "-o", out], capsys)
     for extra in ([], ["--strong"]):
         code, report = _run(["verify", out, "--tol", tol, *extra], capsys)
         assert code == 2
-        assert report["error"]["kind"] == "input"
-        assert "tolerance" in report["error"]["message"]
+        assert report["error"]["kind"] == "usage"
+        assert "--tol" in report["error"]["message"]
+
+
+def test_verify_strong_and_frechet_refuse_a_near_strong_table_alike(tmp_path, capsys):
+    # (3, 4, 5) raised to 1.0005 times its cheapest other chain: a 5e-4 excess
+    # that both strong deciders see, since both read the one tolerance
+    d = random_strong_metric(6, 3, 3).payload
+    i = kmetrics.simplex_index(6, (3, 4, 5))
+    target = kmetrics.apply_operator(kmetrics.boundary_operator(6, 2),
+                                     kmetrics.indicator_chain(6, (3, 4, 5)))
+    others = np.delete(np.arange(d.values.size), i)
+    cost, _ = kmetrics.min_bounding_chain(d.values, target, mask=others)
+    values = d.values.copy()
+    values[i] = 1.0005 * cost
+    near = str(tmp_path / "near.json")
+    write_kmetric(kmetrics.KMetric(n=6, k=3, values=values), near)
+    code, report = _run(["verify", near, "--strong"], capsys)
+    assert code == 1
+    assert report["results"]["strong"] is False
+    assert report["results"]["witness"]["s"] == [3, 4, 5]
+    code, report = _run(["embed", "frechet", near, "-o", str(tmp_path / "F.json")], capsys)
+    assert code == 1
+    assert report["error"]["kind"] == "verification"
+    assert report["error"]["simplex"] == [3, 4, 5]
 
 
 # --- min-chain ---------------------------------------------------------------
@@ -264,18 +288,23 @@ def test_jl_projection_reports_target_dimension(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags, message",
+    "flags, kind, message",
     [
-        (["--cprime", "inf"], "cprime"),
-        (["--cprime", "nan"], "cprime"),
-        (["--cprime", "0"], "cprime"),
-        (["--cprime", "-8"], "cprime"),
-        (["--eps", "1e-4"], "budget"),
+        (["--cprime", "inf"], "usage", "--cprime"),
+        (["--cprime", "nan"], "usage", "--cprime"),
+        (["--cprime", "0"], "usage", "--cprime"),
+        (["--cprime", "-8"], "usage", "--cprime"),
+        (["--eps", "1e-4"], "input", "budget"),
+        (["--eps", "1e-200"], "input", "finite"),
     ],
-    ids=["cprime-inf", "cprime-nan", "cprime-zero", "cprime-negative", "tiny-eps"],
+    ids=["cprime-inf", "cprime-nan", "cprime-zero", "cprime-negative", "tiny-eps",
+         "eps-squared-underflows"],
 )
-def test_jl_refuses_a_projection_size_before_allocating(tmp_path, capsys, flags, message):
-    # eps 1e-4 asks for about 4.3e9 columns at n=6; the refusal comes first
+def test_jl_refuses_a_projection_size_before_allocating(tmp_path, capsys, flags, kind,
+                                                        message):
+    # the JL constant is fixed, so --cprime is no option; eps 1e-4 asks for
+    # about 4.3e9 columns at n=6, and eps 1e-200 squares to zero, so no
+    # dimension is finite; each refusal comes first
     metric = str(tmp_path / "d.json")
     chains = str(tmp_path / "F.json")
     out = tmp_path / "G.json"
@@ -285,7 +314,7 @@ def test_jl_refuses_a_projection_size_before_allocating(tmp_path, capsys, flags,
     argv = ["embed", "jl", chains, "--eps", "0.5", *flags, "--seed", "2", "-o", str(out)]
     code, report = _run(argv, capsys)
     assert code == 2
-    assert report["error"]["kind"] == "input"
+    assert report["error"]["kind"] == kind
     assert message in report["error"]["message"]
     assert not out.exists()
 
@@ -309,6 +338,24 @@ def test_l2lp_projection_writes_the_renormed_columns(tmp_path, capsys):
     d2 = eval_coboundary_metric(read_chain_matrix(chains), NormSpec(2))
     ratio = d1.values[d2.values > 0] / d2.values[d2.values > 0]
     assert ratio.max() <= 1.5 and ratio.min() >= 0.5
+
+
+def test_eval_reads_infinity_in_any_spelling(tmp_path, capsys):
+    metric = str(tmp_path / "d.json")
+    chains = str(tmp_path / "F.json")
+    _run(["gen", "random-strong", "--n", "5", "--k", "3", "--seed", "2", "-o", metric], capsys)
+    _run(["embed", "frechet", metric, "-o", chains], capsys)
+    tables = []
+    for i, p in enumerate(["INF", " Infinity ", "inf"]):
+        table = tmp_path / f"back{i}.json"
+        code, _ = _run(["eval", chains, "--p", p, "-o", str(table)], capsys)
+        assert code == 0
+        tables.append(table.read_bytes())
+    assert tables[0] == tables[1] == tables[2]
+    code, report = _run(["eval", chains, "--p", "x"], capsys)
+    assert code == 2
+    assert report["error"]["kind"] == "usage"
+    assert "invalid norm exponent" in report["error"]["message"]
 
 
 def test_bad_exponent_and_seed_are_input_errors(tmp_path, capsys):
@@ -490,7 +537,9 @@ def test_number_too_large_for_a_float_is_an_input_error(tmp_path, capsys):
 
 
 def test_bare_invocation_is_a_usage_error(capsys):
-    for argv in ([], ["--jobs", "2", "verify", "d.json"]):  # --jobs is not an option
+    # neither --jobs nor gen's --high is an option
+    for argv in ([], ["--jobs", "2", "verify", "d.json"],
+                 ["gen", "subdivided-triangle", "--high", "8.5", "-o", "d.json"]):
         code, report = _run(argv, capsys)
         assert code == 2
         assert report["error"]["kind"] == "usage"
@@ -502,6 +551,10 @@ def test_gen_requires_shape_arguments(tmp_path, capsys):
     assert code == 2
     assert report["error"]["kind"] == "usage"
     assert "--n and --k" in report["error"]["message"]
+    code, report = _run(["gen", "random-strong", "--n", "5", "--k", "0", "-o", out], capsys)
+    assert code == 2
+    assert report["error"]["kind"] == "input"
+    assert "arity must be at least 2" in report["error"]["message"]
 
 
 def test_gen_discrete_over_the_simplex_limit_is_an_input_error(tmp_path, capsys):

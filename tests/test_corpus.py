@@ -56,12 +56,6 @@ def test_subdivided_triangle_expectations():
     assert w.value == inst.expected["witness_value"]
 
 
-def test_subdivided_triangle_custom_height():
-    inst = subdivided_triangle(high=8.5)
-    assert inst.payload.value((0, 2, 4)) == 8.5
-    assert inst.expected["witness_value"] == 8.5
-
-
 def test_discrete_metric_expectations():
     for n, k in [(5, 3), (3, 2), (6, 4)]:
         inst = discrete_metric(n, k)
@@ -144,6 +138,9 @@ def test_random_strong_metric_expectations():
     assert np.array_equal(inst.payload.values, again.payload.values)
     with pytest.raises(ValueError):
         random_strong_metric(2, 3, seed=1)
+    for k in (0, 1):  # the arity is named before any count of (k-2)-simplices
+        with pytest.raises(ValueError, match="arity must be at least 2"):
+            random_strong_metric(5, k, seed=1)
 
 
 def test_random_strong_equal_weights_scale_the_discrete_table(monkeypatch):

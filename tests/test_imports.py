@@ -1,14 +1,19 @@
-"""Every name a kmetrics module imports is used in that module, and every method is called.
+"""Every name a kmetrics module imports is used in that module, every method is
+called, and every command-line option is read.
 
 __init__.py is left out of the import check: its imports are the package's
 public names.  A method counts as used when its name is read as an attribute
-anywhere in src/, tests/, perfbench/ or demos/.
+anywhere in src/, tests/, perfbench/ or demos/.  An option counts as read when
+cli.py reads its dest as args.<dest>.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
+
+from kmetrics.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "kmetrics"
@@ -73,3 +78,40 @@ def test_every_method_is_accessed():
     ]
     defining = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert _unaccessed_methods(defining, reading) == []
+
+
+def _parsers(parser: argparse.ArgumentParser):
+    """parser and every subparser below it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def _unread_options(parser: argparse.ArgumentParser, source: str) -> list:
+    """Argument dests, in parser and its subparsers, that source never reads as args.<dest>."""
+    read = {
+        node.attr for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+    dests = {
+        action.dest for p in _parsers(parser) for action in p._actions
+        if not isinstance(action, argparse._HelpAction)
+    }
+    return sorted(dests - read)
+
+
+def test_the_check_finds_an_unread_option():
+    parser = argparse.ArgumentParser()
+    run = parser.add_subparsers(dest="command").add_parser("run")
+    run.add_argument("path")
+    run.add_argument("--tol", type=float)
+    run.add_subparsers(dest="mode").add_parser("fast").add_argument("--cprime")
+    source = "def run(args):\n    return args.command, args.mode, args.path\n"
+    assert _unread_options(parser, source) == ["cprime", "tol"]
+
+
+def test_every_cli_option_is_read():
+    assert _unread_options(build_parser(), (SRC / "cli.py").read_text()) == []

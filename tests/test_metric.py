@@ -20,7 +20,7 @@ from kmetrics import (
     zero_chain,
 )
 from kmetrics.corpus import discrete_metric, random_strong_metric, subdivided_triangle
-from kmetrics.metric import bounding_sweep
+from kmetrics.metric import VALUE_TOL, bounding_sweep
 from kmetrics.simplicial import MAX_LP_BYTES
 from oracles import check_weak_loop, random_closure_2metric, relabel_kmetric
 
@@ -89,26 +89,27 @@ def test_weak_verdict_survives_tiny_scale(scale):
 
 
 def test_weak_check_never_swaps_a_point_for_itself():
-    # y in t is not a replacement; under a negative tolerance a tuple would
-    # fail against itself if those y were not skipped
+    # y in t is not a replacement: the loop oracle skips it, and the coface
+    # table's NaN slot never fails
     rng = np.random.default_rng(12)
     for n, k in ((5, 2), (6, 3), (7, 4)):
         values = rng.exponential(size=comb(n, k))
         values[:: 5] = 0.0
         d = KMetric(n=n, k=k, values=values)
-        for tol in (-0.99, -0.5, 0.0, 1e-6):
-            assert check_weak(d, tol=tol).weak_violations == check_weak_loop(d, tol)[0]
+        assert check_weak(d).weak_violations == check_weak_loop(d)[0]
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 1.0, 2.0])
 def test_tolerance_must_be_finite_and_below_one(tol):
-    # at tol >= 1 (or nan) no relative test can fire: the subdivided triangle,
-    # whose witness costs 7 against a value of 10, would read strong
+    # at tol >= 1 (or nan) no relative test could fire: the subdivided triangle,
+    # whose witness costs 7 against a value of 10, would read strong; so no
+    # caller sets one, and every verdict reads VALUE_TOL
     d = subdivided_triangle().payload
-    with pytest.raises(ValueError, match="tolerance"):
-        check_weak(d, tol=tol)
-    with pytest.raises(ValueError, match="tolerance"):
-        check_strong(d, tol=tol)
+    for check in (check_weak, check_strong):
+        with pytest.raises(TypeError, match="tol"):
+            check(d, tol=tol)
+    assert math.isfinite(VALUE_TOL) and 0.0 < VALUE_TOL < 1.0
+    assert check_strong(d).is_strong is False
 
 
 def test_weak_on_subdivided_triangle():
@@ -158,7 +159,7 @@ def test_min_chain_is_judged_relative_to_the_target(exponent):
     lam = 10.0**exponent
     target = _boundary_of(5, (0, 1, 2))
     scaled = Chain(n=5, dim=1, coeffs=lam * target.coeffs)
-    for mask in ([(2, 3, 4)], []):
+    for mask in ([simplex_index(5, (2, 3, 4))], []):
         with pytest.raises(UnfillableBoundaryError):
             min_bounding_chain(np.ones(comb(5, 3)), scaled, mask=mask)
     w = np.random.default_rng(6).uniform(0.1, 2.0, size=comb(5, 3))
@@ -169,9 +170,9 @@ def test_min_chain_is_judged_relative_to_the_target(exponent):
 
 
 def test_min_chain_infeasible_mask():
-    # only edge (0,1) allowed: cannot connect 0 to 2
+    # only edge (0,1), flat index 0, allowed: cannot connect 0 to 2
     with pytest.raises(UnfillableBoundaryError):
-        min_bounding_chain(np.ones(3), _boundary_of(3, (0, 2)), mask=[(0, 1)])
+        min_bounding_chain(np.ones(3), _boundary_of(3, (0, 2)), mask=[0])
 
 
 def test_min_chain_mask_refuses_bools():
@@ -191,12 +192,14 @@ def test_min_chain_mask_refuses_bools():
             min_bounding_chain(np.ones(6), target, mask=mask)
 
 
-def test_min_chain_mask_accepts_indices_and_keys():
+def test_min_chain_mask_takes_flat_indices_only():
     w = np.array([1.0, 2.0, 1.0])
     target = _boundary_of(3, (0, 2))
-    by_key = min_bounding_chain(w, target, mask=[(0, 1), (1, 2)])
-    by_idx = min_bounding_chain(w, target, mask=[0, 2])
-    assert by_key[0] == pytest.approx(by_idx[0])
+    cost, _ = min_bounding_chain(w, target, mask=[0, np.int64(2)])  # edges (0, 1), (1, 2)
+    assert cost == pytest.approx(2.0)
+    for mask in ([(0, 1), (1, 2)], [np.array([0, 1])], [0.0], ["0"]):
+        with pytest.raises(ValueError, match="flat simplex indices"):
+            min_bounding_chain(w, target, mask=mask)
 
 
 def test_min_chain_never_beats_the_indicator():
@@ -323,8 +326,6 @@ def test_strong_check_refuses_the_lp_budget_before_the_weak_pass(monkeypatch):
     monkeypatch.setattr(metric, "check_weak", weak_pass_not_expected)
     with pytest.raises(ValueError, match="budget"):
         check_strong(d)
-    with pytest.raises(ValueError, match="tolerance"):  # a bad tol comes first still
-        check_strong(d, tol=2.0)
 
 
 def test_scan_stops_at_the_witness_of_a_refuted_copy():

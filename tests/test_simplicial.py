@@ -493,4 +493,4 @@ def test_replacement_simplices_share_the_boundary():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_chain_refuses_non_finite_coefficients(value):
     with pytest.raises(ValueError, match="finite"):
-        indicator_chain(3, (0, 1), value=value)
+        chain_from_dict(3, 1, {(0, 1): value})
