@@ -8,9 +8,19 @@ verification or solver) and message, plus file, field and line for a bad
 file, or simplex, value and achieved for a table that is not strong.  Exit
 codes: 0 success, 1 negative verification verdict, 2 unusable input (parse,
 schema, or precondition), 3 solver failure.
+
+The runtime is serial, so unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is
+set the CLI runs OpenBLAS on one thread: its worker pool would cost each
+process more at numpy load than it saves.  entry() flushes the report and
+ends the process with os._exit, skipping interpreter teardown.
 """
 
 from __future__ import annotations
+
+import os
+
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse
 import hashlib
@@ -449,7 +459,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

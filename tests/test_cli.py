@@ -215,6 +215,23 @@ def test_min_chain_rejects_wrong_target_arity(tmp_path, capsys):
     assert "3 vertices" in report["error"]["message"]
 
 
+def _python(args, cwd=None, **env):
+    """Run a new interpreter on args with this package importable.
+
+    Each env entry sets a variable, or removes it when its value is None.
+    """
+    package_root = str(Path(kmetrics.__file__).resolve().parent.parent)
+    full = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    for name, value in env.items():
+        if value is None:
+            full.pop(name, None)
+        else:
+            full[name] = value
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=full, cwd=cwd, timeout=120)
+
+
 def test_min_chain_and_gen_do_not_import_numpy_ma(tmp_path):
     # np.unique imports numpy.ma (numpy 2.4), about 30 ms of every short process
     cx = str(tmp_path / "K.json")
@@ -227,11 +244,7 @@ def test_min_chain_and_gen_do_not_import_numpy_ma(tmp_path):
         f" '-o', {str(tmp_path / 'd.json')!r}]) == 0\n"
         "assert 'numpy.ma' not in sys.modules\n"
     )
-    package_root = str(Path(kmetrics.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=60)
+    proc = _python(["-c", script])
     assert proc.returncode == 0, proc.stderr
 
 
@@ -616,3 +629,70 @@ def test_strong_check_too_large_for_memory_is_an_input_error(tmp_path, capsys):
     assert code == 2
     assert report["error"]["kind"] == "input"
     assert "budget" in report["error"]["message"]
+
+
+# --- the process: BLAS threads and exit without teardown ---------------------
+
+_THREADS = (
+    "import os, kmetrics.cli, numpy\n"
+    "print(os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'),"
+    " len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else -1)\n"
+)
+
+
+def test_the_cli_runs_blas_on_one_thread_by_default():
+    proc = _python(["-c", _THREADS], OPENBLAS_NUM_THREADS=None, OMP_NUM_THREADS=None)
+    assert proc.returncode == 0, proc.stderr
+    blas, omp, threads = proc.stdout.split()
+    assert (blas, omp) == ("1", "None")
+    if threads == "-1":
+        pytest.skip("no /proc/self/task to count threads in")
+    assert threads == "1"
+
+
+@pytest.mark.parametrize("preset, expected", [
+    ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None}, ["3", "None"]),
+    ({"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "2"}, ["None", "2"]),
+])
+def test_a_thread_setting_of_the_user_wins(preset, expected):
+    proc = _python(["-c", _THREADS], **preset)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[:2] == expected
+
+
+def _kmetrics(cwd, *argv):
+    """python -m kmetrics argv, with stdout block-buffered as it is by default."""
+    return _python(["-m", "kmetrics", *argv], cwd=cwd, PYTHONUNBUFFERED=None)
+
+
+def test_a_report_larger_than_a_pipe_buffer_arrives_whole(tmp_path):
+    gen = _kmetrics(tmp_path, "gen", "random-strong", "--n", "16", "--k", "3", "--seed", "1",
+                    "-o", "d.json")
+    assert gen.returncode == 0, gen.stderr
+    assert json.loads(gen.stdout)["outputs"] == {"instance": "d.json"}
+    assert read_kmetric(str(tmp_path / "d.json")).n == 16
+
+    proc = _kmetrics(tmp_path, "verify", "d.json", "--strong", "--exhaustive")
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.encode()) > 65536  # the default pipe buffer on Linux
+    assert proc.stdout.endswith("}\n")
+    assert json.loads(proc.stdout)["results"]["strong"] is True
+
+
+def test_the_process_keeps_its_exit_codes(tmp_path):
+    for argv, code, kind in [
+        (["gen", "subdivided-triangle", "-o", "d.json"], 0, "gen"),
+        (["verify", "d.json"], 0, "verify"),
+        (["verify", "d.json", "--strong"], 1, "verify"),
+        (["verify"], 2, "usage"),
+    ]:
+        proc = _kmetrics(tmp_path, *argv)
+        report = json.loads(proc.stdout)
+        assert proc.returncode == code, argv
+        assert (report["error"]["kind"] if code == 2 else report["command"]) == kind
+
+
+def test_an_exception_out_of_main_still_ends_in_a_traceback():
+    proc = _python(["-c", "import kmetrics.cli as c; c.main = lambda: 1 / 0; c.entry()"])
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr and "ZeroDivisionError" in proc.stderr

@@ -1,10 +1,11 @@
 """Every name a kmetrics module imports is used in that module, every method is
-called, and every command-line option is read.
+called, every command-line option is read, and every name the package exports
+is defined in the module its export table names.
 
-__init__.py is left out of the import check: its imports are the package's
-public names.  A method counts as used when its name is read as an attribute
-anywhere in src/, tests/, perfbench/ or demos/.  An option counts as read when
-cli.py reads its dest as args.<dest>.
+A method counts as used when its name is read as an attribute anywhere in
+src/, tests/, perfbench/ or demos/.  An option counts as read when cli.py
+reads its dest as args.<dest>.  The export table is read from __init__.py's
+source, without importing anything.
 """
 
 import argparse
@@ -17,7 +18,7 @@ from kmetrics.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "kmetrics"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p.name for p in SRC.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list:
@@ -115,3 +116,41 @@ def test_the_check_finds_an_unread_option():
 
 def test_every_cli_option_is_read():
     assert _unread_options(build_parser(), (SRC / "cli.py").read_text()) == []
+
+
+def _top_level_names(source: str) -> set:
+    """Names a module binds at its top level: defs, classes, assignments and imports."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+    return names
+
+
+def _missing_exports(init_source: str, module_source) -> list:
+    """module.name entries of init_source's _EXPORTS table that the module does not bind."""
+    (exports,) = [
+        ast.literal_eval(node.value) for node in ast.parse(init_source).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets)
+    ]
+    return sorted(
+        f"{module}.{name}" for module, names in exports.items()
+        for name in names if name not in _top_level_names(module_source(module))
+    )
+
+
+def test_the_check_finds_a_missing_export():
+    init = '_EXPORTS = {"a": ("f", "g", "os", "X", "Y")}\n'
+    modules = {"a": "import os\nX: int = 1\ndef f(): pass\nclass C:\n    Y = 2\n"}
+    assert _missing_exports(init, modules.__getitem__) == ["a.Y", "a.g"]
+
+
+def test_every_export_is_a_top_level_name_of_its_module():
+    assert _missing_exports((SRC / "__init__.py").read_text(),
+                            lambda module: (SRC / f"{module}.py").read_text()) == []
