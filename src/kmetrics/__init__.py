@@ -14,7 +14,7 @@ import importlib
 
 # home module -> the public names it defines; each name is listed once
 _EXPORTS = {
-    "apex": ("apex_extend", "apex_extend_chain_matrix", "lift_operator", "project_operator"),
+    "apex": ("apex_extend", "apex_extend_chain_matrix"),
     "coboundary": (
         "ChainMatrix", "NormSpec", "NotStrongError", "embed_l2_to_lp",
         "eval_coboundary_metric", "frechet_column", "frechet_embed", "jl_target_dim",
@@ -40,10 +40,7 @@ _EXPORTS = {
         "chain_from_dict", "coboundary_operator", "enumerate_simplices", "indicator_chain",
         "orientation_sign", "simplex_index", "zero_chain",
     ),
-    "volume": (
-        "PointCloud", "gram_volume", "min_max_side_bound_check", "projected_volume_vector",
-        "signed_volume", "volume_metric", "volume_to_coboundary",
-    ),
+    "volume": ("PointCloud", "volume_metric", "volume_to_coboundary"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "corpus", "jsonblocks"}

@@ -2,11 +2,9 @@
 
 The extended table on n+1 vertices (apex = index n, always the largest) is
 zero on tuples missing the apex and copies the base table once the apex is
-removed.  On chains the same construction is linear: the project operator
-forgets the apex from apex-carrying simplices and kills the rest, and the
-lift is its adjoint.  Both commute with the boundary, so extensions of
-coboundary tables stay coboundary tables and strongness is preserved in
-both directions.
+removed.  On chains the same construction is linear: appending the apex to
+every simplex commutes with the boundary, so extensions of coboundary tables
+stay coboundary tables and strongness is preserved in both directions.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import numpy as np
 
 from .coboundary import ChainMatrix
 from .metric import KMetric
-from .simplicial import LinearChainOperator, _check_bytes, simplex_index, simplex_rows
+from .simplicial import _check_bytes, simplex_index, simplex_rows
 
 
 def _apex_positions(n: int, dim: int) -> np.ndarray:
@@ -33,37 +31,11 @@ def apex_extend(d: KMetric) -> KMetric:
     return KMetric(n=d.n + 1, k=d.k + 1, values=values)
 
 
-def project_operator(n: int, h: int) -> LinearChainOperator:
-    """Drop the apex: h-chains on n+1 vertices to (h-1)-chains on n.
-
-    A simplex containing the apex maps to itself minus the apex with sign +1
-    (the apex is the largest vertex, so it sits last in canonical order);
-    apex-free simplices map to zero.  Its peak is two int64 matrices, as
-    boundary_operator's is; one over the byte budget is refused before any
-    allocation (_check_bytes).
-    """
-    if h < 1 or h > n:
-        raise ValueError(f"need 1 <= h <= n, got h={h}, n={n}")
-    rows, cols = comb(n, h), comb(n + 1, h + 1)
-    _check_bytes("dense operator", 2 * 8 * rows * cols)
-    mat = np.zeros((rows, cols), dtype=np.int64)
-    mat[np.arange(rows), _apex_positions(n, h - 1)] = 1
-    return LinearChainOperator(n=n + 1, src_dim=h, dst_dim=h - 1, matrix=mat, dst_n=n)
-
-
-def lift_operator(n: int, h: int) -> LinearChainOperator:
-    """Adjoint of project: (h-1)-chains on n vertices to h-chains on n+1.
-
-    Each simplex is sent to itself with the apex appended.
-    """
-    mat = project_operator(n, h).matrix.T
-    return LinearChainOperator(n=n, src_dim=h - 1, dst_dim=h, matrix=mat, dst_n=n + 1)
-
-
 def apex_extend_chain_matrix(F: ChainMatrix) -> ChainMatrix:
     """Lift every column through the apex; evaluation commutes with apex_extend.
 
-    Rows move as lift_operator moves them (+ 0.0 clears -0.0, as its product does).
+    Row s of F becomes row s + apex, the rest are zero (+ 0.0 clears -0.0,
+    as the product with the 0/1 lift matrix does).
     """
     positions = _apex_positions(F.n, F.k - 2)  # checks the extended count before allocating
     rows = comb(F.n + 1, F.k)  # the peak: data, F.data + 0.0 and ChainMatrix's copy

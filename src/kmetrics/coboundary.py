@@ -58,7 +58,16 @@ class NormSpec:
         return math.isinf(self.p)
 
     def row_norms(self, matrix: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(matrix, ord=self.p, axis=1)
+        """p-norm of each row.
+
+        Other than at p = 1, 2 and inf, each row is divided by its largest
+        |entry| before the power, so no |x|**p overflows or underflows.
+        """
+        if self.p in (1.0, 2.0, math.inf):
+            return np.linalg.norm(matrix, ord=self.p, axis=1)
+        top = np.abs(matrix).max(axis=1)
+        scaled = matrix / np.where(top > 0.0, top, 1.0)[:, None]
+        return top * np.linalg.norm(scaled, ord=self.p, axis=1)
 
 
 @dataclass(frozen=True)
@@ -151,8 +160,13 @@ def frechet_embed(d: KMetric, jobs: int = 1) -> ChainMatrix:
 
 
 def _abs_moment_root(p: float) -> float:
-    """(E|N(0,1)|^p)^(1/p), the normaliser for p-norm projections."""
-    moment = 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
+    """(E|N(0,1)|^p)^(1/p), the normaliser for p-norm projections; refused past p ~ 301."""
+    try:
+        moment = 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
+    except OverflowError:
+        moment = math.inf
+    if not math.isfinite(moment):
+        raise ValueError(f"projection to p={p} has no finite normaliser")
     return moment ** (1.0 / p)
 
 
@@ -172,9 +186,9 @@ def random_project(
     _check_bytes("projection", 8 * m_target * (F.m + 2 * F.data.shape[0]))
     if norm_out.is_inf:
         raise ValueError("projection requires a finite p")
+    scale = 1.0 / (_abs_moment_root(norm_out.p) * m_target ** (1.0 / norm_out.p))
     rng = np.random.default_rng(seed)
     R = rng.standard_normal((m_target, F.m))
-    scale = 1.0 / (_abs_moment_root(norm_out.p) * m_target ** (1.0 / norm_out.p))
     data = F.data @ R.T
     data *= scale
     return ChainMatrix(n=F.n, k=F.k, data=data)
@@ -199,7 +213,7 @@ def l2_to_lp_dim(m: int, p: float, eps: float) -> int:
     if p < 2.0:
         return math.ceil(m / (eps * eps))
     try:
-        return math.ceil((m / (eps * eps * p)) ** (p / 2.0))
+        return max(1, math.ceil((m / (eps * eps * p)) ** (p / 2.0)))
     except OverflowError:
         raise ValueError(f"projection to p={p} needs more columns than a float holds") from None
 

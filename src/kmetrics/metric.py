@@ -110,11 +110,12 @@ class VerificationReport:
 def check_weak(d: KMetric) -> VerificationReport:
     """Test the one-point replacement inequality at every tuple.
 
-    For each k-subset t and outside point y the value at t must not exceed
-    the sum of the values with one vertex of t swapped for y, up to the
-    relative tolerance VALUE_TOL.  Zero values on distinct tuples do not
-    fail the check but are reported so callers can see the table is pseudo
-    rather than positive.
+    For each k-subset t and outside point y the sum of the values with one
+    vertex of t swapped for y must not fall below value(t) (1 - VALUE_TOL).
+    check_strong tests a chain's cost in the same form, and the cone over y
+    is a bounding chain of that cost, so a strong table reads weak.  Zero
+    values on distinct tuples do not fail the check but are reported so
+    callers can see the table is pseudo rather than positive.
 
     Swapping t_i for y gives the face of t that drops t_i, plus y, so the
     totals are gathers through one coface table: coface[f, y] is the tuple
@@ -134,7 +135,7 @@ def check_weak(d: KMetric) -> VerificationReport:
         total = table[coface[faces[0], y]]
         for face in faces[1:]:  # summed in the order of i, as the inequality reads
             total = total + table[coface[face, y]]
-        codes.append(np.flatnonzero(d.values > total + VALUE_TOL * d.values) * d.n + y)
+        codes.append(np.flatnonzero(total < d.values * (1.0 - VALUE_TOL)) * d.n + y)
     t, y = np.divmod(np.sort(np.concatenate(codes)), d.n)
     violations = [(tuple(s), v) for s, v in zip(rows[t].tolist(), y.tolist())]
     pseudo = tuple(map(tuple, rows[d.values == 0.0].tolist()))

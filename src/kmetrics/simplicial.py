@@ -187,22 +187,15 @@ def chain_from_dict(n: int, dim: int, entries: dict) -> Chain:
 
 @dataclass(frozen=True)
 class LinearChainOperator:
-    """Dense linear map between chain groups.
-
-    Maps src_dim-chains on n vertices to dst_dim-chains on dst_n vertices
-    (dst_n defaults to n; it differs for the apex lift/project operators).
-    """
+    """Dense linear map from src_dim-chains to dst_dim-chains, both on n vertices."""
 
     n: int
     src_dim: int
     dst_dim: int
     matrix: np.ndarray
-    dst_n: int = 0
 
     def __post_init__(self):
-        if self.dst_n == 0:
-            object.__setattr__(self, "dst_n", self.n)
-        rows = _check_counts(self.dst_n, self.dst_dim)
+        rows = _check_counts(self.n, self.dst_dim)
         cols = _check_counts(self.n, self.src_dim)
         arr = np.asarray(self.matrix)
         if arr.shape != (rows, cols):
@@ -288,4 +281,4 @@ def apply_operator(op: LinearChainOperator, chain: Chain) -> Chain:
             f"operator expects dim={op.src_dim} chains on {op.n} vertices, "
             f"got dim={chain.dim} on {chain.n}"
         )
-    return Chain(n=op.dst_n, dim=op.dst_dim, coeffs=op.matrix @ chain.coeffs)
+    return Chain(n=op.n, dim=op.dst_dim, coeffs=op.matrix @ chain.coeffs)

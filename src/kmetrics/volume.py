@@ -2,19 +2,17 @@
 
 The arity-k volume of k points is the (k-1)-dimensional content of their
 convex hull, computed through the Gram determinant so any ambient dimension
-works.  Collecting the signed volumes of all coordinate projections gives a
-vector whose Euclidean length recovers the volume (Cauchy-Binet); the same
-projections, turned into cone chains over the origin, realise the volume
-table as a coboundary table, so volume tables are strong.
+works.  The signed volumes of a tuple's coordinate projections form a vector
+whose Euclidean length recovers the volume (Cauchy-Binet); as cone chains
+over the origin, those projections realise the volume table as a coboundary
+table, so volume tables are strong.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Sequence
 
 import numpy as np
 
@@ -47,41 +45,6 @@ class PointCloud:
         return self.points.shape[1]
 
 
-def _difference_matrix(points: np.ndarray) -> np.ndarray:
-    """Columns x_i - x_1 for i >= 2; shape (m, k-1)."""
-    return (points[1:] - points[0]).T
-
-
-def signed_volume(points: Sequence[Sequence[float]]) -> float:
-    """Oriented content of k points in dimension k-1: det of differences / (k-1)!."""
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 2:
-        raise ValueError("need at least two points in a 2d array")
-    k = arr.shape[0]
-    if arr.shape[1] != k - 1:
-        raise ValueError(
-            f"signed volume of {k} points needs ambient dimension {k - 1}, "
-            f"got {arr.shape[1]}"
-        )
-    return float(np.linalg.det(_difference_matrix(arr)) / factorial(k - 1))
-
-
-def gram_volume(points: Sequence[Sequence[float]]) -> float:
-    """Unsigned content of k points in any ambient dimension.
-
-    sqrt(det(A^T A)) / (k-1)! for the difference matrix A; zero exactly when
-    the points are affinely dependent (tiny negative determinants from
-    round-off are clipped).
-    """
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 2:
-        raise ValueError("need at least two points in a 2d array")
-    k = arr.shape[0]
-    A = _difference_matrix(arr)
-    gram = float(np.linalg.det(A.T @ A))
-    return float(np.sqrt(max(gram, 0.0)) / factorial(k - 1))
-
-
 def volume_metric(cloud: PointCloud, k: int) -> KMetric:
     """Arity-k table of simplex volumes over all k-subsets of the cloud."""
     if k < 2:
@@ -103,24 +66,6 @@ def volume_metric(cloud: PointCloud, k: int) -> KMetric:
         grams.append(np.linalg.det(D @ D.transpose(0, 2, 1)))
     values = np.sqrt(np.maximum(np.concatenate(grams), 0.0)) / factorial(k - 1)
     return KMetric(n=cloud.count, k=k, values=values)
-
-
-def projected_volume_vector(points: Sequence[Sequence[float]]) -> np.ndarray:
-    """Volumes of all axis-aligned projections to dimension k-1, in lex order.
-
-    The Euclidean norm of this vector equals gram_volume(points).
-    """
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("need a 2d array of points")
-    k, m = arr.shape[0], arr.shape[1]
-    if k - 1 > m:
-        raise ValueError(f"{k} points need ambient dimension at least {k - 1}")
-    A = _difference_matrix(arr)
-    out = np.empty(comb(m, k - 1))
-    for j, axes in enumerate(itertools.combinations(range(m), k - 1)):
-        out[j] = abs(np.linalg.det(A[list(axes), :])) / factorial(k - 1)
-    return out
 
 
 def volume_to_coboundary(cloud: PointCloud, k: int) -> ChainMatrix:
@@ -154,26 +99,3 @@ def volume_to_coboundary(cloud: PointCloud, k: int) -> ChainMatrix:
         data[a : a + step] = np.linalg.det(cones) / factorial(k - 1)
     return ChainMatrix(n=cloud.count, k=k, data=data)
 
-
-def min_max_side_bound_check(points: Sequence[Sequence[float]]):
-    """Shortest side of a triangle against twice its area over the longest side.
-
-    For any three points, min side >= 2 * area / max side; the inequality is
-    checked (up to round-off), ArithmeticError is raised if it fails, and
-    (min side, bound) is returned.
-    """
-    arr = np.asarray(points, dtype=float)
-    if arr.shape[0] != 3:
-        raise ValueError(f"expected exactly 3 points, got {arr.shape[0]}")
-    sides = [
-        float(np.linalg.norm(arr[a] - arr[b])) for a, b in ((0, 1), (0, 2), (1, 2))
-    ]
-    shortest, longest = min(sides), max(sides)
-    if longest == 0.0:
-        return 0.0, 0.0
-    bound = 2.0 * gram_volume(arr) / longest
-    if shortest < bound - 1e-9:
-        raise ArithmeticError(
-            f"shortest side {shortest!r} is below the area bound {bound!r}"
-        )
-    return shortest, bound

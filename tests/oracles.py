@@ -1,9 +1,12 @@
-"""Independent reference implementations used to cross-check the library.
+"""Reference implementations used to cross-check the library.
 
-Everything here is deliberately written from scratch with different
-algorithms than the package (heap Dijkstra instead of LP, vertex
-enumeration instead of simplex pivoting, closure instead of verification)
-so that agreement is meaningful.
+Most are written from scratch with different algorithms than the package
+(heap Dijkstra instead of LP, vertex enumeration instead of simplex
+pivoting, closure instead of verification) so that agreement is meaningful.
+The per-tuple volume functions are not: they are the one-tuple-at-a-time
+forms of the batched determinants in kmetrics.volume, which must match them
+bit for bit, and the apex operators are the dense 0/1 matrices that
+apex_extend_chain_matrix must agree with.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import heapq
 import json
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -117,8 +120,8 @@ def check_weak_loop(d: KMetric):
     """(violations, pseudo tuples) of the one-point replacement inequality.
 
     A dictionary from tuple to position and a loop over every (t, y, i):
-    value(t) must not exceed the sum over i of the value with t's i-th vertex
-    swapped for y, up to the relative tolerance VALUE_TOL.
+    the sum over i of the value with t's i-th vertex swapped for y must not
+    fall below value(t) (1 - VALUE_TOL).
     """
     simplices = enumerate_simplices(d.n, d.k - 1)
     index = {s: i for i, s in enumerate(simplices)}
@@ -130,7 +133,7 @@ def check_weak_loop(d: KMetric):
             total = 0.0
             for i in range(d.k):
                 total += d.values[index[tuple(sorted(t[:i] + t[i + 1 :] + (y,)))]]
-            if value > total + VALUE_TOL * value:
+            if total < value * (1.0 - VALUE_TOL):
                 violations.append((t, y))
     pseudo = tuple(t for t, v in zip(simplices, d.values) if v == 0.0)
     return tuple(violations), pseudo
@@ -165,6 +168,79 @@ def gram_volume_reference(points) -> float:
     for i in range(2, k):
         vol /= i
     return float(vol)
+
+
+def signed_volume(points) -> float:
+    """Oriented content of k points in dimension k-1: det of differences / (k-1)!."""
+    arr = np.asarray(points, dtype=float)
+    k = arr.shape[0]
+    if arr.shape[1] != k - 1:
+        raise ValueError(f"signed volume of {k} points needs ambient dimension {k - 1}")
+    return float(np.linalg.det((arr[1:] - arr[0]).T) / factorial(k - 1))
+
+
+def gram_volume(points) -> float:
+    """Unsigned content of k points in any dimension: sqrt(det(A^T A)) / (k-1)!.
+
+    A is the difference matrix; tiny negative determinants from round-off are clipped.
+    """
+    arr = np.asarray(points, dtype=float)
+    A = (arr[1:] - arr[0]).T
+    gram = float(np.linalg.det(A.T @ A))
+    return float(np.sqrt(max(gram, 0.0)) / factorial(arr.shape[0] - 1))
+
+
+def projected_volume_vector(points) -> np.ndarray:
+    """Volumes of all axis-aligned projections to dimension k-1, in lex order.
+
+    The Euclidean norm of this vector equals gram_volume(points) (Cauchy-Binet).
+    """
+    arr = np.asarray(points, dtype=float)
+    k, m = arr.shape
+    A = (arr[1:] - arr[0]).T
+    out = np.empty(comb(m, k - 1))
+    for j, axes in enumerate(combinations(range(m), k - 1)):
+        out[j] = abs(np.linalg.det(A[list(axes), :])) / factorial(k - 1)
+    return out
+
+
+def min_max_side_bound_check(points):
+    """(shortest side, 2 * area / longest side) of a triangle, with shortest >= bound checked.
+
+    ArithmeticError is raised if the bound fails beyond round-off.
+    """
+    arr = np.asarray(points, dtype=float)
+    sides = [float(np.linalg.norm(arr[a] - arr[b])) for a, b in ((0, 1), (0, 2), (1, 2))]
+    shortest, longest = min(sides), max(sides)
+    if longest == 0.0:
+        return 0.0, 0.0
+    bound = 2.0 * gram_volume(arr) / longest
+    if shortest < bound - 1e-9:
+        raise ArithmeticError(f"shortest side {shortest!r} is below the area bound {bound!r}")
+    return shortest, bound
+
+
+def project_operator(n: int, h: int) -> np.ndarray:
+    """Drop the apex n: h-chains on n+1 vertices to (h-1)-chains on n, as an int64 matrix.
+
+    An apex-carrying simplex maps to itself minus the apex with sign +1 (the
+    apex is the largest vertex, so it sits last); apex-free simplices map to zero.
+    """
+    mat = np.zeros((comb(n, h), comb(n + 1, h + 1)), dtype=np.int64)
+    for row, s in enumerate(enumerate_simplices(n, h - 1)):
+        mat[row, simplex_index(n + 1, s + (n,))] = 1
+    return mat
+
+
+def lift_operator(n: int, h: int) -> np.ndarray:
+    """Adjoint of project: (h-1)-chains on n vertices to h-chains on n+1, appending the apex."""
+    return project_operator(n, h).T
+
+
+def scaled_row_norms(rows: np.ndarray, p: float) -> np.ndarray:
+    """p-norm of each row as max |x| * (sum (|x| / max)**p)**(1/p), finite for any finite p."""
+    top = np.abs(rows).max(axis=1)
+    return top * np.sum((np.abs(rows) / top[:, None]) ** p, axis=1) ** (1.0 / p)
 
 
 def random_2hypertree_by_deletion(n: int, seed: int, weight_range: tuple = (0.5, 2.0)):

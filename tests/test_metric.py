@@ -1,6 +1,7 @@
 """Distance tables and weak/strong verification through bounding chains."""
 
 import math
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -110,6 +111,28 @@ def test_tolerance_must_be_finite_and_below_one(tol):
             check(d, tol=tol)
     assert math.isfinite(VALUE_TOL) and 0.0 < VALUE_TOL < 1.0
     assert check_strong(d).is_strong is False
+
+
+@pytest.mark.parametrize("n, k", [(7, 3), (6, 4), (8, 2), (9, 3)])
+def test_a_strong_table_is_weak_at_the_tolerance_edge(n, k):
+    # one tuple set to R / (1 - VALUE_TOL), R its cheapest one-point
+    # replacement sum, and a few ulps to 1e-8 either side: the cone over the
+    # outside point is a bounding chain of cost R, so the weak test, written
+    # as the strong test is, never fails a table that the strong test passes
+    tuples = list(combinations(range(n), k))
+    for seed in range(10):
+        d = random_strong_metric(n, k, seed).payload
+        for j in np.random.default_rng(seed).choice(len(tuples), 3, replace=False):
+            t = tuples[j]
+            R = min(
+                sum(d.value(t[:i] + t[i + 1 :] + (y,)) for i in range(k))
+                for y in range(n) if y not in t
+            )
+            for delta in (0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-8, -1e-8):
+                values = d.values.copy()
+                values[simplex_index(n, t)] = R / (1 - VALUE_TOL) * (1 + delta)
+                report = check_strong(KMetric(n=n, k=k, values=values))
+                assert report.is_weak or not report.is_strong, (seed, t, delta)
 
 
 def test_weak_on_subdivided_triangle():

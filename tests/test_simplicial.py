@@ -9,16 +9,13 @@ import pytest
 
 from kmetrics import (
     Chain,
-    apex,
     apply_operator,
     boundary_operator,
     chain_from_dict,
     coboundary_operator,
     enumerate_simplices,
     indicator_chain,
-    lift_operator,
     orientation_sign,
-    project_operator,
     simplex_index,
     simplicial,
     zero_chain,
@@ -240,11 +237,9 @@ def test_dense_operators_refuse_over_the_byte_budget(monkeypatch):
         raise AssertionError("dense build before the byte budget")
 
     monkeypatch.setattr(simplicial, "face_ranks", refuse)
-    monkeypatch.setattr(apex, "_apex_positions", refuse)
     monkeypatch.setattr(np, "zeros", refuse)
     assert comb(200, 3) <= MAX_SIMPLICES
-    for build, dim in [(boundary_operator, 2), (coboundary_operator, 1),
-                       (project_operator, 2), (lift_operator, 2)]:
+    for build, dim in [(boundary_operator, 2), (coboundary_operator, 1)]:
         with pytest.raises(ValueError, match="dense operator needs 4.[12].e\\+11 bytes, budget"):
             build(200, dim)
 
@@ -270,8 +265,6 @@ def test_one_budget_refuses_every_dense_build(monkeypatch):
         "mbc_metric": lambda: mbc_metric(K),
         "boundary_operator": lambda: boundary_operator(4, 2),
         "coboundary_operator": lambda: coboundary_operator(4, 1),
-        "project_operator": lambda: project_operator(3, 2),
-        "lift_operator": lambda: lift_operator(3, 2),
         "is_hypertree": lambda: is_hypertree(K),
         "hypertree_to_l1": lambda: hypertree_to_l1(K),
         "random_project": lambda: random_project(F, 3, NormSpec(2), seed=1),
