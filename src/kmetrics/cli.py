@@ -6,8 +6,12 @@ keyed metric, chains or chain by what it holds, or instance for gen) and
 timing.seconds.  Otherwise it is one error object with kind (usage, input,
 verification or solver) and message, plus file, field and line for a bad
 file, or simplex, value and achieved for a table that is not strong.  Exit
-codes: 0 success, 1 negative verification verdict, 2 unusable input (parse,
+codes: 0 success, 1 negative verification verdict (an embedding whose
+distortion exceeds --eps is one, and writes no file), 2 unusable input (parse,
 schema, or precondition), 3 solver failure.
+
+Library names are reached through the package (km.name), whose export table
+imports each module on first use, so a process loads only what its command runs.
 
 The runtime is serial, so unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is
 set the CLI runs OpenBLAS on one thread: its worker pool would cost each
@@ -31,41 +35,9 @@ import time
 
 import numpy as np
 
-from . import corpus
-from .apex import apex_extend, apex_extend_chain_matrix
-from .coboundary import (
-    ChainMatrix,
-    NormSpec,
-    NotStrongError,
-    embed_l2_to_lp,
-    eval_coboundary_metric,
-    frechet_embed,
-    jl_target_dim,
-    max_distortion,
-    random_project,
-)
-from .fileio import (
-    InputError,
-    read_any,
-    read_chain_matrix,
-    read_cloud,
-    read_complex,
-    read_kmetric,
-    write_chain,
-    write_chain_matrix,
-    write_kmetric,
-)
-from .hypertree import HypertreeReport, NotHypertreeError, hypertree_to_l1, is_hypertree
-from .lp import LPError
-from .metric import (
-    KMetric,
-    UnfillableBoundaryError,
-    check_strong,
-    check_weak,
-    min_bounding_chain,
-)
-from .simplicial import Chain, chain_from_dict, orientation_sign, validate_simplex
-from .volume import volume_metric, volume_to_coboundary
+import kmetrics as km
+
+from .simplicial import chain_from_dict, orientation_sign, validate_simplex
 
 OK, VERIFY_FAIL, INPUT_FAIL, SOLVER_FAIL = 0, 1, 2, 3
 
@@ -111,21 +83,11 @@ def _read(reader, path: str, inputs: dict):
     return payload
 
 
-# payload type -> (writer, its key under the report's outputs)
-_WRITERS = {
-    KMetric: (write_kmetric, "metric"),
-    ChainMatrix: (write_chain_matrix, "chains"),
-    Chain: (write_chain, "chain"),
-}
-
-
-def _write(payload, path, outputs: dict, key=None) -> None:
-    """Write payload to path, unless path is None, and record it under outputs."""
-    if path is None:
-        return
-    writer, default = _WRITERS[type(payload)]
-    writer(payload, path)
-    outputs[key or default] = path
+def _write(writer, payload, path, outputs: dict, key: str) -> None:
+    """Write payload to path with writer, unless path is None, and record it under outputs."""
+    if path is not None:
+        writer(payload, path)
+        outputs[key] = path
 
 
 def _simplex_list(s) -> list:
@@ -142,15 +104,15 @@ def _chain_support(chain) -> list:
 
 # gen name -> maker of its corpus instance, in the order usage messages list them
 _MAKERS = {
-    "subdivided-triangle": lambda args, inputs: corpus.subdivided_triangle(),
-    "discrete": lambda args, inputs: corpus.discrete_metric(args.n, args.k),
-    "four-point-equilateral": lambda args, inputs: corpus.four_point_equilateral(),
-    "six-point-apex-discrete": lambda args, inputs: corpus.six_point_apex_discrete(),
-    "perimeter": lambda args, inputs: corpus.perimeter_metric(
-        _read(read_cloud, args.points, inputs)),
-    "max-side": lambda args, inputs: corpus.max_side_metric(
-        _read(read_cloud, args.points, inputs)),
-    "random-strong": lambda args, inputs: corpus.random_strong_metric(
+    "subdivided-triangle": lambda args, inputs: km.corpus.subdivided_triangle(),
+    "discrete": lambda args, inputs: km.corpus.discrete_metric(args.n, args.k),
+    "four-point-equilateral": lambda args, inputs: km.corpus.four_point_equilateral(),
+    "six-point-apex-discrete": lambda args, inputs: km.corpus.six_point_apex_discrete(),
+    "perimeter": lambda args, inputs: km.corpus.perimeter_metric(
+        _read(km.read_cloud, args.points, inputs)),
+    "max-side": lambda args, inputs: km.corpus.max_side_metric(
+        _read(km.read_cloud, args.points, inputs)),
+    "random-strong": lambda args, inputs: km.corpus.random_strong_metric(
         args.n, args.k, args.seed),
 }
 
@@ -221,11 +183,11 @@ def build_parser() -> _Parser:
 
 
 def _cmd_verify(args, inputs, outputs):
-    d = _read(read_kmetric, args.metric, inputs)
+    d = _read(km.read_kmetric, args.metric, inputs)
     if args.strong:
-        report = check_strong(d, exhaustive=args.exhaustive)
+        report = km.check_strong(d, exhaustive=args.exhaustive)
     else:
-        report = check_weak(d)
+        report = km.check_weak(d)
     results = {
         "n": d.n,
         "k": d.k,
@@ -258,7 +220,7 @@ def _cmd_verify(args, inputs, outputs):
 
 
 def _cmd_min_chain(args, inputs, outputs):
-    K = _read(read_complex, args.complex, inputs)
+    K = _read(km.read_complex, args.complex, inputs)
     target = _parse_target(args.target)
     if len(target) != K.k:
         raise _UsageError(f"target needs {K.k} vertices, got {len(target)}")
@@ -268,8 +230,8 @@ def _cmd_min_chain(args, inputs, outputs):
     orientation_sign(target)  # a repeated or out-of-range vertex is named by the whole target
     validate_simplex(K.n, sorted(target))
     faces = {target[:i] + target[i + 1:]: (-1) ** i for i in range(K.k)}
-    cost, chain = min_bounding_chain(weights, chain_from_dict(K.n, K.k - 2, faces), mask=idx)
-    _write(chain, args.output, outputs)
+    cost, chain = km.min_bounding_chain(weights, chain_from_dict(K.n, K.k - 2, faces), mask=idx)
+    _write(km.write_chain, chain, args.output, outputs, "chain")
     results = {
         "target": list(target),
         "cost": cost,
@@ -280,21 +242,21 @@ def _cmd_min_chain(args, inputs, outputs):
 
 def _cmd_embed(args, inputs, outputs):
     if args.mode == "frechet":
-        F = frechet_embed(_read(read_kmetric, args.metric, inputs))
-        _write(F, args.output, outputs)
+        F = km.frechet_embed(_read(km.read_kmetric, args.metric, inputs))
+        _write(km.write_chain_matrix, F, args.output, outputs, "chains")
         return {"n": F.n, "k": F.k, "columns": F.m}, OK
 
-    F = _read(read_chain_matrix, args.chains, inputs)
+    F = _read(km.read_chain_matrix, args.chains, inputs)
     if args.mode == "jl":
         p = 2
-        m_target = jl_target_dim(F.n, F.k, args.eps)
-        projected = random_project(F, m_target, NormSpec(p), args.seed)
+        m_target = km.jl_target_dim(F.n, F.k, args.eps)
+        projected = km.random_project(F, m_target, km.NormSpec(p), args.seed)
     else:  # l2lp
         p = _parse_p(args.p)
-        projected = embed_l2_to_lp(F, p, args.eps, args.seed)
-    distortion = max_distortion(
-        eval_coboundary_metric(projected, NormSpec(p)),
-        eval_coboundary_metric(F, NormSpec(2)),
+        projected = km.embed_l2_to_lp(F, p, args.eps, args.seed)
+    distortion = km.max_distortion(
+        km.eval_coboundary_metric(projected, km.NormSpec(p)),
+        km.eval_coboundary_metric(F, km.NormSpec(2)),
     )
     results = {
         "columns_before": F.m,
@@ -303,14 +265,16 @@ def _cmd_embed(args, inputs, outputs):
         "eps": args.eps,
         "distortion": distortion,
     }
-    _write(projected, args.output, outputs)
+    if distortion > args.eps:  # the embedding misses its bound: write nothing
+        return results, VERIFY_FAIL
+    _write(km.write_chain_matrix, projected, args.output, outputs, "chains")
     return results, OK
 
 
 def _cmd_eval(args, inputs, outputs):
-    F = _read(read_chain_matrix, args.chains, inputs)
-    d = eval_coboundary_metric(F, NormSpec(_parse_p(args.p)))
-    _write(d, args.output, outputs)
+    F = _read(km.read_chain_matrix, args.chains, inputs)
+    d = km.eval_coboundary_metric(F, km.NormSpec(_parse_p(args.p)))
+    _write(km.write_kmetric, d, args.output, outputs, "metric")
     return {
         "n": d.n,
         "k": d.k,
@@ -320,13 +284,13 @@ def _cmd_eval(args, inputs, outputs):
 
 
 def _cmd_volume(args, inputs, outputs):
-    cloud = _read(read_cloud, args.points, inputs)
+    cloud = _read(km.read_cloud, args.points, inputs)
     if args.to_coboundary:
-        F = volume_to_coboundary(cloud, args.k)
-        _write(F, args.output, outputs)
+        F = km.volume_to_coboundary(cloud, args.k)
+        _write(km.write_chain_matrix, F, args.output, outputs, "chains")
         return {"points": cloud.count, "k": args.k, "columns": F.m}, OK
-    d = volume_metric(cloud, args.k)
-    _write(d, args.output, outputs)
+    d = km.volume_metric(cloud, args.k)
+    _write(km.write_kmetric, d, args.output, outputs, "metric")
     return {
         "points": cloud.count,
         "k": args.k,
@@ -335,17 +299,18 @@ def _cmd_volume(args, inputs, outputs):
     }, OK
 
 
-_APEX = {"kmetric": apex_extend, "chain_matrix": apex_extend_chain_matrix}
-
-
 def _cmd_apex(args, inputs, outputs):
-    kind, payload = _read(read_any, args.payload, inputs)
-    if kind not in _APEX:
-        raise InputError(
+    kind, payload = _read(km.read_any, args.payload, inputs)
+    if kind == "kmetric":
+        extended = km.apex_extend(payload)
+        _write(km.write_kmetric, extended, args.output, outputs, "metric")
+    elif kind == "chain_matrix":
+        extended = km.apex_extend_chain_matrix(payload)
+        _write(km.write_chain_matrix, extended, args.output, outputs, "chains")
+    else:
+        raise km.InputError(
             args.payload, f"apex extension applies to tables or chains, not {kind}"
         )
-    extended = _APEX[kind](payload)
-    _write(extended, args.output, outputs)
     return {
         "kind": kind,
         "n": extended.n,
@@ -355,14 +320,14 @@ def _cmd_apex(args, inputs, outputs):
 
 
 def _cmd_hypertree(args, inputs, outputs):
-    K = _read(read_complex, args.complex, inputs)
+    K = _read(km.read_complex, args.complex, inputs)
     if args.to_l1:
-        F = hypertree_to_l1(K)  # the one check: raises NotHypertreeError on a bad complex
-        _write(F, args.output, outputs)
+        F = km.hypertree_to_l1(K)  # the one check: raises NotHypertreeError on a bad complex
+        _write(km.write_chain_matrix, F, args.output, outputs, "chains")
         count = len(K.facets)  # its block was square and nonsingular: rank = count = cycle dim
-        report = HypertreeReport(True, True, True, count, count, count)
+        report = km.HypertreeReport(True, True, True, count, count, count)
     else:
-        report = is_hypertree(K)
+        report = km.is_hypertree(K)
     results = {
         "n": K.n,
         "k": K.k,
@@ -385,7 +350,8 @@ def _cmd_gen(args, inputs, outputs):
     if name in ("perimeter", "max-side") and not args.points:
         raise _UsageError(f"{name} needs --points")
     inst = _MAKERS[name](args, inputs)
-    _write(inst.payload, args.output, outputs, key="instance")
+    writer = km.write_kmetric if isinstance(inst.payload, km.KMetric) else km.write_chain_matrix
+    _write(writer, inst.payload, args.output, outputs, "instance")
 
     expected = {}
     for key, value in inst.expected.items():
@@ -432,17 +398,17 @@ def main(argv=None) -> int:
         results, code = _HANDLERS[args.command](args, inputs, outputs)
     except _UsageError as exc:
         return _fail(INPUT_FAIL, "usage", str(exc))
-    except InputError as exc:
+    except km.InputError as exc:
         return _fail(INPUT_FAIL, "input", exc.message, file=exc.path, field=exc.field,
                      line=exc.line)
-    except NotStrongError as exc:
+    except km.NotStrongError as exc:
         return _fail(VERIFY_FAIL, "verification", str(exc), simplex=_simplex_list(exc.simplex),
                      value=exc.value, achieved=exc.achieved)
-    except NotHypertreeError as exc:
+    except km.NotHypertreeError as exc:
         return _fail(VERIFY_FAIL, "verification", str(exc))
-    except LPError as exc:
+    except km.LPError as exc:
         return _fail(SOLVER_FAIL, "solver", str(exc))
-    except (UnfillableBoundaryError, ValueError, OSError) as exc:
+    except (km.UnfillableBoundaryError, ValueError, OSError) as exc:
         return _fail(INPUT_FAIL, "input", str(exc))
 
     _emit(

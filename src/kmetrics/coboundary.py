@@ -70,7 +70,7 @@ class NormSpec:
         return top * np.linalg.norm(scaled, ord=self.p, axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainMatrix:
     """m chains of dimension k-2 on n vertices, stored as columns."""
 

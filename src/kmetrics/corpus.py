@@ -12,11 +12,11 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .apex import apex_extend_chain_matrix
-from .coboundary import ChainMatrix
+# other modules' records through the package's table, each loaded on first use
+import kmetrics as km
+
 from .metric import KMetric, bounding_sweep
 from .simplicial import Chain, _check_counts, chain_from_dict, simplex_index, simplex_rows
-from .volume import PointCloud
 
 # Bounds of the uniform costs that random_strong_metric draws, one per k-tuple.
 _WEIGHT_RANGE = (0.5, 2.0)
@@ -81,7 +81,7 @@ def discrete_metric(n: int, k: int) -> CorpusInstance:
     aux = {}
     if k == 3:
         # the all-ones edge chain realises the table as a 1-norm coboundary
-        aux["inducing_chain_matrix"] = ChainMatrix(
+        aux["inducing_chain_matrix"] = km.ChainMatrix(
             n=n, k=3, data=np.ones((comb(n, 2), 1))
         )
     return CorpusInstance(
@@ -104,7 +104,7 @@ def four_point_equilateral() -> CorpusInstance:
     data = np.zeros((rows, 2))
     data[simplex_index(4, (1, 3))] = [1.0, 0.0]
     data[simplex_index(4, (2, 3))] = [0.5, sqrt(3.0) / 2.0]
-    payload = ChainMatrix(n=4, k=3, data=data)
+    payload = km.ChainMatrix(n=4, k=3, data=data)
     return CorpusInstance(
         name="four-point-equilateral",
         payload=payload,
@@ -130,7 +130,7 @@ def six_point_apex_discrete() -> CorpusInstance:
     the rest; it is a 1-norm coboundary table but not a volume table.
     """
     base = discrete_metric(5, 3)
-    payload = apex_extend_chain_matrix(base.aux["inducing_chain_matrix"])
+    payload = km.apex_extend_chain_matrix(base.aux["inducing_chain_matrix"])
     values = {tuple(s): 1.0 if s[-1] == 5 else 0.0 for s in simplex_rows(6, 3).tolist()}
     return CorpusInstance(
         name="six-point-apex-discrete",
@@ -145,13 +145,13 @@ def six_point_apex_discrete() -> CorpusInstance:
     )
 
 
-def _pairwise_distances(cloud: PointCloud) -> np.ndarray:
+def _pairwise_distances(cloud: km.PointCloud) -> np.ndarray:
     pts = cloud.points
     diff = pts[:, None, :] - pts[None, :, :]
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
-def perimeter_metric(cloud: PointCloud) -> CorpusInstance:
+def perimeter_metric(cloud: km.PointCloud) -> CorpusInstance:
     """Arity-3 table summing the three pairwise distances of each triple."""
     dist = _pairwise_distances(cloud)
     a, b, c = simplex_rows(cloud.count, 2).T
@@ -161,7 +161,7 @@ def perimeter_metric(cloud: PointCloud) -> CorpusInstance:
     )
 
 
-def max_side_metric(cloud: PointCloud) -> CorpusInstance:
+def max_side_metric(cloud: km.PointCloud) -> CorpusInstance:
     """Arity-3 table taking the longest pairwise distance of each triple."""
     dist = _pairwise_distances(cloud)
     a, b, c = simplex_rows(cloud.count, 2).T

@@ -31,10 +31,10 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .coboundary import ChainMatrix
-from .hypertree import WeightedComplex
+# payload records through the package's table: a read loads only its payload's module
+import kmetrics as km
+
 from .jsonblocks import InputError, get_blocks, read_object
-from .metric import KMetric
 from .simplicial import (
     MAX_SIMPLICES,
     Chain,
@@ -43,7 +43,6 @@ from .simplicial import (
     simplex_index,
     validate_simplex,
 )
-from .volume import PointCloud
 
 
 # List items encoded per call of the C encoder.
@@ -151,17 +150,17 @@ def _read_entries(entries: list, first: int, path: str, name: str, key: str, n: 
 # --- arity-k tables -------------------------------------------------------
 
 
-def write_kmetric(d: KMetric, path: str) -> None:
+def write_kmetric(d: km.KMetric, path: str) -> None:
     # the canonical order, streamed rather than simplex_rows, so a write holds one block
     tuples = itertools.combinations(range(d.n), d.k)
     _dump({"n": d.n, "k": d.k}, "values", _entries(tuples, d.values, "d"), path)
 
 
-def read_kmetric(path: str) -> KMetric:
+def read_kmetric(path: str) -> km.KMetric:
     return read_object(path, {"values": _kmetric_from})[1]
 
 
-def _kmetric_from(obj: dict, path: str) -> KMetric:
+def _kmetric_from(obj: dict, path: str) -> km.KMetric:
     n = _get_int(obj, "n", path, minimum=1)
     k = _get_int(obj, "k", path, minimum=2)
     if n < k:
@@ -195,7 +194,7 @@ def _kmetric_from(obj: dict, path: str) -> KMetric:
             path, f"{missing.size} of {count} tuples missing, first {first}", field="values"
         )
     try:
-        return KMetric(n=n, k=k, values=values)
+        return km.KMetric(n=n, k=k, values=values)
     except ValueError as exc:
         raise InputError(path, str(exc), field="values") from exc
 
@@ -203,15 +202,15 @@ def _kmetric_from(obj: dict, path: str) -> KMetric:
 # --- chain collections ----------------------------------------------------
 
 
-def write_chain_matrix(F: ChainMatrix, path: str) -> None:
+def write_chain_matrix(F: km.ChainMatrix, path: str) -> None:
     _dump({"n": F.n, "k": F.k, "m": F.m}, "data", _blocks(F.data.reshape(-1)), path)
 
 
-def read_chain_matrix(path: str) -> ChainMatrix:
+def read_chain_matrix(path: str) -> km.ChainMatrix:
     return read_object(path, {"data": _chain_matrix_from})[1]
 
 
-def _chain_matrix_from(obj: dict, path: str) -> ChainMatrix:
+def _chain_matrix_from(obj: dict, path: str) -> km.ChainMatrix:
     n = _get_int(obj, "n", path, minimum=1)
     k = _get_int(obj, "k", path, minimum=2)
     m = _get_int(obj, "m", path, minimum=1)
@@ -236,7 +235,7 @@ def _chain_matrix_from(obj: dict, path: str) -> ChainMatrix:
     if bad is not None:
         raise bad
     try:
-        return ChainMatrix(n=n, k=k, data=flat.reshape(rows, m))
+        return km.ChainMatrix(n=n, k=k, data=flat.reshape(rows, m))
     except ValueError as exc:
         raise InputError(path, str(exc), field="data") from exc
 
@@ -244,15 +243,15 @@ def _chain_matrix_from(obj: dict, path: str) -> ChainMatrix:
 # --- weighted complexes ---------------------------------------------------
 
 
-def write_complex(K: WeightedComplex, path: str) -> None:
+def write_complex(K: km.WeightedComplex, path: str) -> None:
     _dump({"n": K.n, "k": K.k}, "facets", _entries(K.facets, K.weights, "w"), path)
 
 
-def read_complex(path: str) -> WeightedComplex:
+def read_complex(path: str) -> km.WeightedComplex:
     return read_object(path, {"facets": _complex_from})[1]
 
 
-def _complex_from(obj: dict, path: str) -> WeightedComplex:
+def _complex_from(obj: dict, path: str) -> km.WeightedComplex:
     n = _get_int(obj, "n", path, minimum=1)
     k = _get_int(obj, "k", path, minimum=2)
     facets, weights = [], [np.empty(0)]
@@ -260,7 +259,7 @@ def _complex_from(obj: dict, path: str) -> WeightedComplex:
         weights.append(_read_entries(entries, offset, path, "facets", "w", n, k)[1])
         facets.extend(tuple(entry["s"]) for entry in entries)
     try:
-        return WeightedComplex(n=n, k=k, facets=tuple(facets), weights=np.concatenate(weights))
+        return km.WeightedComplex(n=n, k=k, facets=tuple(facets), weights=np.concatenate(weights))
     except ValueError as exc:
         raise InputError(path, str(exc), field="facets") from exc
 
@@ -268,15 +267,15 @@ def _complex_from(obj: dict, path: str) -> WeightedComplex:
 # --- point clouds ---------------------------------------------------------
 
 
-def write_cloud(cloud: PointCloud, path: str) -> None:
+def write_cloud(cloud: km.PointCloud, path: str) -> None:
     _dump({"m": cloud.m}, "points", _blocks(cloud.points), path)
 
 
-def read_cloud(path: str) -> PointCloud:
+def read_cloud(path: str) -> km.PointCloud:
     return read_object(path, {"points": _cloud_from})[1]
 
 
-def _cloud_from(obj: dict, path: str) -> PointCloud:
+def _cloud_from(obj: dict, path: str) -> km.PointCloud:
     m = _get_int(obj, "m", path, minimum=1)
     coords, count = [np.empty(0)], 0
     for offset, rows in get_blocks(obj, "points", path):
@@ -291,7 +290,7 @@ def _cloud_from(obj: dict, path: str) -> PointCloud:
             )
         count += len(rows)
     try:
-        return PointCloud(points=np.concatenate(coords).reshape(count, m))
+        return km.PointCloud(points=np.concatenate(coords).reshape(count, m))
     except ValueError as exc:
         raise InputError(path, str(exc), field="points") from exc
 

@@ -18,7 +18,9 @@ from math import comb
 
 import numpy as np
 
-from .coboundary import ChainMatrix
+# ChainMatrix through the package's table, so a complex read does not load coboundary
+import kmetrics as km
+
 from .metric import KMetric, UnfillableBoundaryError, bounding_sweep
 from .simplicial import (
     _check_bytes,
@@ -40,7 +42,7 @@ class NotHypertreeError(Exception):
     """The facet set fails one of the two hypertree rank conditions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedComplex:
     """Positively weighted (k-1)-facets over the complete lower skeleton."""
 
@@ -141,7 +143,7 @@ def mbc_metric(K: WeightedComplex, jobs: int = 1) -> KMetric:
     return KMetric(n=K.n, k=K.k, values=np.array(values))
 
 
-def hypertree_to_l1(K: WeightedComplex) -> ChainMatrix:
+def hypertree_to_l1(K: WeightedComplex) -> km.ChainMatrix:
     """Chains whose 1-norm coboundary table equals the bounding-chain metric.
 
     Column j is a chain one dimension down whose coboundary is w_j on facet
@@ -169,7 +171,7 @@ def hypertree_to_l1(K: WeightedComplex) -> ChainMatrix:
     residual = float((np.abs(coboundary_rows(faces, F) - target).max(axis=0) / K.weights).max())
     if residual > L1_RESIDUAL_TOL:
         raise NotHypertreeError(f"facet system residual {residual:.3e} exceeds {L1_RESIDUAL_TOL}")
-    return ChainMatrix(n=K.n, k=K.k, data=F)
+    return km.ChainMatrix(n=K.n, k=K.k, data=F)
 
 
 def random_spanning_tree(n: int, seed: int) -> WeightedComplex:

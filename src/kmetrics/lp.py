@@ -33,7 +33,7 @@ class LPError(Exception):
     """Solver failure: numerical breakdown or pivot overflow."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StandardFormLP:
     """min c.x  subject to  A x = b,  x >= 0."""
 
@@ -56,7 +56,7 @@ class StandardFormLP:
             object.__setattr__(self, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LPSolution:
     status: str  # "optimal" | "infeasible"
     x: Optional[np.ndarray]

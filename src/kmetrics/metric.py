@@ -47,7 +47,7 @@ class UnfillableBoundaryError(Exception):
     """The requested boundary has no chain supported on the allowed simplices."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KMetric:
     """Distance table of arity k on n vertices, one value per k-subset."""
 

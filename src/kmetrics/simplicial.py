@@ -133,7 +133,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chain:
     """A formal linear combination of the dim-simplices on n vertices."""
 
@@ -185,7 +185,7 @@ def chain_from_dict(n: int, dim: int, entries: dict) -> Chain:
     return Chain(n=n, dim=dim, coeffs=coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearChainOperator:
     """Dense linear map from src_dim-chains to dst_dim-chains, both on n vertices."""
 

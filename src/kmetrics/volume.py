@@ -21,7 +21,7 @@ from .metric import KMetric
 from .simplicial import _check_bytes, simplex_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """Finitely many points in a common ambient dimension m."""
 

@@ -21,6 +21,7 @@ from kmetrics.fileio import (
     read_chain,
     read_chain_matrix,
     read_kmetric,
+    write_chain_matrix,
     write_cloud,
     write_complex,
     write_kmetric,
@@ -251,6 +252,44 @@ def test_min_chain_and_gen_do_not_import_numpy_ma(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+VERIFY_MODULES = {"cli", "fileio", "jsonblocks", "lp", "metric", "simplicial"}
+
+
+@pytest.fixture(scope="module")
+def inputs_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    table = random_strong_metric(5, 3, 1).payload
+    write_kmetric(table, str(d / "d.json"))
+    write_chain_matrix(kmetrics.frechet_embed(table), str(d / "F.json"))
+    write_complex(kmetrics.random_2hypertree(6, 1), str(d / "K.json"))
+    write_cloud(PointCloud(points=np.random.default_rng(0).normal(size=(6, 3))),
+                str(d / "P.json"))
+    return d
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("min-chain K.json --target 0,1,2", {"hypertree"}),
+    ("verify d.json", set()),
+    ("verify d.json --strong", set()),
+    ("eval F.json --p inf", {"coboundary"}),
+    ("embed jl F.json --eps 0.5 --seed 1 -o J.json", {"coboundary"}),
+    ("gen subdivided-triangle -o g.json", {"corpus"}),
+    ("hypertree K.json --to-l1", {"coboundary", "hypertree"}),
+    ("volume P.json --k 3", {"coboundary", "volume"}),
+])
+def test_each_command_loads_only_its_modules(inputs_dir, command, extra):
+    script = (
+        "import sys\n"
+        "from kmetrics import cli\n"
+        f"assert cli.main({command.split()!r}) == 0\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('kmetrics.')))\n"
+    )
+    proc = _python(["-c", script], cwd=inputs_dir)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1].split()
+    assert loaded == sorted(f"kmetrics.{m}" for m in VERIFY_MODULES | extra)
+
+
 # --- embed / eval ------------------------------------------------------------
 
 
@@ -387,6 +426,20 @@ def test_l2lp_projection_writes_the_renormed_columns(tmp_path, capsys):
     d2 = eval_coboundary_metric(read_chain_matrix(chains), NormSpec(2))
     ratio = d1.values[d2.values > 0] / d2.values[d2.values > 0]
     assert ratio.max() <= 1.5 and ratio.min() >= 0.5
+
+
+@pytest.mark.parametrize("p, columns", [("2", 20), ("40", 1)])
+def test_an_embedding_over_its_eps_exits_1_and_writes_nothing(tmp_path, capsys, p, columns):
+    metric, chains = str(tmp_path / "d.json"), str(tmp_path / "F.json")
+    _run(["gen", "random-strong", "--n", "5", "--k", "3", "--seed", "1", "-o", metric], capsys)
+    _run(["embed", "frechet", metric, "-o", chains], capsys)
+    code, report = _run(["embed", "l2lp", chains, "--p", p, "--eps", "0.5", "--seed", "1",
+                         "-o", str(tmp_path / "G.json")], capsys)
+    assert code == 1
+    assert report["results"]["columns_after"] == columns
+    assert report["results"]["distortion"] > 0.5
+    assert report["outputs"] == {}
+    assert not (tmp_path / "G.json").exists()
 
 
 def test_eval_reads_infinity_in_any_spelling(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Every name a kmetrics module or a test module imports is used in that
-module, every method is called, every command-line option is read, and every
-name the package exports is defined in the module its export table names.
+module, every method is called, every command-line option is read, every
+name the package exports is defined in the module its export table names, and
+every km.<name> a kmetrics module reads through the package resolves.
 
 A method counts as used when its name is read as an attribute anywhere in
 src/, tests/, perfbench/ or demos/.  An option counts as read when cli.py
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import kmetrics
 from kmetrics.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -160,3 +162,32 @@ def test_the_check_finds_a_missing_export():
 def test_every_export_is_a_top_level_name_of_its_module():
     assert _missing_exports((SRC / "__init__.py").read_text(),
                             lambda module: (SRC / f"{module}.py").read_text()) == []
+
+
+def _unknown_package_names(source: str, known: set) -> list:
+    """(line, name) of each alias.name whose name is not in known, for every alias
+    that source binds by `import kmetrics as alias`."""
+    tree = ast.parse(source)
+    aliases = {
+        alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "kmetrics"
+    }
+    return sorted(
+        (node.lineno, node.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in aliases and node.attr not in known
+    )
+
+
+def test_the_check_finds_an_unknown_package_name():
+    source = "import kmetrics as km\ntry:\n    km.check_weak(km.corpus)\n"
+    source += "except km.NotStrongErorr:\n    pass\n"
+    assert _unknown_package_names(source, {"check_weak", "corpus", "NotStrongError"}) == [
+        (4, "NotStrongErorr")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_package_name_a_module_reads_resolves(module):
+    # an except clause reads its name only when an exception reaches it, so check them here
+    known = set(kmetrics.__all__) | kmetrics._SUBMODULES
+    assert _unknown_package_names((SRC / module).read_text(), known) == []
