@@ -26,19 +26,19 @@ _EXPORTS = {
         "write_complex", "write_kmetric",
     ),
     "hypertree": (
-        "HypertreeReport", "NotHypertreeError", "WeightedComplex", "cycle_space_dim",
+        "HypertreeReport", "NotHypertreeError", "cycle_space_dim",
         "hypertree_to_l1", "is_hypertree", "mbc_metric", "random_2hypertree",
         "random_spanning_tree",
     ),
-    "lp": ("LPError", "LPSolution", "StandardFormLP", "solve"),
-    "metric": (
-        "KMetric", "StrongWitness", "UnfillableBoundaryError", "VerificationReport",
-        "check_strong", "check_weak", "min_bounding_chain",
+    "lp": (
+        "LPError", "LPSolution", "StandardFormLP", "UnfillableBoundaryError",
+        "min_bounding_chain", "solve",
     ),
+    "metric": ("KMetric", "StrongWitness", "VerificationReport", "check_strong", "check_weak"),
     "simplicial": (
-        "Chain", "LinearChainOperator", "apply_operator", "boundary_operator",
-        "chain_from_dict", "coboundary_operator", "enumerate_simplices", "indicator_chain",
-        "orientation_sign", "simplex_index", "zero_chain",
+        "Chain", "LinearChainOperator", "WeightedComplex", "apply_operator",
+        "boundary_operator", "chain_from_dict", "coboundary_operator", "enumerate_simplices",
+        "indicator_chain", "orientation_sign", "simplex_index", "zero_chain",
     ),
     "volume": ("PointCloud", "volume_metric", "volume_to_coboundary"),
 }

@@ -13,7 +13,9 @@ from math import comb
 
 import numpy as np
 
-from .coboundary import ChainMatrix
+# ChainMatrix through the package's table, so extending a table does not load coboundary
+import kmetrics as km
+
 from .metric import KMetric
 from .simplicial import _check_bytes, simplex_index, simplex_rows
 
@@ -31,7 +33,7 @@ def apex_extend(d: KMetric) -> KMetric:
     return KMetric(n=d.n + 1, k=d.k + 1, values=values)
 
 
-def apex_extend_chain_matrix(F: ChainMatrix) -> ChainMatrix:
+def apex_extend_chain_matrix(F: km.ChainMatrix) -> km.ChainMatrix:
     """Lift every column through the apex; evaluation commutes with apex_extend.
 
     Row s of F becomes row s + apex, the rest are zero (+ 0.0 clears -0.0,
@@ -42,4 +44,4 @@ def apex_extend_chain_matrix(F: ChainMatrix) -> ChainMatrix:
     _check_bytes("apex chains", 8 * F.m * (2 * rows + F.data.shape[0]))
     data = np.zeros((rows, F.m))
     data[positions] = F.data + 0.0
-    return ChainMatrix(n=F.n + 1, k=F.k + 1, data=data)
+    return km.ChainMatrix(n=F.n + 1, k=F.k + 1, data=data)

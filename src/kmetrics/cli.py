@@ -15,7 +15,9 @@ imports each module on first use, so a process loads only what its command runs.
 
 The runtime is serial, so unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is
 set the CLI runs OpenBLAS on one thread: its worker pool would cost each
-process more at numpy load than it saves.  entry() flushes the report and
+process more at numpy load than it saves.  entry() turns the cyclic garbage
+collector off (python -m kmetrics, before numpy loads): a command leaves
+bounded cyclic garbage, argparse's parser graph.  It flushes the report and
 ends the process with os._exit, skipping interpreter teardown.
 """
 
@@ -27,6 +29,7 @@ if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.envi
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -117,66 +120,59 @@ _MAKERS = {
 }
 
 
-def build_parser() -> _Parser:
+_FLAG, _REQUIRED = {"action": "store_true"}, {"required": True}
+_INT, _FLOAT = {"type": int, "required": True}, {"type": float, "required": True}
+_OUT, _OUT_REQUIRED = (("-o", "--output"), {}), (("-o", "--output"), _REQUIRED)
+
+# command -> (help, its arguments as (names, keywords) pairs, or a table like this of its modes)
+_COMMANDS = {
+    "verify": ("check the weak/strong chain inequalities",
+               [(("metric",), {}), (("--strong",), _FLAG), (("--exhaustive",), _FLAG)]),
+    "min-chain": ("cheapest facet chain bounding a tuple", [
+        (("complex",), {}), (("--target",), {**_REQUIRED, "help": "comma-separated vertices"}),
+        (("-o", "--output"), {"help": "write the optimal chain here"})]),
+    "embed": ("build or shrink chain collections", {
+        "frechet": ("strong table to max-norm chain columns", [(("metric",), {}), _OUT_REQUIRED]),
+        "jl": ("Gaussian sketch at the dimension-bound size", [
+            (("chains",), {}), (("--eps",), _FLOAT), (("--seed",), _INT), _OUT_REQUIRED]),
+        "l2lp": ("re-norm a Euclidean table into p-norm columns", [
+            (("chains",), {}), (("--p",), _REQUIRED), (("--eps",), _FLOAT), (("--seed",), _INT),
+            _OUT_REQUIRED]),
+    }),
+    "eval": ("evaluate chain columns into a distance table",
+             [(("chains",), {}), (("--p",), _REQUIRED), _OUT]),
+    "volume": ("simplex volumes of a point cloud",
+               [(("points",), {}), (("--k",), _INT), (("--to-coboundary",), _FLAG), _OUT]),
+    "apex": ("raise arity through a fresh apex vertex",
+             [(("payload",), {"help": "a table or chain collection file"}), _OUT]),
+    "hypertree": ("rank checks and the 1-norm realisation",
+                  [(("complex",), {}), (("--to-l1",), _FLAG), _OUT]),
+    "gen": ("write a named corpus instance", [
+        (("name",), {"choices": list(_MAKERS)}), (("--n",), {"type": int}),
+        (("--k",), {"type": int}), (("--seed",), {"type": int, "default": 0}),
+        (("--points",), {"help": "cloud file for perimeter/max-side"}), _OUT_REQUIRED]),
+}
+
+
+def _add_commands(sub, commands: dict) -> None:
+    for name, (text, arguments) in commands.items():
+        p = sub.add_parser(name, help=text)
+        if isinstance(arguments, dict):  # a table of modes, one level down
+            _add_commands(p.add_subparsers(dest="mode", required=True), arguments)
+        else:
+            for names, keywords in arguments:
+                p.add_argument(*names, **keywords)
+
+
+def _parser(commands: dict) -> _Parser:
     parser = _Parser(prog="kmetrics", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="check the weak/strong chain inequalities")
-    p.add_argument("metric")
-    p.add_argument("--strong", action="store_true")
-    p.add_argument("--exhaustive", action="store_true")
-
-    p = sub.add_parser("min-chain", help="cheapest facet chain bounding a tuple")
-    p.add_argument("complex")
-    p.add_argument("--target", required=True, help="comma-separated vertices")
-    p.add_argument("-o", "--output", help="write the optimal chain here")
-
-    p = sub.add_parser("embed", help="build or shrink chain collections")
-    esub = p.add_subparsers(dest="mode", required=True)
-    q = esub.add_parser("frechet", help="strong table to max-norm chain columns")
-    q.add_argument("metric")
-    q.add_argument("-o", "--output", required=True)
-    q = esub.add_parser("jl", help="Gaussian sketch at the dimension-bound size")
-    q.add_argument("chains")
-    q.add_argument("--eps", type=float, required=True)
-    q.add_argument("--seed", type=int, required=True)
-    q.add_argument("-o", "--output", required=True)
-    q = esub.add_parser("l2lp", help="re-norm a Euclidean table into p-norm columns")
-    q.add_argument("chains")
-    q.add_argument("--p", required=True)
-    q.add_argument("--eps", type=float, required=True)
-    q.add_argument("--seed", type=int, required=True)
-    q.add_argument("-o", "--output", required=True)
-
-    p = sub.add_parser("eval", help="evaluate chain columns into a distance table")
-    p.add_argument("chains")
-    p.add_argument("--p", required=True)
-    p.add_argument("-o", "--output")
-
-    p = sub.add_parser("volume", help="simplex volumes of a point cloud")
-    p.add_argument("points")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--to-coboundary", action="store_true")
-    p.add_argument("-o", "--output")
-
-    p = sub.add_parser("apex", help="raise arity through a fresh apex vertex")
-    p.add_argument("payload", help="a table or chain collection file")
-    p.add_argument("-o", "--output")
-
-    p = sub.add_parser("hypertree", help="rank checks and the 1-norm realisation")
-    p.add_argument("complex")
-    p.add_argument("--to-l1", action="store_true")
-    p.add_argument("-o", "--output")
-
-    p = sub.add_parser("gen", help="write a named corpus instance")
-    p.add_argument("name", choices=list(_MAKERS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", help="cloud file for perimeter/max-side")
-    p.add_argument("-o", "--output", required=True)
-
+    _add_commands(parser.add_subparsers(dest="command", required=True), commands)
     return parser
+
+
+def build_parser() -> _Parser:
+    """Every command's parser; main builds only the one that argv[0] names, if any."""
+    return _parser(_COMMANDS)
 
 
 # --- handlers ---------------------------------------------------------------
@@ -393,8 +389,11 @@ def _fail(code: int, kind: str, message: str, **extra) -> int:
 def main(argv=None) -> int:
     started = time.perf_counter()
     inputs, outputs = {}, {}
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv else None
+    parser = _parser({command: _COMMANDS[command]}) if command in _COMMANDS else build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
         results, code = _HANDLERS[args.command](args, inputs, outputs)
     except _UsageError as exc:
         return _fail(INPUT_FAIL, "usage", str(exc))
@@ -425,6 +424,7 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    gc.disable()
     code = main()
     sys.stdout.flush()
     sys.stderr.flush()

@@ -12,16 +12,16 @@ at a controlled distortion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
 import numpy as np
 
-from .metric import KMetric, VALUE_TOL, bounding_sweep
+from .lp import bounding_sweep
+from .metric import KMetric, VALUE_TOL
 from .simplicial import (
-    Chain, SimplexKey, _check_bytes, boundary_rows, coboundary_rows, face_ranks, simplex_at,
-    simplex_index, simplex_rows,
+    Chain, Record, SimplexKey, ValueRecord, _check_bytes, boundary_rows, coboundary_rows,
+    face_ranks, simplex_at, simplex_index, simplex_rows,
 )
 
 # Entries that eval_coboundary_metric and volume_metric gather at once (0.5 MB of floats).
@@ -41,13 +41,12 @@ class NotStrongError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class NormSpec:
+class NormSpec(ValueRecord):
     """Entrywise p-norm used on coboundary rows; p in [1, inf]."""
 
-    p: float
+    __slots__ = ("p",)
 
-    def __post_init__(self):
+    def _validate(self):
         p = float(self.p)
         if not (p >= 1.0):
             raise ValueError(f"p must be at least 1, got {self.p}")
@@ -70,15 +69,12 @@ class NormSpec:
         return top * np.linalg.norm(scaled, ord=self.p, axis=1)
 
 
-@dataclass(frozen=True, eq=False)
-class ChainMatrix:
+class ChainMatrix(Record):
     """m chains of dimension k-2 on n vertices, stored as columns."""
 
-    n: int
-    k: int
-    data: np.ndarray
+    __slots__ = ("n", "k", "data")
 
-    def __post_init__(self):
+    def _validate(self):
         if self.k < 2:
             raise ValueError(f"arity must be at least 2, got {self.k}")
         if self.n < self.k:

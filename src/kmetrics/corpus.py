@@ -7,7 +7,6 @@ tables) that the test suite and the command line generator both consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb, sqrt
 
 import numpy as np
@@ -15,8 +14,11 @@ import numpy as np
 # other modules' records through the package's table, each loaded on first use
 import kmetrics as km
 
-from .metric import KMetric, bounding_sweep
-from .simplicial import Chain, _check_counts, chain_from_dict, simplex_index, simplex_rows
+from .lp import bounding_sweep
+from .metric import KMetric
+from .simplicial import (
+    Chain, ValueRecord, _check_counts, chain_from_dict, simplex_index, simplex_rows,
+)
 
 # Bounds of the uniform costs that random_strong_metric draws, one per k-tuple.
 _WEIGHT_RANGE = (0.5, 2.0)
@@ -36,12 +38,15 @@ SUBDIVISION_TRIANGLES = (
 )
 
 
-@dataclass(frozen=True)
-class CorpusInstance:
-    name: str
-    payload: object
-    expected: dict
-    aux: dict = field(default_factory=dict)
+class CorpusInstance(ValueRecord):
+    """A named payload, its expected outcomes, and aux, extra objects (by default {})."""
+
+    __slots__ = ("name", "payload", "expected", "aux")
+    _defaults = {"aux": None}
+
+    def _validate(self):
+        if self.aux is None:  # a fresh dict per instance
+            object.__setattr__(self, "aux", {})
 
 
 def subdivision_chain() -> Chain:

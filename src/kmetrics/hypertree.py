@@ -13,7 +13,6 @@ read the face positions of the facets alone, never those of all k-tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -21,17 +20,18 @@ import numpy as np
 # ChainMatrix through the package's table, so a complex read does not load coboundary
 import kmetrics as km
 
-from .metric import KMetric, UnfillableBoundaryError, bounding_sweep
+from .lp import UnfillableBoundaryError, bounding_sweep
+from .metric import KMetric
 from .simplicial import (
+    ValueRecord,
+    WeightedComplex,
     _check_bytes,
     _check_counts,
     boundary_block,
     coboundary_rows,
     face_ranks,
     simplex_at,
-    simplex_index,
     simplex_rows,
-    validate_simplex,
 )
 
 RANK_TOL = 1e-9
@@ -42,48 +42,11 @@ class NotHypertreeError(Exception):
     """The facet set fails one of the two hypertree rank conditions."""
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedComplex:
-    """Positively weighted (k-1)-facets over the complete lower skeleton."""
+class HypertreeReport(ValueRecord):
+    """Rank checks: acyclic (no facet cycle), fills_cycles (each cycle a dimension down bounds)."""
 
-    n: int
-    k: int
-    facets: tuple
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"arity must be at least 2, got {self.k}")
-        if self.n < self.k:
-            raise ValueError(f"need n >= k, got n={self.n}, k={self.k}")
-        keys = tuple(validate_simplex(self.n, f) for f in self.facets)
-        if len(keys) < 1:
-            raise ValueError("need at least one facet")
-        if any(len(f) != self.k for f in keys):
-            raise ValueError(f"facets must have {self.k} vertices")
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate facet")
-        w = np.array(self.weights, dtype=float).reshape(-1)
-        if w.shape != (len(keys),):
-            raise ValueError(f"expected {len(keys)} weights, got {w.shape[0]}")
-        if not np.isfinite(w).all() or (w <= 0).any():
-            raise ValueError("facet weights must be finite and positive")
-        w.flags.writeable = False
-        object.__setattr__(self, "facets", keys)
-        object.__setattr__(self, "weights", w)
-
-    def facet_indices(self) -> np.ndarray:
-        return simplex_index(self.n, np.array(self.facets))
-
-
-@dataclass(frozen=True)
-class HypertreeReport:
-    is_hypertree: bool
-    acyclic: bool  # no nonzero facet-supported chain without boundary
-    fills_cycles: bool  # every cycle one dimension down bounds a facet chain
-    facet_rank: int
-    facet_count: int
-    cycle_space_dim: int
+    __slots__ = ("is_hypertree", "acyclic", "fills_cycles", "facet_rank", "facet_count",
+                 "cycle_space_dim")
 
 
 def cycle_space_dim(n: int, dim: int) -> int:

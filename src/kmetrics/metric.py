@@ -5,31 +5,27 @@ invariant under permutation and zero on tuples with repeats, so the table
 is stored over canonical (k-1)-simplices.  The weak property is the simplex
 inequality (replace one point at a time); the strong property bounds the
 value at t by the weighted mass of every chain whose boundary matches the
-boundary of the indicator of t, and is decided here by one small linear
-program per tuple, all solved as one warm-started sweep.  Both checks read
-the incidence from face_ranks alone, on the rows they list once: the weak
-one through a coface table, the programs for their targets, residuals and
-dual checks, and for their rows through simplicial.boundary_block, which
-keeps those of the faces that miss vertex 0 and only fills the tableau.
+boundary of the indicator of t, and is decided by one small linear program
+per tuple, all solved as one warm-started sweep (lp.bounding_sweep).  Both
+checks read the incidence from face_ranks alone, on the rows they list
+once: the weak one through a coface table, the sweep for its targets,
+residuals and dual checks, and for its rows through
+simplicial.boundary_block, which keeps those of the faces that miss vertex 0
+and only fills the tableau.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .lp import DEFAULT_TOL, LPError, Simplex
+from .lp import bounding_sweep
 from .simplicial import (
-    Chain,
-    SimplexKey,
-    _check_bytes,
+    Record,
+    ValueRecord,
     _check_counts,
-    boundary_block,
-    boundary_rows,
-    coboundary_rows,
     enumerate_simplices,
     face_ranks,
     simplex_at,
@@ -40,22 +36,14 @@ from .simplicial import (
 
 # Downstream comparisons of metric values; looser than the LP pivot tolerance.
 VALUE_TOL = 1e-6
-RESIDUAL_TOL = 1e-6
 
 
-class UnfillableBoundaryError(Exception):
-    """The requested boundary has no chain supported on the allowed simplices."""
-
-
-@dataclass(frozen=True, eq=False)
-class KMetric:
+class KMetric(Record):
     """Distance table of arity k on n vertices, one value per k-subset."""
 
-    n: int
-    k: int
-    values: np.ndarray
+    __slots__ = ("n", "k", "values")
 
-    def __post_init__(self):
+    def _validate(self):
         if self.k < 2:
             raise ValueError(f"arity must be at least 2, got {self.k}")
         if self.n < self.k:
@@ -86,25 +74,18 @@ class KMetric:
         return enumerate_simplices(self.n, self.k - 1)
 
 
-@dataclass(frozen=True)
-class StrongWitness:
-    """A tuple whose value exceeds the cost of some bounding chain."""
+class StrongWitness(ValueRecord):
+    """A tuple (simplex) whose value exceeds the cost of a bounding chain."""
 
-    simplex: SimplexKey
-    value: float
-    cost: float
-    chain: Chain
+    __slots__ = ("simplex", "value", "cost", "chain")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    is_weak: bool
-    weak_violations: tuple
-    pseudo_violations: tuple
-    is_strong: Optional[bool] = None
-    strong_witness: Optional[StrongWitness] = None
-    # (simplex, bounding-chain cost, table value) for every tuple checked
-    strong_margins: tuple = ()
+class VerificationReport(ValueRecord):
+    """Weak and strong verdicts; strong_margins: (simplex, chain cost, value) per tuple checked."""
+
+    __slots__ = ("is_weak", "weak_violations", "pseudo_violations", "is_strong",
+                 "strong_witness", "strong_margins")
+    _defaults = {"is_strong": None, "strong_witness": None, "strong_margins": ()}
 
 
 def check_weak(d: KMetric) -> VerificationReport:
@@ -146,124 +127,6 @@ def check_weak(d: KMetric) -> VerificationReport:
     )
 
 
-def bounding_sweep(weights: np.ndarray, n: int, k: int, cols: Optional[np.ndarray] = None,
-                   targets: Optional[Iterable] = None):
-    """Yield (cost, chain, y) per target: one warm-started bounding-chain sweep.
-
-    Every program min sum_s w(s)|alpha(s)| s.t. boundary(alpha) = target on
-    the allowed (k-1)-simplices cols (all of them by default) shares A and
-    c, so one dual simplex solves them all: the first from the artificial
-    basis (y = 0, feasible because w >= 0), each later one from the previous
-    target's final basis.  targets are (k-2)-chains as coefficient arrays;
-    by default they are the boundaries of every k-tuple's indicator, in
-    canonical order.  Stop early by leaving the loop.  Only the rows of
-    faces that miss vertex 0, the last C(n-1, k-1) in canonical order, are
-    kept (boundary_block): they are independent on boundaries and decide
-    them, so they imply the others for every target that is a boundary.
-
-    The costs are divided by their max and each target by its largest entry
-    before solving, and cost, chain and y are multiplied back, so every
-    tolerance inside the solver is relative.  With no allowed simplex a zero
-    target costs 0 and any other is refused as not fillable.  Each answer is
-    certified against rounding drift in the warm-started tableau: the chain
-    passes a residual check on all faces (a target that is not a boundary
-    fails there), and the dual y, zero on the dropped rows, must satisfy
-    |coboundary(y)| <= w (1 + tol) + tol max(w) on cols, read by the
-    face-table gather, and <target, y> = cost to tol = lp.DEFAULT_TOL, or
-    LPError is raised.  It is the one dual check: by weak duality cost is
-    optimal, and y, an embedding column in coboundary, never expands w.  The
-    kept block only fills the tableau and is not held, so the peak is two
-    tableaux (a pivot's update is one); a program over the byte budget is
-    refused with ValueError before anything is listed or allocated (_check_bytes).
-    """
-    w = np.asarray(weights, dtype=float)
-    dim = k - 1
-    size, first = comb(n, dim), comb(n - 1, dim - 1)
-    m = size - first
-    width = comb(n, k) if cols is None else cols.size
-    _check_bytes("bounding-chain LP", 8 * 2 * (m + 1) * (width + m + 1))
-    faces = face_ranks(n, simplex_rows(n, dim))
-    if cols is None:
-        cols = np.arange(faces.shape[1])
-    if targets is None:
-        targets = (boundary_rows(faces[:, [i]], np.ones(1), size) for i in range(faces.shape[1]))
-    allowed = faces[:, cols]
-    scale = float(w[cols].max(initial=0.0)) or 1.0
-    c = w[cols] / scale
-    simplex = Simplex(boundary_block(allowed, size, first), c, c)
-    for target in targets:
-        unit = float(np.abs(target).max(initial=0.0)) or 1.0
-        target = target / unit
-        b = target[first:]
-        sol = simplex.solve(b)
-        if sol.status == "infeasible":
-            raise UnfillableBoundaryError("boundary not fillable on the allowed simplices")
-        y = np.zeros(size)
-        y[first:] = sol.y
-        expansion = (np.abs(coboundary_rows(allowed, y)) - c * (1.0 + DEFAULT_TOL)).max(initial=0.0)
-        gap = abs(float(b @ sol.y) - sol.objective)
-        if expansion > DEFAULT_TOL or gap > DEFAULT_TOL * max(1.0, sol.objective):
-            raise LPError(
-                f"bounding-chain optimum not certified: dual excess {expansion:.3e}, "
-                f"duality gap {gap:.3e} (relative to the largest weight)"
-            )
-
-        residual = np.abs(boundary_rows(allowed, sol.x, size) - target).max(initial=0.0)
-        if residual > RESIDUAL_TOL:
-            raise UnfillableBoundaryError(
-                f"bounding chain residual {residual:.3e} exceeds {RESIDUAL_TOL}"
-            )
-        coeffs = np.zeros(faces.shape[1])
-        coeffs[cols] = sol.x * unit
-        yield sol.objective * scale * unit, Chain(n=n, dim=dim, coeffs=coeffs), y * scale
-
-
-def min_bounding_chain(
-    weights: np.ndarray,
-    target: Chain,
-    mask: Optional[Iterable] = None,
-):
-    """Cheapest chain with the prescribed boundary.
-
-    Minimises sum_s w(s) |alpha(s)| over chains alpha one dimension above the
-    target with boundary(alpha) = target, optionally restricted to a set of
-    allowed simplices.  Each coefficient is one LP column, priced at w(s)
-    on either side of zero.
-
-    Args:
-        weights: nonnegative cost per simplex of dimension target.dim + 1.
-        target: the boundary to fill.
-        mask: allowed simplices, as flat indices into the canonical order.
-
-    Returns:
-        (cost, chain) with the chain living on the full simplex list.
-    """
-    n, k = target.n, target.dim + 2
-    count = comb(n, k)
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    if w.shape != (count,):
-        raise ValueError(f"expected {count} weights, got {w.shape[0]}")
-    if (w < 0).any() or not np.isfinite(w).all():
-        raise ValueError("weights must be finite and nonnegative")
-
-    cols = None
-    if mask is not None:
-        idx = []
-        for item in mask:
-            if isinstance(item, bool) or not isinstance(item, (int, np.integer)):
-                raise ValueError(f"mask items must be flat simplex indices, got {item!r}")
-            idx.append(int(item))
-        idx = np.asarray(idx, dtype=int)
-        if idx.size and (idx.min() < 0 or idx.max() >= count):
-            raise ValueError("mask index out of range")
-        allowed = np.zeros(count, dtype=bool)
-        allowed[idx] = True
-        cols = np.flatnonzero(allowed)  # sorted and distinct; np.unique would import numpy.ma
-
-    cost, chain, _ = next(bounding_sweep(w, n, k, cols, [target.coeffs]))
-    return cost, chain
-
-
 def check_strong(
     d: KMetric,
     exhaustive: bool = False,
@@ -292,5 +155,6 @@ def check_strong(
                 break
     swept = map(tuple, simplex_rows(d.n, d.k - 1)[: len(costs)].tolist())
     margins = tuple(zip(swept, costs, d.values[: len(costs)].tolist()))
-    return replace(check_weak(d), is_strong=witness is None, strong_witness=witness,
-                   strong_margins=margins)
+    weak = check_weak(d)
+    return VerificationReport(weak.is_weak, weak.weak_violations, weak.pseudo_violations,
+                              witness is None, witness, margins)

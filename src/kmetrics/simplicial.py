@@ -17,7 +17,6 @@ which c_1 > ... > c_k has rank sum_j C(c_j, k + 1 - j) (Knuth, TAOCP 4A §7.2.1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Sequence
@@ -133,15 +132,65 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class Chain:
+class Record:
+    """A frozen record whose fields are its __slots__, compared by identity.
+
+    Arguments bind to the fields by position or keyword, and a field left out
+    takes its value from _defaults; then _validate checks the fields and may
+    store a checked value with object.__setattr__.  Assigning or deleting a
+    field raises AttributeError.  ValueRecord compares and hashes by value.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        fields, given = self.__slots__, dict(zip(self.__slots__, args))
+        values = {**self._defaults, **given, **kwargs}
+        if len(args) > len(fields) or given.keys() & kwargs.keys() or values.keys() != {*fields}:
+            raise TypeError(f"{type(self).__name__} takes each of the fields {fields} once, "
+                            f"got {len(args)} by position and {sorted(kwargs)} by keyword")
+        for field in fields:
+            object.__setattr__(self, field, values[field])
+        self._validate()
+
+    def _validate(self) -> None:
+        """Check the fields; a record with checks overrides this."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+
+class ValueRecord(Record):
+    """A Record equal to another of its class with equal fields, and hashed by them."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class Chain(Record):
     """A formal linear combination of the dim-simplices on n vertices."""
 
-    n: int
-    dim: int
-    coeffs: np.ndarray
+    __slots__ = ("n", "dim", "coeffs")
 
-    def __post_init__(self):
+    def _validate(self):
         count = _check_counts(self.n, self.dim)
         arr = np.array(self.coeffs, dtype=float).reshape(-1)
         if arr.shape != (count,):
@@ -185,16 +234,12 @@ def chain_from_dict(n: int, dim: int, entries: dict) -> Chain:
     return Chain(n=n, dim=dim, coeffs=coeffs)
 
 
-@dataclass(frozen=True, eq=False)
-class LinearChainOperator:
+class LinearChainOperator(Record):
     """Dense linear map from src_dim-chains to dst_dim-chains, both on n vertices."""
 
-    n: int
-    src_dim: int
-    dst_dim: int
-    matrix: np.ndarray
+    __slots__ = ("n", "src_dim", "dst_dim", "matrix")
 
-    def __post_init__(self):
+    def _validate(self):
         rows = _check_counts(self.n, self.dst_dim)
         cols = _check_counts(self.n, self.src_dim)
         arr = np.asarray(self.matrix)
@@ -282,3 +327,32 @@ def apply_operator(op: LinearChainOperator, chain: Chain) -> Chain:
             f"got dim={chain.dim} on {chain.n}"
         )
     return Chain(n=op.n, dim=op.dst_dim, coeffs=op.matrix @ chain.coeffs)
+
+
+class WeightedComplex(Record):
+    """Positively weighted (k-1)-facets over the complete lower skeleton."""
+
+    __slots__ = ("n", "k", "facets", "weights")
+
+    def _validate(self):
+        if self.k < 2:
+            raise ValueError(f"arity must be at least 2, got {self.k}")
+        if self.n < self.k:
+            raise ValueError(f"need n >= k, got n={self.n}, k={self.k}")
+        keys = tuple(validate_simplex(self.n, f) for f in self.facets)
+        if len(keys) < 1:
+            raise ValueError("need at least one facet")
+        if any(len(f) != self.k for f in keys):
+            raise ValueError(f"facets must have {self.k} vertices")
+        if len(set(keys)) != len(keys):
+            raise ValueError("duplicate facet")
+        w = np.array(self.weights, dtype=float).reshape(-1)
+        if w.shape != (len(keys),):
+            raise ValueError(f"expected {len(keys)} weights, got {w.shape[0]}")
+        if not np.isfinite(w).all() or (w <= 0).any():
+            raise ValueError("facet weights must be finite and positive")
+        object.__setattr__(self, "facets", keys)
+        object.__setattr__(self, "weights", _freeze(w))
+
+    def facet_indices(self) -> np.ndarray:
+        return simplex_index(self.n, np.array(self.facets))

@@ -11,23 +11,21 @@ table, so volume tables are strong.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
 
 from .coboundary import _EVAL_BLOCK, ChainMatrix
 from .metric import KMetric
-from .simplicial import _check_bytes, simplex_rows
+from .simplicial import Record, _check_bytes, simplex_rows
 
 
-@dataclass(frozen=True, eq=False)
-class PointCloud:
+class PointCloud(Record):
     """Finitely many points in a common ambient dimension m."""
 
-    points: np.ndarray
+    __slots__ = ("points",)
 
-    def __post_init__(self):
+    def _validate(self):
         arr = np.array(self.points, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"expected a (count, m) array, got shape {arr.shape}")

@@ -22,9 +22,8 @@ import kmetrics.lp
 from kmetrics import KMetric, enumerate_simplices, orientation_sign, simplex_index
 from kmetrics.coboundary import ChainMatrix
 from kmetrics.fileio import InputError
-from kmetrics.hypertree import WeightedComplex
 from kmetrics.metric import VALUE_TOL
-from kmetrics.simplicial import Chain, validate_simplex
+from kmetrics.simplicial import Chain, WeightedComplex, validate_simplex
 from kmetrics.volume import PointCloud
 
 

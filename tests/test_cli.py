@@ -1,5 +1,6 @@
 """End-to-end command-line checks through cli.main with in-process capture."""
 
+import argparse
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import kmetrics
+from kmetrics import cli
 from kmetrics.cli import main
 from kmetrics.coboundary import NormSpec, eval_coboundary_metric, jl_target_dim
 from kmetrics.corpus import SUBDIVISION_TRIANGLES, random_strong_metric
@@ -26,8 +28,8 @@ from kmetrics.fileio import (
     write_complex,
     write_kmetric,
 )
-from kmetrics.hypertree import WeightedComplex, random_spanning_tree
-from kmetrics.simplicial import coboundary_operator
+from kmetrics.hypertree import random_spanning_tree
+from kmetrics.simplicial import WeightedComplex, coboundary_operator
 from kmetrics.volume import PointCloud
 from oracles import scaled_row_norms
 
@@ -252,42 +254,100 @@ def test_min_chain_and_gen_do_not_import_numpy_ma(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-VERIFY_MODULES = {"cli", "fileio", "jsonblocks", "lp", "metric", "simplicial"}
+MIN_CHAIN_MODULES = {"cli", "fileio", "jsonblocks", "lp", "simplicial"}
+COMMAND_MODULES = [
+    ("min-chain K.json --target 0,1,2", set()),
+    ("verify d.json", {"metric"}),
+    ("verify d.json --strong", {"metric"}),
+    ("eval F.json --p inf", {"coboundary", "metric"}),
+    ("embed jl F.json --eps 0.5 --seed 1 -o J.json", {"coboundary", "metric"}),
+    ("gen subdivided-triangle -o g.json", {"corpus", "metric"}),
+    ("hypertree K.json --to-l1", {"coboundary", "hypertree", "metric"}),
+    ("volume P.json --k 3", {"coboundary", "metric", "volume"}),
+    ("apex d.json", {"apex", "metric"}),
+]
 
 
-@pytest.fixture(scope="module")
-def inputs_dir(tmp_path_factory):
-    d = tmp_path_factory.mktemp("inputs")
-    table = random_strong_metric(5, 3, 1).payload
+def _write_inputs(d, n, vertices, points):
+    """A strong n-vertex table, its Frechet chains, a hypertree and a cloud, in d."""
+    table = random_strong_metric(n, 3, 1).payload
     write_kmetric(table, str(d / "d.json"))
     write_chain_matrix(kmetrics.frechet_embed(table), str(d / "F.json"))
-    write_complex(kmetrics.random_2hypertree(6, 1), str(d / "K.json"))
-    write_cloud(PointCloud(points=np.random.default_rng(0).normal(size=(6, 3))),
+    write_complex(kmetrics.random_2hypertree(vertices, 1), str(d / "K.json"))
+    write_cloud(PointCloud(points=np.random.default_rng(0).normal(size=(points, 3))),
                 str(d / "P.json"))
     return d
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("min-chain K.json --target 0,1,2", {"hypertree"}),
-    ("verify d.json", set()),
-    ("verify d.json --strong", set()),
-    ("eval F.json --p inf", {"coboundary"}),
-    ("embed jl F.json --eps 0.5 --seed 1 -o J.json", {"coboundary"}),
-    ("gen subdivided-triangle -o g.json", {"corpus"}),
-    ("hypertree K.json --to-l1", {"coboundary", "hypertree"}),
-    ("volume P.json --k 3", {"coboundary", "volume"}),
-])
+@pytest.fixture(scope="module")
+def inputs_dir(tmp_path_factory):
+    return _write_inputs(tmp_path_factory.mktemp("inputs"), 5, 6, 6)
+
+
+@pytest.mark.parametrize("command, extra", COMMAND_MODULES)
 def test_each_command_loads_only_its_modules(inputs_dir, command, extra):
+    # every src module is loaded by one of these commands, and none imports dataclasses
     script = (
         "import sys\n"
         "from kmetrics import cli\n"
         f"assert cli.main({command.split()!r}) == 0\n"
+        "assert 'dataclasses' not in sys.modules\n"
         "print(*sorted(m for m in sys.modules if m.startswith('kmetrics.')))\n"
     )
     proc = _python(["-c", script], cwd=inputs_dir)
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.splitlines()[-1].split()
-    assert loaded == sorted(f"kmetrics.{m}" for m in VERIFY_MODULES | extra)
+    assert loaded == sorted(f"kmetrics.{m}" for m in MIN_CHAIN_MODULES | extra)
+
+
+def test_the_garbage_of_a_command_without_gc_does_not_grow_with_its_input(tmp_path):
+    # a CLI process runs with the cyclic collector off: what a command leaves
+    # unreachable must be bounded, the same on a larger input
+    script = (
+        "import contextlib, gc, io, sys\n"
+        "gc.disable()\n"
+        "from kmetrics import cli\n"
+        "counts = []\n"
+        f"for argv in {[command.split() for command, _ in COMMAND_MODULES]!r}:\n"
+        "    gc.collect()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    counts.append(gc.collect())\n"
+        "print(*counts)\n"
+    )
+    counts = []
+    for size in [(5, 6, 6), (8, 10, 14)]:
+        d = tmp_path / "x".join(map(str, size))
+        d.mkdir()
+        proc = _python(["-c", script], cwd=_write_inputs(d, *size))
+        assert proc.returncode == 0, proc.stderr
+        counts.append([int(c) for c in proc.stdout.split()])
+    small, large = counts
+    assert len(small) == len(COMMAND_MODULES)
+    assert large == small
+
+
+_GC_AT_NUMPY = """
+import gc, runpy, sys
+
+class Probe:  # reports whether the collector runs when numpy is first looked up
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print("numpy loads with gc", gc.isenabled(), file=sys.stderr)
+
+sys.meta_path.insert(0, Probe())
+sys.argv = ["kmetrics", "gen", "subdivided-triangle", "-o", "g.json"]
+runpy.run_module("kmetrics", run_name="__main__")
+"""
+
+
+def test_python_m_kmetrics_runs_without_gc_and_an_import_leaves_it_on(tmp_path):
+    proc = _python(["-c", _GC_AT_NUMPY], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["numpy loads with gc False"]
+    assert json.loads(proc.stdout)["command"] == "gen"
+    proc = _python(["-c", "import gc, kmetrics.cli; print(gc.isenabled())"])
+    assert proc.stdout.split() == ["True"]
 
 
 # --- embed / eval ------------------------------------------------------------
@@ -785,3 +845,65 @@ def test_an_exception_out_of_main_still_ends_in_a_traceback():
     proc = _python(["-c", "import kmetrics.cli as c; c.main = lambda: 1 / 0; c.entry()"])
     assert proc.returncode == 1
     assert "Traceback" in proc.stderr and "ZeroDivisionError" in proc.stderr
+
+
+# --- the one-command parser --------------------------------------------------
+
+
+def _argvs_in_this_file() -> list:
+    """Every list literal here that starts with a command name, as an argv.
+
+    An element that is not a string literal (a path, mostly) reads "x.json";
+    a starred one is dropped.
+    """
+    import ast
+
+    argvs = []
+    for node in ast.walk(ast.parse(Path(__file__).read_text())):
+        if (isinstance(node, ast.List) and node.elts and isinstance(node.elts[0], ast.Constant)
+                and node.elts[0].value in cli._COMMANDS):
+            argvs.append([e.value if isinstance(e, ast.Constant) else "x.json"
+                          for e in node.elts if not isinstance(e, ast.Starred)])
+    return argvs
+
+
+def _parsed(parser, argv):
+    try:
+        return vars(parser.parse_args(argv))
+    except cli._UsageError as exc:
+        return "usage", str(exc)
+
+
+def _subparsers(parser, prefix=()):
+    """(command path, parser) for every command and embed mode under parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield (*prefix, name), sub
+                yield from _subparsers(sub, (*prefix, name))
+
+
+def test_the_one_command_parser_reads_every_argv_as_the_full_parser_does(capsys):
+    argvs = _argvs_in_this_file() + [
+        [], ["bogus"], ["min-chain", "K.json"], ["verify", "d.json", "--bogus"],
+        ["embed"], ["embed", "jl", "F.json"], ["gen", "bogus", "-o", "g.json"],
+    ]
+    assert len(argvs) > 60
+    full = cli.build_parser()
+    for argv in argvs:
+        if argv and argv[0] in cli._COMMANDS:
+            assert _parsed(cli._parser({argv[0]: cli._COMMANDS[argv[0]]}), argv) == \
+                _parsed(full, argv), argv
+    # main reads these usage errors with the full parser or the one-command one
+    for argv in ([], ["bogus"], ["min-chain", "K.json"], ["verify", "d.json", "--bogus"]):
+        kind, message = _parsed(full, argv)
+        assert _run(argv, capsys) == (2, {"error": {"kind": kind, "message": message}})
+
+
+def test_the_one_command_parser_helps_as_the_full_parser_does():
+    helps = {path: sub.format_help() for path, sub in _subparsers(cli.build_parser())}
+    assert len(helps) == len(cli._COMMANDS) + 3  # and embed's three modes
+    for command in cli._COMMANDS:
+        one = dict(_subparsers(cli._parser({command: cli._COMMANDS[command]})))
+        assert {path: sub.format_help() for path, sub in one.items()} == {
+            path: text for path, text in helps.items() if path[0] == command}

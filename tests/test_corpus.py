@@ -16,8 +16,8 @@ from kmetrics import (
     eval_coboundary_metric,
     indicator_chain,
 )
-from kmetrics import corpus
-from kmetrics.hypertree import WeightedComplex, mbc_metric
+from kmetrics import WeightedComplex, corpus
+from kmetrics.hypertree import mbc_metric
 from kmetrics.corpus import (
     discrete_metric,
     four_point_equilateral,

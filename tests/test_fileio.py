@@ -5,7 +5,6 @@ import itertools
 import json
 import struct
 import tracemalloc
-from dataclasses import fields, is_dataclass
 from math import comb
 from unittest import mock
 
@@ -30,9 +29,8 @@ from kmetrics.fileio import (
     write_complex,
     write_kmetric,
 )
-from kmetrics.hypertree import WeightedComplex
 from kmetrics.metric import KMetric
-from kmetrics.simplicial import Chain, enumerate_simplices
+from kmetrics.simplicial import Chain, Record, WeightedComplex, enumerate_simplices
 from kmetrics.volume import PointCloud
 from oracles import json_load_read
 
@@ -259,8 +257,8 @@ def _state(x):
         return tuple(map(_state, x))
     if isinstance(x, np.ndarray):
         return x.shape, x.tobytes()
-    if is_dataclass(x):
-        return type(x).__name__, tuple(_state(getattr(x, f.name)) for f in fields(x))
+    if isinstance(x, Record):
+        return type(x).__name__, tuple(_state(getattr(x, f)) for f in x.__slots__)
     return x
 
 

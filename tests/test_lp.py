@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-import kmetrics.metric
+import kmetrics.lp
 from kmetrics import (
     Chain,
     KMetric,
@@ -22,8 +22,7 @@ from kmetrics import (
 )
 from kmetrics.corpus import discrete_metric, random_strong_metric
 from kmetrics.hypertree import mbc_metric, random_2hypertree
-from kmetrics.lp import Simplex
-from kmetrics.metric import bounding_sweep
+from kmetrics.lp import Simplex, bounding_sweep
 from oracles import count_pivots, lp_min_by_vertex_enumeration
 
 
@@ -387,7 +386,7 @@ def test_bounding_chain_tableau_has_one_column_per_simplex(monkeypatch):
             super().__init__(*args)
             made.append(self)
 
-    monkeypatch.setattr(kmetrics.metric, "Simplex", Recorded)
+    monkeypatch.setattr(kmetrics.lp, "Simplex", Recorded)
     next(bounding_sweep(d.values, d.n, d.k))
     m, N = comb(8, 2), comb(9, 3)
     assert [s.T.shape for s in made] == [(m + 1, N + m + 1)]

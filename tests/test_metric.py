@@ -21,7 +21,8 @@ from kmetrics import (
     zero_chain,
 )
 from kmetrics.corpus import discrete_metric, random_strong_metric, subdivided_triangle
-from kmetrics.metric import VALUE_TOL, bounding_sweep
+from kmetrics.lp import bounding_sweep
+from kmetrics.metric import VALUE_TOL
 from kmetrics.simplicial import MAX_LP_BYTES
 from oracles import check_weak_loop, random_closure_2metric, relabel_kmetric
 
@@ -303,10 +304,10 @@ def test_the_sweep_peaks_at_its_two_tableaux(n, monkeypatch):
     # sweep, it would raise the first target's peak to about 1.47 times this
     import tracemalloc
 
-    from kmetrics import metric
+    from kmetrics import lp
 
-    requests, check = [], metric._check_bytes
-    monkeypatch.setattr(metric, "_check_bytes",
+    requests, check = [], lp._check_bytes
+    monkeypatch.setattr(lp, "_check_bytes",
                         lambda what, needed: (requests.append(needed), check(what, needed)))
     m, count = comb(n - 1, 2), comb(n, 3)
     two_tableaux = 2 * 8 * (m + 1) * (count + m + 1)

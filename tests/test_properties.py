@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kmetrics import KMetric, boundary_operator, check_strong, check_weak, simplex_index
 from kmetrics.corpus import random_strong_metric
-from kmetrics.metric import RESIDUAL_TOL
+from kmetrics.lp import RESIDUAL_TOL
 from oracles import check_weak_loop, relabel_kmetric
 
 # Few, reproducible examples: tier-1 stays fast and never writes a database.
