@@ -1,6 +1,24 @@
+"""The one entry of a kmetrics process, for `python -m kmetrics` and the `kmetrics` script.
+
+entry() turns the cyclic collector off before cli loads numpy (a command leaves
+bounded garbage, argparse's parser graph), runs cli.main, flushes stdout and
+stderr and ends with os._exit, skipping interpreter teardown.  An exception
+out of main still prints its traceback and exits 1.
+"""
+
 import gc
+import os
+import sys
 
-gc.disable()  # before cli loads numpy: cli's docstring says why
-from .cli import entry  # noqa: E402
 
-entry()
+def entry() -> None:
+    gc.disable()
+    from . import cli
+    code = cli.main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
+if __name__ == "__main__":
+    entry()

@@ -15,10 +15,8 @@ imports each module on first use, so a process loads only what its command runs.
 
 The runtime is serial, so unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is
 set the CLI runs OpenBLAS on one thread: its worker pool would cost each
-process more at numpy load than it saves.  entry() turns the cyclic garbage
-collector off (python -m kmetrics, before numpy loads): a command leaves
-bounded cyclic garbage, argparse's parser graph.  It flushes the report and
-ends the process with os._exit, skipping interpreter teardown.
+process more at numpy load than it saves.  A process starts in
+kmetrics.__main__.entry, which runs main.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.envi
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse
-import gc
 import hashlib
 import json
 import math
@@ -120,42 +117,8 @@ _MAKERS = {
 }
 
 
-_FLAG, _REQUIRED = {"action": "store_true"}, {"required": True}
-_INT, _FLOAT = {"type": int, "required": True}, {"type": float, "required": True}
-_OUT, _OUT_REQUIRED = (("-o", "--output"), {}), (("-o", "--output"), _REQUIRED)
-
-# command -> (help, its arguments as (names, keywords) pairs, or a table like this of its modes)
-_COMMANDS = {
-    "verify": ("check the weak/strong chain inequalities",
-               [(("metric",), {}), (("--strong",), _FLAG), (("--exhaustive",), _FLAG)]),
-    "min-chain": ("cheapest facet chain bounding a tuple", [
-        (("complex",), {}), (("--target",), {**_REQUIRED, "help": "comma-separated vertices"}),
-        (("-o", "--output"), {"help": "write the optimal chain here"})]),
-    "embed": ("build or shrink chain collections", {
-        "frechet": ("strong table to max-norm chain columns", [(("metric",), {}), _OUT_REQUIRED]),
-        "jl": ("Gaussian sketch at the dimension-bound size", [
-            (("chains",), {}), (("--eps",), _FLOAT), (("--seed",), _INT), _OUT_REQUIRED]),
-        "l2lp": ("re-norm a Euclidean table into p-norm columns", [
-            (("chains",), {}), (("--p",), _REQUIRED), (("--eps",), _FLOAT), (("--seed",), _INT),
-            _OUT_REQUIRED]),
-    }),
-    "eval": ("evaluate chain columns into a distance table",
-             [(("chains",), {}), (("--p",), _REQUIRED), _OUT]),
-    "volume": ("simplex volumes of a point cloud",
-               [(("points",), {}), (("--k",), _INT), (("--to-coboundary",), _FLAG), _OUT]),
-    "apex": ("raise arity through a fresh apex vertex",
-             [(("payload",), {"help": "a table or chain collection file"}), _OUT]),
-    "hypertree": ("rank checks and the 1-norm realisation",
-                  [(("complex",), {}), (("--to-l1",), _FLAG), _OUT]),
-    "gen": ("write a named corpus instance", [
-        (("name",), {"choices": list(_MAKERS)}), (("--n",), {"type": int}),
-        (("--k",), {"type": int}), (("--seed",), {"type": int, "default": 0}),
-        (("--points",), {"help": "cloud file for perimeter/max-side"}), _OUT_REQUIRED]),
-}
-
-
 def _add_commands(sub, commands: dict) -> None:
-    for name, (text, arguments) in commands.items():
+    for name, (text, arguments, *_) in commands.items():
         p = sub.add_parser(name, help=text)
         if isinstance(arguments, dict):  # a table of modes, one level down
             _add_commands(p.add_subparsers(dest="mode", required=True), arguments)
@@ -348,29 +311,46 @@ def _cmd_gen(args, inputs, outputs):
     inst = _MAKERS[name](args, inputs)
     writer = km.write_kmetric if isinstance(inst.payload, km.KMetric) else km.write_chain_matrix
     _write(writer, inst.payload, args.output, outputs, "instance")
-
-    expected = {}
-    for key, value in inst.expected.items():
-        if isinstance(value, dict):
-            expected[key] = {
-                ",".join(map(str, s)): float(v) for s, v in value.items()
-            }
-        elif isinstance(value, tuple):
-            expected[key] = list(value)
-        else:
-            expected[key] = value
+    # a dict of values is keyed by its tuples' vertices; json writes a tuple as a list
+    expected = {key: {",".join(map(str, s)): float(v) for s, v in value.items()}
+                if isinstance(value, dict) else value for key, value in inst.expected.items()}
     return {"name": name, "expected": expected}, OK
 
 
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "min-chain": _cmd_min_chain,
-    "embed": _cmd_embed,
-    "eval": _cmd_eval,
-    "volume": _cmd_volume,
-    "apex": _cmd_apex,
-    "hypertree": _cmd_hypertree,
-    "gen": _cmd_gen,
+_FLAG, _REQUIRED = {"action": "store_true"}, {"required": True}
+_INT, _FLOAT = {"type": int, "required": True}, {"type": float, "required": True}
+_OUT, _OUT_REQUIRED = (("-o", "--output"), {}), (("-o", "--output"), _REQUIRED)
+
+# command -> (help, arguments, handler): arguments are (names, keywords) pairs, or
+# embed's table of modes, each (help, arguments)
+_COMMANDS = {
+    "verify": ("check the weak/strong chain inequalities",
+               [(("metric",), {}), (("--strong",), _FLAG), (("--exhaustive",), _FLAG)],
+               _cmd_verify),
+    "min-chain": ("cheapest facet chain bounding a tuple", [
+        (("complex",), {}), (("--target",), {**_REQUIRED, "help": "comma-separated vertices"}),
+        (("-o", "--output"), {"help": "write the optimal chain here"})], _cmd_min_chain),
+    "embed": ("build or shrink chain collections", {
+        "frechet": ("strong table to max-norm chain columns", [(("metric",), {}), _OUT_REQUIRED]),
+        "jl": ("Gaussian sketch at the dimension-bound size", [
+            (("chains",), {}), (("--eps",), _FLOAT), (("--seed",), _INT), _OUT_REQUIRED]),
+        "l2lp": ("re-norm a Euclidean table into p-norm columns", [
+            (("chains",), {}), (("--p",), _REQUIRED), (("--eps",), _FLOAT), (("--seed",), _INT),
+            _OUT_REQUIRED]),
+    }, _cmd_embed),
+    "eval": ("evaluate chain columns into a distance table",
+             [(("chains",), {}), (("--p",), _REQUIRED), _OUT], _cmd_eval),
+    "volume": ("simplex volumes of a point cloud",
+               [(("points",), {}), (("--k",), _INT), (("--to-coboundary",), _FLAG), _OUT],
+               _cmd_volume),
+    "apex": ("raise arity through a fresh apex vertex",
+             [(("payload",), {"help": "a table or chain collection file"}), _OUT], _cmd_apex),
+    "hypertree": ("rank checks and the 1-norm realisation",
+                  [(("complex",), {}), (("--to-l1",), _FLAG), _OUT], _cmd_hypertree),
+    "gen": ("write a named corpus instance", [
+        (("name",), {"choices": list(_MAKERS)}), (("--n",), {"type": int}),
+        (("--k",), {"type": int}), (("--seed",), {"type": int, "default": 0}),
+        (("--points",), {"help": "cloud file for perimeter/max-side"}), _OUT_REQUIRED], _cmd_gen),
 }
 
 
@@ -394,7 +374,7 @@ def main(argv=None) -> int:
     parser = _parser({command: _COMMANDS[command]}) if command in _COMMANDS else build_parser()
     try:
         args = parser.parse_args(argv)
-        results, code = _HANDLERS[args.command](args, inputs, outputs)
+        results, code = _COMMANDS[args.command][2](args, inputs, outputs)
     except _UsageError as exc:
         return _fail(INPUT_FAIL, "usage", str(exc))
     except km.InputError as exc:
@@ -422,14 +402,3 @@ def main(argv=None) -> int:
     )
     return code
 
-
-def entry() -> None:
-    gc.disable()
-    code = main()
-    sys.stdout.flush()
-    sys.stderr.flush()
-    os._exit(code)
-
-
-if __name__ == "__main__":
-    entry()

@@ -59,11 +59,21 @@ class NormSpec(ValueRecord):
     def row_norms(self, matrix: np.ndarray) -> np.ndarray:
         """p-norm of each row.
 
-        Other than at p = 1, 2 and inf, each row is divided by its largest
-        |entry| before the power, so no |x|**p overflows or underflows.
+        At p = 1, 2 and inf numpy's norm runs unscaled, and only rows where it
+        reads 0, not finite, or outside [2**-500, 2**500] are redone scaled.
         """
-        if self.p in (1.0, 2.0, math.inf):
-            return np.linalg.norm(matrix, ord=self.p, axis=1)
+        if self.p not in (1.0, 2.0, math.inf):
+            return self._scaled_row_norms(matrix)
+        # a row that overflowed in the coboundary reads NaN here, refused as not finite
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            norms = np.linalg.norm(matrix, ord=self.p, axis=1)
+            redo = ~((norms >= 2.0**-500) & (norms <= 2.0**500))  # NaN too
+            if redo.any():
+                norms[redo] = self._scaled_row_norms(matrix[redo])
+        return norms
+
+    def _scaled_row_norms(self, matrix: np.ndarray) -> np.ndarray:
+        """Each row divided by its largest |entry| before the power: no |x|**p leaves range."""
         top = np.abs(matrix).max(axis=1)
         scaled = matrix / np.where(top > 0.0, top, 1.0)[:, None]
         return top * np.linalg.norm(scaled, ord=self.p, axis=1)

@@ -187,6 +187,8 @@ def random_strong_metric(n: int, k: int, seed: int) -> CorpusInstance:
     """
     if k < 2:
         raise ValueError(f"arity must be at least 2, got {k}")
+    if n < k:  # KMetric's words, before any weight is drawn
+        raise ValueError(f"need n >= k, got n={n}, k={k}")
     count = _check_counts(n, k - 1)
     weights = np.random.default_rng(seed).uniform(*_WEIGHT_RANGE, size=count)
     values = np.array([cost for cost, _, _ in bounding_sweep(weights, n, k)])

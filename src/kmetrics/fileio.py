@@ -147,6 +147,14 @@ def _read_entries(entries: list, first: int, path: str, name: str, key: str, n: 
     return None, np.array(numbers, dtype=float)
 
 
+def _record(path: str, field: str, build: Callable):
+    """The record build() returns, its ValueError refused as an InputError on the list field."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise InputError(path, str(exc), field=field) from exc
+
+
 # --- arity-k tables -------------------------------------------------------
 
 
@@ -193,10 +201,7 @@ def _kmetric_from(obj: dict, path: str) -> km.KMetric:
         raise InputError(
             path, f"{missing.size} of {count} tuples missing, first {first}", field="values"
         )
-    try:
-        return km.KMetric(n=n, k=k, values=values)
-    except ValueError as exc:
-        raise InputError(path, str(exc), field="values") from exc
+    return _record(path, "values", lambda: km.KMetric(n=n, k=k, values=values))
 
 
 # --- chain collections ----------------------------------------------------
@@ -234,10 +239,7 @@ def _chain_matrix_from(obj: dict, path: str) -> km.ChainMatrix:
         )
     if bad is not None:
         raise bad
-    try:
-        return km.ChainMatrix(n=n, k=k, data=flat.reshape(rows, m))
-    except ValueError as exc:
-        raise InputError(path, str(exc), field="data") from exc
+    return _record(path, "data", lambda: km.ChainMatrix(n=n, k=k, data=flat.reshape(rows, m)))
 
 
 # --- weighted complexes ---------------------------------------------------
@@ -258,10 +260,8 @@ def _complex_from(obj: dict, path: str) -> km.WeightedComplex:
     for offset, entries in get_blocks(obj, "facets", path):
         weights.append(_read_entries(entries, offset, path, "facets", "w", n, k)[1])
         facets.extend(tuple(entry["s"]) for entry in entries)
-    try:
-        return km.WeightedComplex(n=n, k=k, facets=tuple(facets), weights=np.concatenate(weights))
-    except ValueError as exc:
-        raise InputError(path, str(exc), field="facets") from exc
+    return _record(path, "facets", lambda: km.WeightedComplex(
+        n=n, k=k, facets=tuple(facets), weights=np.concatenate(weights)))
 
 
 # --- point clouds ---------------------------------------------------------
@@ -289,10 +289,8 @@ def _cloud_from(obj: dict, path: str) -> km.PointCloud:
                 path, f"expected a list of {m} coordinates", field=f"points[{offset + bad}]"
             )
         count += len(rows)
-    try:
-        return km.PointCloud(points=np.concatenate(coords).reshape(count, m))
-    except ValueError as exc:
-        raise InputError(path, str(exc), field="points") from exc
+    return _record(path, "points", lambda: km.PointCloud(
+        points=np.concatenate(coords).reshape(count, m)))
 
 
 # --- single chains (solver output) ----------------------------------------
@@ -312,10 +310,7 @@ def _chain_from(obj: dict, path: str) -> Chain:
     coeffs = [np.empty(0)]
     for offset, items in get_blocks(obj, "coeffs", path):
         coeffs.append(_as_numbers(items, path, lambda i: f"coeffs[{offset + i}]"))
-    try:
-        return Chain(n=n, dim=dim, coeffs=np.concatenate(coeffs))
-    except ValueError as exc:
-        raise InputError(path, str(exc), field="coeffs") from exc
+    return _record(path, "coeffs", lambda: Chain(n=n, dim=dim, coeffs=np.concatenate(coeffs)))
 
 
 _BUILDERS = {

@@ -1,6 +1,7 @@
 """End-to-end command-line checks through cli.main with in-process capture."""
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -221,6 +222,24 @@ def test_min_chain_rejects_wrong_target_arity(tmp_path, capsys):
     assert "3 vertices" in report["error"]["message"]
 
 
+def test_min_chain_refuses_a_target_it_cannot_read(tmp_path, capsys):
+    cx = str(tmp_path / "K.json")
+    write_complex(_subdivision_complex(), cx)
+    for target, message in [("1,a", "invalid vertex list: '1,a'"),
+                            ("1", "target needs at least two vertices")]:
+        code, report = _run(["min-chain", cx, "--target", target], capsys)
+        assert (code, report) == (2, {"error": {"kind": "usage", "message": message}})
+
+
+def test_a_solver_past_its_pivot_limit_exits_3(tmp_path, capsys, monkeypatch):
+    cx = str(tmp_path / "K.json")
+    write_complex(_subdivision_complex(), cx)
+    monkeypatch.setattr(kmetrics.lp, "_MAX_PIVOTS", 1)
+    code, report = _run(["min-chain", cx, "--target", "0,1,2"], capsys)
+    message = "pivot limit exceeded; dual simplex did not terminate"
+    assert (code, report) == (3, {"error": {"kind": "solver", "message": message}})
+
+
 def _python(args, cwd=None, **env):
     """Run a new interpreter on args with this package importable.
 
@@ -327,7 +346,7 @@ def test_the_garbage_of_a_command_without_gc_does_not_grow_with_its_input(tmp_pa
     assert large == small
 
 
-_GC_AT_NUMPY = """
+_NUMPY_PROBE = """
 import gc, runpy, sys
 
 class Probe:  # reports whether the collector runs when numpy is first looked up
@@ -337,8 +356,8 @@ class Probe:  # reports whether the collector runs when numpy is first looked up
 
 sys.meta_path.insert(0, Probe())
 sys.argv = ["kmetrics", "gen", "subdivided-triangle", "-o", "g.json"]
-runpy.run_module("kmetrics", run_name="__main__")
 """
+_GC_AT_NUMPY = _NUMPY_PROBE + 'runpy.run_module("kmetrics", run_name="__main__")\n'
 
 
 def test_python_m_kmetrics_runs_without_gc_and_an_import_leaves_it_on(tmp_path):
@@ -348,6 +367,26 @@ def test_python_m_kmetrics_runs_without_gc_and_an_import_leaves_it_on(tmp_path):
     assert json.loads(proc.stdout)["command"] == "gen"
     proc = _python(["-c", "import gc, kmetrics.cli; print(gc.isenabled())"])
     assert proc.stdout.split() == ["True"]
+
+
+def _script() -> tuple:
+    """(module, function) that pyproject.toml's kmetrics script runs."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        return tuple(tomllib.load(fh)["project"]["scripts"]["kmetrics"].split(":"))
+
+
+def test_the_kmetrics_script_runs_python_m_kmetrics_and_loads_numpy_without_gc(tmp_path):
+    module, function = _script()
+    assert module == "kmetrics.__main__"
+    main_py = ast.parse(Path(kmetrics.__file__).with_name("__main__.py").read_text())
+    assert ast.unparse(main_py.body[-1]) == f"if __name__ == '__main__':\n    {function}()"
+    # launched as the console script launches it
+    proc = _python(["-c", _NUMPY_PROBE + f"from {module} import {function}\n{function}()\n"],
+                   cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["numpy loads with gc False"]
+    assert json.loads(proc.stdout)["command"] == "gen"
 
 
 # --- embed / eval ------------------------------------------------------------
@@ -573,6 +612,18 @@ def test_apex_on_a_table(tmp_path, capsys):
     assert (up.n, up.k) == (6, 4)
 
 
+def test_apex_on_chains(tmp_path, capsys):
+    chains = str(tmp_path / "F.json")
+    bigger = str(tmp_path / "up.json")
+    _run(["gen", "four-point-equilateral", "-o", chains], capsys)
+    code, report = _run(["apex", chains, "-o", bigger], capsys)
+    assert code == 0
+    assert report["results"] == {"kind": "chain_matrix", "n": 5, "k": 4, "apex": 4}
+    assert report["outputs"] == {"chains": bigger}
+    up = read_chain_matrix(bigger)
+    assert (up.n, up.k, up.m) == (5, 4, 2)
+
+
 def test_apex_rejects_a_point_cloud(tmp_path, capsys):
     cloud_path = str(tmp_path / "P.json")
     write_cloud(PointCloud(points=np.eye(3)), cloud_path)
@@ -719,6 +770,46 @@ def test_gen_requires_shape_arguments(tmp_path, capsys):
     assert "arity must be at least 2" in report["error"]["message"]
 
 
+def test_gen_random_strong_refuses_n_below_k_as_gen_discrete_does(tmp_path, capsys):
+    out = str(tmp_path / "d.json")
+    strong = _run(["gen", "random-strong", "--n", "2", "--k", "3", "-o", out], capsys)
+    discrete = _run(["gen", "discrete", "--n", "2", "--k", "3", "-o", out], capsys)
+    message = "need n >= k, got n=2, k=3"
+    assert strong == discrete == (2, {"error": {"kind": "input", "message": message}})
+
+
+def test_gen_perimeter_and_max_side_read_their_cloud(tmp_path, capsys):
+    out, cloud = str(tmp_path / "d.json"), str(tmp_path / "P.json")
+    code, report = _run(["gen", "perimeter", "-o", out], capsys)
+    assert (code, report) == (2, {"error": {"kind": "usage",
+                                            "message": "perimeter needs --points"}})
+    # every triple of a unit square's corners has sides 1, 1 and sqrt(2)
+    write_cloud(PointCloud(points=[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), cloud)
+    for name, value in [("perimeter", 2.0 + math.sqrt(2.0)), ("max-side", math.sqrt(2.0))]:
+        code, report = _run(["gen", name, "--points", cloud, "-o", out], capsys)
+        assert code == 0
+        assert list(report["inputs"]) == [cloud]
+        assert report["results"] == {"name": name, "expected": {"weak": True}}
+        assert np.allclose(read_kmetric(out).values, value, rtol=1e-15, atol=0.0)
+
+
+def test_gen_keys_expected_values_by_tuple(tmp_path, capsys):
+    out = str(tmp_path / "F.json")
+    code, report = _run(["gen", "four-point-equilateral", "-o", out], capsys)
+    assert code == 0
+    assert report["results"]["expected"] == {
+        "norm_p": 2, "values": {"0,1,2": 0.0, "0,1,3": 1.0, "0,2,3": 1.0, "1,2,3": 1.0},
+        "weak": True, "strong": True, "volume_realizable": False}
+    code, report = _run(["gen", "six-point-apex-discrete", "-o", out], capsys)
+    assert code == 0
+    expected = report["results"]["expected"]
+    assert expected["values"] == {
+        ",".join(map(str, s)): float(s[-1] == 5) for s in combinations(range(6), 4)}
+    # the written chains evaluate to the values the report names
+    table = eval_coboundary_metric(read_chain_matrix(out), NormSpec(expected["norm_p"]))
+    assert table.values.tolist() == list(expected["values"].values())
+
+
 def test_gen_discrete_over_the_simplex_limit_is_an_input_error(tmp_path, capsys):
     # C(100000, 3) values would take 1.18 PiB; the count is refused first
     out = tmp_path / "d.json"
@@ -842,7 +933,9 @@ def test_the_process_keeps_its_exit_codes(tmp_path):
 
 
 def test_an_exception_out_of_main_still_ends_in_a_traceback():
-    proc = _python(["-c", "import kmetrics.cli as c; c.main = lambda: 1 / 0; c.entry()"])
+    module, function = _script()
+    proc = _python(["-c", "import kmetrics.cli as c; c.main = lambda: 1 / 0\n"
+                          f"from {module} import {function}; {function}()"])
     assert proc.returncode == 1
     assert "Traceback" in proc.stderr and "ZeroDivisionError" in proc.stderr
 
@@ -856,8 +949,6 @@ def _argvs_in_this_file() -> list:
     An element that is not a string literal (a path, mostly) reads "x.json";
     a starred one is dropped.
     """
-    import ast
-
     argvs = []
     for node in ast.walk(ast.parse(Path(__file__).read_text())):
         if (isinstance(node, ast.List) and node.elts and isinstance(node.elts[0], ast.Constant)

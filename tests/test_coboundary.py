@@ -124,6 +124,16 @@ def test_eval_at_a_large_p_neither_underflows_nor_overflows():
         want = scaled_row_norms(coboundary_operator(6, 1).matrix @ F.data, p)
         assert want.min() > 0.0 and np.isfinite(want).all()
         assert np.allclose(got, want, rtol=1e-12, atol=0.0), p
+    # at p = 1 and 2 numpy's unscaled norm runs first: a sum of squares of
+    # entries near 1e-170 underflows and near 1e170 overflows
+    for p in (1.0, 2.0):
+        unit = eval_coboundary_metric(ChainMatrix(n=6, k=3, data=data), NormSpec(p)).values
+        for factor in (1e-300, 1e-170, 1e170, 1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                F = ChainMatrix(n=6, k=3, data=factor * data)
+                got = eval_coboundary_metric(F, NormSpec(p)).values
+            assert np.allclose(got, factor * unit, rtol=1e-12, atol=0.0), (p, factor)
 
 
 def test_eval_memory_stays_with_the_chains():

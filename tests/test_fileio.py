@@ -696,6 +696,17 @@ def test_cloud_rows_must_be_rectangular(tmp_path):
     assert "expected a list of 2 coordinates" in info.value.message
 
 
+def test_chain_matrix_float_past_the_range_is_not_finite(tmp_path, monkeypatch):
+    # json reads the literal 1e400 as inf, where the integer 10**400 is too large
+    path = tmp_path / "F.json"
+    path.write_text('{"n": 3, "k": 2, "m": 1, "data": [0.0, 1e400, 1.0]}', encoding="utf-8")
+    for block in _ERROR_BLOCKS:
+        monkeypatch.setattr(jsonblocks, "_READ_BLOCK", block)
+        with pytest.raises(InputError) as info:
+            read_chain_matrix(str(path))
+        assert (info.value.field, info.value.message) == ("data", "chain entries must be finite")
+
+
 def test_chain_coeffs_must_be_finite(tmp_path):
     # Python's json reads NaN and Infinity
     path = _write_json(
@@ -746,6 +757,17 @@ def test_read_any_parses_the_file_once(tmp_path, monkeypatch):
                         raising=False)
     assert read_any(path)[0] == "chain_matrix"
     assert calls == [path]
+
+
+def test_read_any_builds_by_the_first_key_even_when_a_later_one_holds_the_list(
+        tmp_path, monkeypatch):
+    # the blocked read meets "data": [ first, but "values" decides the builder
+    path = _write_json(tmp_path / "x.json", {"values": 5, **_matrix(0.0, 1.0, 2.0)})
+    for block in _ERROR_BLOCKS:
+        monkeypatch.setattr(jsonblocks, "_READ_BLOCK", block)
+        with pytest.raises(InputError) as info:
+            read_any(path)
+        assert (info.value.field, info.value.message) == ("values", "expected a list")
 
 
 def test_read_any_rejects_unknown_payload(tmp_path):

@@ -62,6 +62,19 @@ def test_infeasible():
     assert sol.status == "infeasible"
 
 
+def test_a_program_without_variables_is_refused():
+    with pytest.raises(ValueError, match="^LP has no variables$"):
+        solve(_lp(np.zeros((1, 0)), [1.0], []))
+
+
+def test_a_solve_past_the_pivot_limit_raises_lp_error(monkeypatch):
+    # the first tuple of this sweep takes more than one pivot
+    d = random_strong_metric(6, 3, 1).payload
+    monkeypatch.setattr(kmetrics.lp, "_MAX_PIVOTS", 1)
+    with pytest.raises(LPError, match="^pivot limit exceeded; dual simplex did not terminate$"):
+        next(bounding_sweep(d.values, d.n, d.k))
+
+
 def test_negative_cost_is_refused():
     # the dual simplex starts from y = 0, which is dual feasible only for
     # c >= 0; min -x s.t. x - y = 0 would be unbounded

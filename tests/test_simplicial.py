@@ -430,6 +430,12 @@ def test_kept_boundary_block_matches_the_search_oracle():
                 assert np.array_equal(block, full[first:, cols])
 
 
+def test_an_operator_refuses_a_matrix_of_another_shape():
+    with pytest.raises(ValueError) as info:
+        simplicial.LinearChainOperator(n=3, src_dim=1, dst_dim=0, matrix=np.zeros((3, 4)))
+    assert str(info.value) == "operator shape (3, 4) does not match (3, 3)"
+
+
 def test_apply_dimension_mismatch():
     with pytest.raises(ValueError):
         apply_operator(boundary_operator(4, 2), zero_chain(4, 1))

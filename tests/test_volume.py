@@ -161,6 +161,37 @@ def test_volume_metric_warns_when_flat():
     assert not d.values.any()
 
 
+@pytest.mark.parametrize("build", [volume_metric, volume_to_coboundary])
+@pytest.mark.parametrize("count, k, message", [
+    (4, 1, "arity must be at least 2, got 1"),
+    (2, 3, "cloud has 2 points, needs at least 3"),
+])
+def test_volumes_refuse_an_arity_below_two_or_above_the_point_count(build, count, k, message):
+    with pytest.raises(ValueError) as info:
+        build(PointCloud(points=np.eye(count, 2)), k)
+    assert str(info.value) == message
+
+
+def test_cone_chains_refuse_an_arity_past_the_ambient_dimension():
+    # volume_metric only warns here (test_volume_metric_warns_when_flat)
+    with pytest.raises(ValueError) as info:
+        volume_to_coboundary(PointCloud(points=np.eye(5, 2)), 4)
+    assert str(info.value) == "arity 4 needs ambient dimension at least 3, got 2"
+
+
+@pytest.mark.parametrize("points, message", [
+    (np.ones(3), "expected a (count, m) array, got shape (3,)"),
+    (np.ones((0, 2)), "expected a (count, m) array, got shape (0, 2)"),
+    (np.ones((2, 0)), "expected a (count, m) array, got shape (2, 0)"),
+    ([[0.0, math.nan]], "coordinates must be finite"),
+    ([[-math.inf, 0.0]], "coordinates must be finite"),
+])
+def test_point_cloud_refuses_a_bad_shape_or_coordinate(points, message):
+    with pytest.raises(ValueError) as info:
+        PointCloud(points=points)
+    assert str(info.value) == message
+
+
 def test_projected_volumes_recombine_to_the_gram_volume():
     rng = np.random.default_rng(15)
     for _ in range(100):
