@@ -15,8 +15,7 @@ imports each module on first use, so a process loads only what its command runs.
 
 The runtime is serial, so unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is
 set the CLI runs OpenBLAS on one thread: its worker pool would cost each
-process more at numpy load than it saves.  A process starts in
-kmetrics.__main__.entry, which runs main.
+process more at numpy load than it saves.
 """
 
 from __future__ import annotations
@@ -311,9 +310,15 @@ def _cmd_gen(args, inputs, outputs):
     inst = _MAKERS[name](args, inputs)
     writer = km.write_kmetric if isinstance(inst.payload, km.KMetric) else km.write_chain_matrix
     _write(writer, inst.payload, args.output, outputs, "instance")
-    # a dict of values is keyed by its tuples' vertices; json writes a tuple as a list
-    expected = {key: {",".join(map(str, s)): float(v) for s, v in value.items()}
-                if isinstance(value, dict) else value for key, value in inst.expected.items()}
+
+    expected = {}
+    for key, value in inst.expected.items():
+        if isinstance(value, dict):
+            expected[key] = {
+                ",".join(map(str, s)): float(v) for s, v in value.items()
+            }
+        else:
+            expected[key] = value
     return {"name": name, "expected": expected}, OK
 
 

@@ -933,9 +933,8 @@ def test_the_process_keeps_its_exit_codes(tmp_path):
 
 
 def test_an_exception_out_of_main_still_ends_in_a_traceback():
-    module, function = _script()
     proc = _python(["-c", "import kmetrics.cli as c; c.main = lambda: 1 / 0\n"
-                          f"from {module} import {function}; {function}()"])
+                          "from kmetrics.__main__ import entry; entry()"])
     assert proc.returncode == 1
     assert "Traceback" in proc.stderr and "ZeroDivisionError" in proc.stderr
 
