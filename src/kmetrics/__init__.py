@@ -43,7 +43,7 @@ _EXPORTS = {
     "volume": ("PointCloud", "volume_metric", "volume_to_coboundary"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "corpus", "jsonblocks"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "corpus"}
 
 __all__ = sorted(_HOME)
 __version__ = "0.1.0"

@@ -28,7 +28,6 @@ if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.envi
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 
@@ -101,18 +100,18 @@ def _chain_support(chain) -> list:
     ]
 
 
-# gen name -> maker of its corpus instance, in the order usage messages list them
+# gen name -> (the options its maker reads, the maker), in the order usage messages list them
 _MAKERS = {
-    "subdivided-triangle": lambda args, inputs: km.corpus.subdivided_triangle(),
-    "discrete": lambda args, inputs: km.corpus.discrete_metric(args.n, args.k),
-    "four-point-equilateral": lambda args, inputs: km.corpus.four_point_equilateral(),
-    "six-point-apex-discrete": lambda args, inputs: km.corpus.six_point_apex_discrete(),
-    "perimeter": lambda args, inputs: km.corpus.perimeter_metric(
-        _read(km.read_cloud, args.points, inputs)),
-    "max-side": lambda args, inputs: km.corpus.max_side_metric(
-        _read(km.read_cloud, args.points, inputs)),
-    "random-strong": lambda args, inputs: km.corpus.random_strong_metric(
-        args.n, args.k, args.seed),
+    "subdivided-triangle": ((), lambda args, inputs: km.corpus.subdivided_triangle()),
+    "discrete": (("n", "k"), lambda args, inputs: km.corpus.discrete_metric(args.n, args.k)),
+    "four-point-equilateral": ((), lambda args, inputs: km.corpus.four_point_equilateral()),
+    "six-point-apex-discrete": ((), lambda args, inputs: km.corpus.six_point_apex_discrete()),
+    "perimeter": (("points",), lambda args, inputs: km.corpus.perimeter_metric(
+        _read(km.read_cloud, args.points, inputs))),
+    "max-side": (("points",), lambda args, inputs: km.corpus.max_side_metric(
+        _read(km.read_cloud, args.points, inputs))),
+    "random-strong": (("n", "k"), lambda args, inputs: km.corpus.random_strong_metric(
+        args.n, args.k, args.seed)),
 }
 
 
@@ -141,6 +140,8 @@ def build_parser() -> _Parser:
 
 
 def _cmd_verify(args, inputs, outputs):
+    if args.exhaustive and not args.strong:
+        raise _UsageError("--exhaustive needs --strong")
     d = _read(km.read_kmetric, args.metric, inputs)
     if args.strong:
         report = km.check_strong(d, exhaustive=args.exhaustive)
@@ -182,13 +183,12 @@ def _cmd_min_chain(args, inputs, outputs):
     target = _parse_target(args.target)
     if len(target) != K.k:
         raise _UsageError(f"target needs {K.k} vertices, got {len(target)}")
-    weights = np.zeros(math.comb(K.n, K.k))
-    idx = K.facet_indices()
-    weights[idx] = K.weights
+    weights = K.weight_table()
     orientation_sign(target)  # a repeated or out-of-range vertex is named by the whole target
     validate_simplex(K.n, sorted(target))
     faces = {target[:i] + target[i + 1:]: (-1) ** i for i in range(K.k)}
-    cost, chain = km.min_bounding_chain(weights, chain_from_dict(K.n, K.k - 2, faces), mask=idx)
+    cost, chain = km.min_bounding_chain(weights, chain_from_dict(K.n, K.k - 2, faces),
+                                       mask=np.flatnonzero(weights))
     _write(km.write_chain, chain, args.output, outputs, "chain")
     results = {
         "target": list(target),
@@ -278,6 +278,8 @@ def _cmd_apex(args, inputs, outputs):
 
 
 def _cmd_hypertree(args, inputs, outputs):
+    if args.output is not None and not args.to_l1:
+        raise _UsageError("--output needs --to-l1")
     K = _read(km.read_complex, args.complex, inputs)
     if args.to_l1:
         F = km.hypertree_to_l1(K)  # the one check: raises NotHypertreeError on a bad complex
@@ -303,11 +305,14 @@ def _cmd_hypertree(args, inputs, outputs):
 
 def _cmd_gen(args, inputs, outputs):
     name = args.name
-    if name in ("discrete", "random-strong") and (args.n is None or args.k is None):
-        raise _UsageError(f"{name} needs --n and --k")
-    if name in ("perimeter", "max-side") and not args.points:
-        raise _UsageError(f"{name} needs --points")
-    inst = _MAKERS[name](args, inputs)
+    reads, make = _MAKERS[name]
+    given = {option: getattr(args, option) not in (None, "") for option in ("n", "k", "points")}
+    if not all(given[option] for option in reads):
+        raise _UsageError(f"{name} needs " + " and ".join(f"--{option}" for option in reads))
+    ignored = [option for option, there in given.items() if there and option not in reads]
+    if ignored:
+        raise _UsageError(f"{name} does not read --{ignored[0]}")
+    inst = make(args, inputs)
     writer = km.write_kmetric if isinstance(inst.payload, km.KMetric) else km.write_chain_matrix
     _write(writer, inst.payload, args.output, outputs, "instance")
 
@@ -379,7 +384,8 @@ def main(argv=None) -> int:
     parser = _parser({command: _COMMANDS[command]}) if command in _COMMANDS else build_parser()
     try:
         args = parser.parse_args(argv)
-        results, code = _COMMANDS[args.command][2](args, inputs, outputs)
+        with np.errstate(all="ignore"):  # the records refuse what is not finite
+            results, code = _COMMANDS[args.command][2](args, inputs, outputs)
     except _UsageError as exc:
         return _fail(INPUT_FAIL, "usage", str(exc))
     except km.InputError as exc:

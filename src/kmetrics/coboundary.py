@@ -18,10 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .lp import bounding_sweep
-from .metric import KMetric, VALUE_TOL
+from .metric import KMetric, undercuts
 from .simplicial import (
-    Chain, Record, SimplexKey, ValueRecord, _check_bytes, boundary_rows, coboundary_rows,
-    face_ranks, simplex_at, simplex_index, simplex_rows,
+    Chain, Record, SimplexKey, ValueRecord, _check_arity, _check_bytes, _freeze, boundary_rows,
+    coboundary_rows, face_ranks, simplex_at, simplex_index, simplex_rows,
 )
 
 # Entries that eval_coboundary_metric and volume_metric gather at once (0.5 MB of floats).
@@ -39,6 +39,11 @@ class NotStrongError(Exception):
             f"input not strong: best bounding value {achieved:.9g} at "
             f"{simplex} is below the table value {value:.9g}"
         )
+
+
+def _redo_scaled(x: np.ndarray) -> np.ndarray:
+    """Where x is 0, negative, not finite or outside [2**-500, 2**500]: redo it scaled."""
+    return ~((x >= 2.0**-500) & (x <= 2.0**500))
 
 
 class NormSpec(ValueRecord):
@@ -67,7 +72,7 @@ class NormSpec(ValueRecord):
         # a row that overflowed in the coboundary reads NaN here, refused as not finite
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             norms = np.linalg.norm(matrix, ord=self.p, axis=1)
-            redo = ~((norms >= 2.0**-500) & (norms <= 2.0**500))  # NaN too
+            redo = _redo_scaled(norms)
             if redo.any():
                 norms[redo] = self._scaled_row_norms(matrix[redo])
         return norms
@@ -85,10 +90,7 @@ class ChainMatrix(Record):
     __slots__ = ("n", "k", "data")
 
     def _validate(self):
-        if self.k < 2:
-            raise ValueError(f"arity must be at least 2, got {self.k}")
-        if self.n < self.k:
-            raise ValueError(f"need n >= k, got n={self.n}, k={self.k}")
+        _check_arity(self.n, self.k)
         rows = comb(self.n, self.k - 1)
         arr = np.array(self.data, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != rows:
@@ -99,8 +101,7 @@ class ChainMatrix(Record):
             raise ValueError("need at least one column")
         if not np.isfinite(arr).all():
             raise ValueError("chain entries must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _freeze(arr))
 
     @property
     def m(self) -> int:
@@ -121,7 +122,7 @@ def eval_coboundary_metric(F: ChainMatrix, norm: NormSpec) -> KMetric:
 def _strong_column(d: KMetric, idx: int, cost: float, y: np.ndarray) -> np.ndarray:
     """y, unless a chain of this cost bounds tuple idx below its value (NotStrongError)."""
     value = float(d.values[idx])
-    if cost < value * (1.0 - VALUE_TOL):
+    if undercuts(cost, value):
         raise NotStrongError(simplex_at(d.n, d.k - 1, idx), value, cost)
     return y
 

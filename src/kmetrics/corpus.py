@@ -17,7 +17,7 @@ import kmetrics as km
 from .lp import bounding_sweep
 from .metric import KMetric
 from .simplicial import (
-    Chain, ValueRecord, _check_counts, chain_from_dict, simplex_index, simplex_rows,
+    Chain, ValueRecord, _check_arity, _check_counts, chain_from_dict, simplex_index, simplex_rows,
 )
 
 # Bounds of the uniform costs that random_strong_metric draws, one per k-tuple.
@@ -152,8 +152,8 @@ def six_point_apex_discrete() -> CorpusInstance:
 
 def _pairwise_distances(cloud: km.PointCloud) -> np.ndarray:
     pts = cloud.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    diff = (pts[:, None, :] - pts[None, :, :]).reshape(-1, cloud.m)
+    return km.NormSpec(2).row_norms(diff).reshape(cloud.count, cloud.count)
 
 
 def perimeter_metric(cloud: km.PointCloud) -> CorpusInstance:
@@ -185,10 +185,7 @@ def random_strong_metric(n: int, k: int, seed: int) -> CorpusInstance:
     satisfy the strong inequality by construction; equal costs everywhere
     reduce to a scaled discrete table.
     """
-    if k < 2:
-        raise ValueError(f"arity must be at least 2, got {k}")
-    if n < k:  # KMetric's words, before any weight is drawn
-        raise ValueError(f"need n >= k, got n={n}, k={k}")
+    _check_arity(n, k)  # before any weight is drawn
     count = _check_counts(n, k - 1)
     weights = np.random.default_rng(seed).uniform(*_WEIGHT_RANGE, size=count)
     values = np.array([cost for cost, _, _ in bounding_sweep(weights, n, k)])

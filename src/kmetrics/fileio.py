@@ -1,24 +1,24 @@
 """JSON file formats for tables, chain collections, complexes, and clouds.
 
-All files are UTF-8 JSON objects, written as compact single-line JSON; the
-readers accept any layout.  Floats are written with Python's shortest
-round-trip representation, so write-read cycles are bit-exact.  Each file has
-one large list, written _WRITE_BLOCK items at a time, so a write holds one
-block of Python objects and text instead of the whole file; the bytes are
-those of json.dumps(obj, separators=(",", ":")) and a newline.  Every block
-goes through one encode call, the only path on which CPython runs its C
-encoder (json.dump and any indent fall back to the pure-Python one).
+Every file is one layout: a UTF-8 JSON object of small header keys, then its
+one large list, last, closed by "]}" and a newline.  _dump writes the list
+_WRITE_BLOCK items at a time, each block through one call of the C encoder
+(json.dump and any indent fall back to the pure-Python one), so a write holds
+one block of Python objects and text, and the bytes are those of
+json.dumps(obj, separators=(",", ":")) and a newline.  Floats keep Python's
+shortest round-trip form, so write-read cycles are bit-exact.
 
-Reads mirror the writes: jsonblocks.read_object hands each reader's builder
-its list a block of text at a time when the list comes last, as the writers
-and json.dump put it, so a read holds one block of text and of Python objects
-besides the arrays it fills.  Each block is checked as a whole and converted
-in one numpy call; the per-entry validators run only to name the first bad
-entry, by its position in the whole list.  Any other layout, and any refusal,
-is read again by one whole-file json.load and built from one block, so values
-and errors are those of json.load and a whole-list check.  Parse problems
-raise InputError carrying the file, the offending field, and the line number
-when the JSON itself is malformed.
+_read_object reads that layout back, with any whitespace, as the writers and
+json.dump put it: each reader's builder gets its list as (offset, items)
+blocks, each one call of the C decoder on the text up to the last cut
+between two items in view, so a read holds one block of text and of Python
+objects besides the arrays it fills.  Each block is checked as a whole and
+converted in one numpy call; the per-entry validators run only to name the
+first bad entry, by its position in the whole list.  Any other layout, and
+any refusal, is read again by one whole-file json.load and built from one
+block, so values and errors are those of json.load and a whole-list check.
+Parse problems raise InputError carrying the file, the offending field, and
+the line number when the JSON itself is malformed.
 """
 
 from __future__ import annotations
@@ -26,23 +26,30 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 # payload records through the package's table: a read loads only its payload's module
 import kmetrics as km
 
-from .jsonblocks import InputError, get_blocks, read_object
 from .simplicial import (
-    MAX_SIMPLICES,
-    Chain,
-    _check_counts,
-    simplex_at,
-    simplex_index,
+    MAX_SIMPLICES, Chain, _check_arity, _check_counts, simplex_at, simplex_index,
     validate_simplex,
 )
+
+
+class InputError(Exception):
+    """A file could not be parsed or validated: its path, and the field and line where known."""
+
+    def __init__(self, path: str, message: str, field: Optional[str] = None,
+                 line: Optional[int] = None):
+        self.path, self.message, self.field, self.line = path, message, field, line
+        where = path + ("" if line is None else f":{line}")
+        where += "" if field is None else f" (field {field})"
+        super().__init__(f"{where}: {message}")
 
 
 # List items encoded per call of the C encoder.
@@ -74,6 +81,122 @@ def _entries(simplices: Iterable, numbers: np.ndarray, key: str) -> Iterator[lis
     for block in _blocks(numbers):
         # numbers first: zip stops on them without drawing a simplex it would drop
         yield [{"s": s, key: v} for v, s in zip(block, simplices)]
+
+
+# Characters of text read at a time: a file's one large list is decoded a block
+# of this much text at a time.
+_READ_BLOCK = 2**16
+
+_decoder = json.JSONDecoder()
+_CUTS = {"{": "},", "[": "],"}  # first character of an item -> text between two items
+_OBJECT_END = re.compile(r"[ \t\n\r]*\}[ \t\n\r]*")  # JSON's whitespace, as json.load skips it
+
+
+def _list_blocks(fh, text: str) -> Iterator[tuple[int, list]]:
+    """(offset, items) blocks of the list whose text after its "[" starts with text.
+
+    Each block is the items up to the last cut in view, in one decode call;
+    a cut inside an item or a string leaves a bracket or a quote open, so the
+    decode fails and more text is read.  At the end of the file the rest must
+    be the last items, "]", "}" and whitespace.  Anything else raises
+    ValueError.
+    """
+    offset = 0
+    while chunk := fh.read(max(_READ_BLOCK, len(text))):  # doubles while no cut decodes
+        text += chunk
+        token = _CUTS.get(text.lstrip()[:1], ",")
+        cut = text.rfind(token) + len(token) - 1
+        try:
+            items = _decoder.decode("[" + text[:cut] + "]") if cut > 0 else []
+        except json.JSONDecodeError:
+            continue
+        if items:  # no items: no cut, or an empty one, as in "[1, ,2]"
+            yield offset, items
+            offset += len(items)
+            text = text[cut + 1 :]
+    items, end = _decoder.raw_decode("[" + text)
+    if (offset and not items) or not _OBJECT_END.fullmatch(text, end - 1):
+        raise ValueError("the list does not end the object")  # "[1,]", or keys after it
+    yield offset, items
+
+
+def _key(obj: dict, builders: dict, path: str) -> str:
+    """The first key of builders in obj; with several builders, one must be there."""
+    key = next((key for key in builders if key in obj), None)
+    if key is None:
+        if len(builders) > 1:
+            raise InputError(
+                path, "unrecognised payload: expected one of the fields " + ", ".join(builders)
+            )
+        key = next(iter(builders))
+    return key
+
+
+def _read_blocked(fh, builders: dict, path: str) -> tuple:
+    """(key, result) of a file in the writers' layout; ValueError or InputError otherwise.
+
+    The header is the text up to the first "<builder key>": [, closed by
+    "]}"; a match inside a string or a nested value does not parse.
+    """
+    keys = "|".join(map(re.escape, builders))
+    start = re.compile(f'"({keys})"[ \t\n\r]*:[ \t\n\r]*\\[')
+    text = ""
+    while not (match := start.search(text)):
+        chunk = fh.read(max(_READ_BLOCK, len(text)))
+        if not chunk:
+            raise ValueError("no large list")
+        text += chunk
+    header = json.loads(text[: match.end()] + "]}")
+    key = _key(header, builders, path)
+    if match[1] != key:
+        raise ValueError("a header key decides another builder")
+    blocks = _list_blocks(fh, text[match.end() :])
+    result = builders[key]({**header, key: blocks}, path)
+    for _ in blocks:  # the rest of the text must still end the object
+        pass
+    return key, result
+
+
+def _read_object(path: str, builders: dict) -> tuple:
+    """(key, builders[key](obj, path)) for the JSON object obj in path.
+
+    builders maps each key that may hold the file's large list to its
+    builder, the first key present deciding; with several builders, a file
+    with none of their keys is refused.  obj holds the other keys' values
+    and, under the key, the list's blocks for _get_blocks.  A builder refuses
+    with InputError or ValueError.  A file in the writers' layout is read a
+    block at a time; any other file, and any refusal, is read again whole,
+    so the result or error is json.load's and the builder's on one block.
+    """
+    try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return _read_blocked(fh, builders, path)
+        except (InputError, ValueError):
+            pass
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise InputError(path, f"cannot read file: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(path, f"not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(path, f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    if not isinstance(obj, dict):
+        raise InputError(path, f"expected a JSON object, got {type(obj).__name__}")
+    key = _key(obj, builders, path)
+    if isinstance(obj.get(key), list):
+        obj[key] = iter([(0, obj[key])])
+    return key, builders[key](obj, path)
+
+
+def _get_blocks(obj: dict, key: str, path: str) -> Iterator[tuple[int, list]]:
+    """The (offset, items) blocks of the large list obj[key], for a builder."""
+    if key not in obj:
+        raise InputError(path, "missing required field", field=key)
+    if not isinstance(obj[key], Iterator):
+        raise InputError(path, "expected a list", field=key)
+    return obj[key]
 
 
 def _get_int(obj: dict, key: str, path: str, minimum: int = 0) -> int:
@@ -165,15 +288,14 @@ def write_kmetric(d: km.KMetric, path: str) -> None:
 
 
 def read_kmetric(path: str) -> km.KMetric:
-    return read_object(path, {"values": _kmetric_from})[1]
+    return _read_object(path, {"values": _kmetric_from})[1]
 
 
 def _kmetric_from(obj: dict, path: str) -> km.KMetric:
     n = _get_int(obj, "n", path, minimum=1)
     k = _get_int(obj, "k", path, minimum=2)
-    if n < k:
-        raise InputError(path, f"need n >= k, got n={n}, k={k}", field="n")
-    blocks = get_blocks(obj, "values", path)
+    _record(path, "n", lambda: _check_arity(n, k))
+    blocks = _get_blocks(obj, "values", path)
     count = comb(n, k)
     # over MAX_SIMPLICES no tuple can be ranked, and the first block refuses
     values, total = np.full(count if count <= MAX_SIMPLICES else 0, np.nan), 0
@@ -212,14 +334,14 @@ def write_chain_matrix(F: km.ChainMatrix, path: str) -> None:
 
 
 def read_chain_matrix(path: str) -> km.ChainMatrix:
-    return read_object(path, {"data": _chain_matrix_from})[1]
+    return _read_object(path, {"data": _chain_matrix_from})[1]
 
 
 def _chain_matrix_from(obj: dict, path: str) -> km.ChainMatrix:
     n = _get_int(obj, "n", path, minimum=1)
     k = _get_int(obj, "k", path, minimum=2)
     m = _get_int(obj, "m", path, minimum=1)
-    blocks = get_blocks(obj, "data", path)
+    blocks = _get_blocks(obj, "data", path)
     rows = comb(n, k - 1)
     size = rows * m
     # size numbers take 2 size - 1 characters; a header that claims more is
@@ -250,14 +372,14 @@ def write_complex(K: km.WeightedComplex, path: str) -> None:
 
 
 def read_complex(path: str) -> km.WeightedComplex:
-    return read_object(path, {"facets": _complex_from})[1]
+    return _read_object(path, {"facets": _complex_from})[1]
 
 
 def _complex_from(obj: dict, path: str) -> km.WeightedComplex:
     n = _get_int(obj, "n", path, minimum=1)
     k = _get_int(obj, "k", path, minimum=2)
     facets, weights = [], [np.empty(0)]
-    for offset, entries in get_blocks(obj, "facets", path):
+    for offset, entries in _get_blocks(obj, "facets", path):
         weights.append(_read_entries(entries, offset, path, "facets", "w", n, k)[1])
         facets.extend(tuple(entry["s"]) for entry in entries)
     return _record(path, "facets", lambda: km.WeightedComplex(
@@ -272,13 +394,13 @@ def write_cloud(cloud: km.PointCloud, path: str) -> None:
 
 
 def read_cloud(path: str) -> km.PointCloud:
-    return read_object(path, {"points": _cloud_from})[1]
+    return _read_object(path, {"points": _cloud_from})[1]
 
 
 def _cloud_from(obj: dict, path: str) -> km.PointCloud:
     m = _get_int(obj, "m", path, minimum=1)
     coords, count = [np.empty(0)], 0
-    for offset, rows in get_blocks(obj, "points", path):
+    for offset, rows in _get_blocks(obj, "points", path):
         shaped = (isinstance(row, list) and len(row) == m for row in rows)
         bad = next((pos for pos, ok in enumerate(shaped) if not ok), len(rows))
         # a bad coordinate before the first bad row is the first error, as row by row
@@ -301,14 +423,14 @@ def write_chain(chain: Chain, path: str) -> None:
 
 
 def read_chain(path: str) -> Chain:
-    return read_object(path, {"coeffs": _chain_from})[1]
+    return _read_object(path, {"coeffs": _chain_from})[1]
 
 
 def _chain_from(obj: dict, path: str) -> Chain:
     n = _get_int(obj, "n", path, minimum=1)
     dim = _get_int(obj, "dim", path, minimum=0)
     coeffs = [np.empty(0)]
-    for offset, items in get_blocks(obj, "coeffs", path):
+    for offset, items in _get_blocks(obj, "coeffs", path):
         coeffs.append(_as_numbers(items, path, lambda i: f"coeffs[{offset + i}]"))
     return _record(path, "coeffs", lambda: Chain(n=n, dim=dim, coeffs=np.concatenate(coeffs)))
 
@@ -327,5 +449,5 @@ def read_any(path: str):
     Returns (kind, object) with kind one of kmetric, chain_matrix, complex,
     cloud.  The file is parsed once.
     """
-    key, obj = read_object(path, {key: build for key, (_, build) in _BUILDERS.items()})
+    key, obj = _read_object(path, {key: build for key, (_, build) in _BUILDERS.items()})
     return _BUILDERS[key][0], obj

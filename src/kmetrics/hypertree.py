@@ -91,13 +91,10 @@ def mbc_metric(K: WeightedComplex, jobs: int = 1) -> KMetric:
     The tuples are one sequential sweep, so jobs has no effect; it is kept
     for callers that pass it.
     """
-    count = comb(K.n, K.k)
-    weights = np.zeros(count)
-    idx = K.facet_indices()
-    weights[idx] = K.weights
+    weights = K.weight_table()
     values = []
-    try:  # WeightedComplex refuses duplicate facets, so sorting suffices
-        for cost, _, _ in bounding_sweep(weights, K.n, K.k, np.sort(idx)):
+    try:  # the weights are positive, so the nonzero entries are the facets, sorted
+        for cost, _, _ in bounding_sweep(weights, K.n, K.k, np.flatnonzero(weights)):
             values.append(cost)
     except UnfillableBoundaryError as exc:
         unfilled = simplex_at(K.n, K.k - 1, len(values))

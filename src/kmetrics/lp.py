@@ -26,8 +26,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .simplicial import (
-    Chain, Record, _check_bytes, boundary_block, boundary_rows, coboundary_rows, face_ranks,
-    simplex_rows,
+    Chain, Record, _check_bytes, _freeze, boundary_block, boundary_rows, coboundary_rows,
+    face_ranks, simplex_rows,
 )
 
 DEFAULT_TOL = 1e-9
@@ -60,8 +60,7 @@ class StandardFormLP(Record):
         if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c).all()):
             raise ValueError("LP data must be finite")
         for name, arr in (("A", A), ("b", b), ("c", c)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(arr))
 
 
 class LPSolution(Record):
@@ -155,10 +154,8 @@ class Simplex:
         x = np.zeros(nv)
         real = self.basis < nv
         x[self.basis[real]] = (self.sign * np.maximum(self.sign * self.T[:m, -1], 0.0))[real]
-        y = -self.T[m, nv : nv + m]
-        x.flags.writeable = False
-        y.flags.writeable = False
-        return LPSolution("optimal", x, y, float(np.where(x < 0, -self.c_neg, self.c) @ x))
+        cost = float(np.where(x < 0, -self.c_neg, self.c) @ x)
+        return LPSolution("optimal", _freeze(x), _freeze(-self.T[m, nv : nv + m]), cost)
 
 
 def solve(lp: StandardFormLP) -> LPSolution:

@@ -25,7 +25,9 @@ from .lp import bounding_sweep
 from .simplicial import (
     Record,
     ValueRecord,
+    _check_arity,
     _check_counts,
+    _freeze,
     enumerate_simplices,
     face_ranks,
     simplex_at,
@@ -38,16 +40,18 @@ from .simplicial import (
 VALUE_TOL = 1e-6
 
 
+def undercuts(cost, value):
+    """cost < value (1 - VALUE_TOL), elementwise: a chain this cheap refutes the value."""
+    return cost < value * (1.0 - VALUE_TOL)
+
+
 class KMetric(Record):
     """Distance table of arity k on n vertices, one value per k-subset."""
 
     __slots__ = ("n", "k", "values")
 
     def _validate(self):
-        if self.k < 2:
-            raise ValueError(f"arity must be at least 2, got {self.k}")
-        if self.n < self.k:
-            raise ValueError(f"need n >= k, got n={self.n}, k={self.k}")
+        _check_arity(self.n, self.k)
         count = _check_counts(self.n, self.k - 1)
         arr = np.array(self.values, dtype=float).reshape(-1)
         if arr.shape != (count,):
@@ -56,8 +60,7 @@ class KMetric(Record):
             raise ValueError("distance values must be finite")
         if (arr < 0).any():
             raise ValueError("distance values must be nonnegative")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _freeze(arr))
 
     def value(self, vertices: Sequence[int]) -> float:
         """Evaluate at an arbitrary k-tuple; repeats give zero."""
@@ -92,9 +95,9 @@ def check_weak(d: KMetric) -> VerificationReport:
     """Test the one-point replacement inequality at every tuple.
 
     For each k-subset t and outside point y the sum of the values with one
-    vertex of t swapped for y must not fall below value(t) (1 - VALUE_TOL).
-    check_strong tests a chain's cost in the same form, and the cone over y
-    is a bounding chain of that cost, so a strong table reads weak.  Zero
+    vertex of t swapped for y must not undercut value(t).  check_strong
+    tests a chain's cost by the same undercuts, and the cone over y is a
+    bounding chain of that cost, so a strong table reads weak.  Zero
     values on distinct tuples do not fail the check but are reported so
     callers can see the table is pseudo rather than positive.
 
@@ -116,7 +119,7 @@ def check_weak(d: KMetric) -> VerificationReport:
         total = table[coface[faces[0], y]]
         for face in faces[1:]:  # summed in the order of i, as the inequality reads
             total = total + table[coface[face, y]]
-        codes.append(np.flatnonzero(total < d.values * (1.0 - VALUE_TOL)) * d.n + y)
+        codes.append(np.flatnonzero(undercuts(total, d.values)) * d.n + y)
     t, y = np.divmod(np.sort(np.concatenate(codes)), d.n)
     violations = [(tuple(s), v) for s, v in zip(rows[t].tolist(), y.tolist())]
     pseudo = tuple(map(tuple, rows[d.values == 0.0].tolist()))
@@ -134,22 +137,21 @@ def check_strong(
 ) -> VerificationReport:
     """Compare each table value with its minimum bounding-chain cost.
 
-    The table is strong when no chain bounds the boundary of a tuple more
-    cheaply than the tuple's own value, up to the relative tolerance
-    VALUE_TOL, which frechet_embed reads too.  By default the scan stops at
-    the first failing tuple in canonical order; exhaustive mode records the
-    margin of every tuple.  The tuples are one sequential sweep, so jobs has
-    no effect; it is kept for callers that pass it.  Nothing is listed
-    before the sweep, so a table over the LP budget is refused before any
-    allocation; the sweep, the margins and the weak pass list the order
-    once each, and tuples are made only for the witness and the swept
-    margins.
+    The table is strong when no chain bounds the boundary of a tuple so
+    cheaply that it undercuts the tuple's value, the test frechet_embed
+    makes too.  By default the scan stops at the first failing tuple in
+    canonical order; exhaustive mode records the margin of every tuple.
+    The tuples are one sequential sweep, so jobs has no effect; it is kept
+    for callers that pass it.  Nothing is listed before the sweep, so a
+    table over the LP budget is refused before any allocation; the sweep,
+    the margins and the weak pass list the order once each, and tuples are
+    made only for the witness and the swept margins.
     """
     costs, witness = [], None
     for i, (cost, chain, _) in enumerate(bounding_sweep(d.values, d.n, d.k)):
         costs.append(cost)
         value = float(d.values[i])
-        if witness is None and cost < value * (1.0 - VALUE_TOL):
+        if witness is None and undercuts(cost, value):
             witness = StrongWitness(simplex_at(d.n, d.k - 1, i), value, cost, chain)
             if not exhaustive:
                 break

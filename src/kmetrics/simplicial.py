@@ -55,6 +55,14 @@ def _check_counts(n: int, dim: int) -> int:
     return count
 
 
+def _check_arity(n: int, k: int) -> None:
+    """Refuse, with ValueError, a record on the k-subsets of n points unless n >= k >= 2."""
+    if k < 2:
+        raise ValueError(f"arity must be at least 2, got {k}")
+    if n < k:
+        raise ValueError(f"need n >= k, got n={n}, k={k}")
+
+
 def simplex_rows(n: int, dim: int) -> np.ndarray:
     """All dim-simplices on n vertices as the rows of an int64 array, in canonical order."""
     count = _check_counts(n, dim)
@@ -335,10 +343,7 @@ class WeightedComplex(Record):
     __slots__ = ("n", "k", "facets", "weights")
 
     def _validate(self):
-        if self.k < 2:
-            raise ValueError(f"arity must be at least 2, got {self.k}")
-        if self.n < self.k:
-            raise ValueError(f"need n >= k, got n={self.n}, k={self.k}")
+        _check_arity(self.n, self.k)
         keys = tuple(validate_simplex(self.n, f) for f in self.facets)
         if len(keys) < 1:
             raise ValueError("need at least one facet")
@@ -356,3 +361,9 @@ class WeightedComplex(Record):
 
     def facet_indices(self) -> np.ndarray:
         return simplex_index(self.n, np.array(self.facets))
+
+    def weight_table(self) -> np.ndarray:
+        """Weight per k-tuple in canonical order: the facets' weights, zero elsewhere."""
+        table = np.zeros(comb(self.n, self.k))
+        table[self.facet_indices()] = self.weights
+        return table

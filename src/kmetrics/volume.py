@@ -15,9 +15,9 @@ from math import comb, factorial
 
 import numpy as np
 
-from .coboundary import _EVAL_BLOCK, ChainMatrix
+from .coboundary import _EVAL_BLOCK, ChainMatrix, _redo_scaled
 from .metric import KMetric
-from .simplicial import Record, _check_bytes, simplex_rows
+from .simplicial import Record, _check_arity, _check_bytes, _freeze, simplex_rows
 
 
 class PointCloud(Record):
@@ -31,8 +31,7 @@ class PointCloud(Record):
             raise ValueError(f"expected a (count, m) array, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("coordinates must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "points", arr)
+        object.__setattr__(self, "points", _freeze(arr))
 
     @property
     def count(self) -> int:
@@ -45,24 +44,35 @@ class PointCloud(Record):
 
 def volume_metric(cloud: PointCloud, k: int) -> KMetric:
     """Arity-k table of simplex volumes over all k-subsets of the cloud."""
-    if k < 2:
-        raise ValueError(f"arity must be at least 2, got {k}")
     if cloud.count < k:
         raise ValueError(f"cloud has {cloud.count} points, needs at least {k}")
+    _check_arity(cloud.count, k)
     if k > cloud.m + 1:
         warnings.warn(
             f"arity {k} exceeds ambient dimension {cloud.m} + 1; all volumes vanish",
             stacklevel=2,
         )
-    # rows x_i - x_1 of a block of tuples (k*m floats each) at a time, stacked
+    # rows x_i - x_1 of a block of tuples (k*m floats each) at a time, stacked.  The
+    # Gram determinant scales as the points squared, so a tuple whose determinant
+    # _redo_scaled marks is redone from its rows divided by their largest |entry|,
+    # as NormSpec.row_norms redoes a norm.
     tuples = simplex_rows(cloud.count, k - 1)
     step = max(1, _EVAL_BLOCK // (k * cloud.m))
-    grams = []
-    for a in range(0, tuples.shape[0], step):
-        P = cloud.points[tuples[a : a + step]]
-        D = P[:, 1:] - P[:, :1]
-        grams.append(np.linalg.det(D @ D.transpose(0, 2, 1)))
-    values = np.sqrt(np.maximum(np.concatenate(grams), 0.0)) / factorial(k - 1)
+    roots = []
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for a in range(0, tuples.shape[0], step):
+            P = cloud.points[tuples[a : a + step]]
+            D = P[:, 1:] - P[:, :1]
+            grams = np.linalg.det(D @ D.transpose(0, 2, 1))
+            root = np.sqrt(np.maximum(grams, 0.0))
+            redo = _redo_scaled(grams)
+            if redo.any():
+                top = np.abs(D[redo]).max(axis=(1, 2))
+                S = D[redo] / np.where(top > 0.0, top, 1.0)[:, None, None]
+                scaled = np.linalg.det(S @ S.transpose(0, 2, 1))
+                root[redo] = top ** (k - 1) * np.sqrt(np.maximum(scaled, 0.0))
+            roots.append(root)
+    values = np.concatenate(roots) / factorial(k - 1)
     return KMetric(n=cloud.count, k=k, values=values)
 
 
@@ -75,10 +85,9 @@ def volume_to_coboundary(cloud: PointCloud, k: int) -> ChainMatrix:
     and ChainMatrix's copy of it; one over the byte budget is refused before
     any allocation (_check_bytes).
     """
-    if k < 2:
-        raise ValueError(f"arity must be at least 2, got {k}")
     if cloud.count < k:
         raise ValueError(f"cloud has {cloud.count} points, needs at least {k}")
+    _check_arity(cloud.count, k)
     if k - 1 > cloud.m:
         raise ValueError(
             f"arity {k} needs ambient dimension at least {k - 1}, got {cloud.m}"

@@ -273,7 +273,7 @@ def test_min_chain_and_gen_do_not_import_numpy_ma(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-MIN_CHAIN_MODULES = {"cli", "fileio", "jsonblocks", "lp", "simplicial"}
+MIN_CHAIN_MODULES = {"cli", "fileio", "lp", "simplicial"}
 COMMAND_MODULES = [
     ("min-chain K.json --target 0,1,2", set()),
     ("verify d.json", {"metric"}),
@@ -770,6 +770,22 @@ def test_gen_requires_shape_arguments(tmp_path, capsys):
     assert "arity must be at least 2" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "d.json", "--exhaustive"], "--exhaustive needs --strong"),
+    (["hypertree", "K.json", "-o", "out.json"], "--output needs --to-l1"),
+    (["gen", "subdivided-triangle", "--n", "5", "-o", "out.json"],
+     "subdivided-triangle does not read --n"),
+    (["gen", "discrete", "--n", "5", "--k", "3", "--points", "P.json", "-o", "out.json"],
+     "discrete does not read --points"),
+    (["gen", "perimeter", "--points", "P.json", "--k", "3", "-o", "out.json"],
+     "perimeter does not read --k"),
+])
+def test_an_option_its_mode_ignores_is_refused(inputs_dir, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(inputs_dir)
+    assert _run(argv, capsys) == (2, {"error": {"kind": "usage", "message": message}})
+    assert not (inputs_dir / "out.json").exists()
+
+
 def test_gen_random_strong_refuses_n_below_k_as_gen_discrete_does(tmp_path, capsys):
     out = str(tmp_path / "d.json")
     strong = _run(["gen", "random-strong", "--n", "2", "--k", "3", "-o", out], capsys)
@@ -937,6 +953,67 @@ def test_an_exception_out_of_main_still_ends_in_a_traceback():
                           "from kmetrics.__main__ import entry; entry()"])
     assert proc.returncode == 1
     assert "Traceback" in proc.stderr and "ZeroDivisionError" in proc.stderr
+
+
+# --- no warning on stderr -----------------------------------------------------
+
+
+def _extreme_inputs(d):
+    """Files whose runs overflow inside numpy: a chain file, a cloud and a 1e308 table."""
+    (d / "big.json").write_text('{"n":3,"k":3,"m":1,"data":[1e308,-1e308,1e308]}')
+    rng = np.random.default_rng(3)
+    write_cloud(PointCloud(points=rng.uniform(-1e200, 1e200, size=(6, 3))), str(d / "far.json"))
+    write_cloud(PointCloud(points=1e-90 * rng.normal(size=(6, 3))), str(d / "near.json"))
+    write_kmetric(kmetrics.KMetric(n=4, k=3, values=np.full(4, 1e308)), str(d / "huge.json"))
+
+
+# (argv, exit code): every command on the corpus, then the extreme inputs
+QUIET_RUNS = [
+    *[(["gen", name, "-o", f"{name}.json"], 0) for name in
+      ("subdivided-triangle", "four-point-equilateral", "six-point-apex-discrete")],
+    (["gen", "discrete", "--n", "6", "--k", "3", "-o", "discrete.json"], 0),
+    (["gen", "random-strong", "--n", "6", "--k", "3", "-o", "s.json"], 0),
+    (["gen", "perimeter", "--points", "P.json", "-o", "perimeter.json"], 0),
+    (["gen", "max-side", "--points", "P.json", "-o", "max-side.json"], 0),
+    (["verify", "subdivided-triangle.json"], 0),
+    (["verify", "subdivided-triangle.json", "--strong"], 1),
+    (["verify", "s.json", "--strong", "--exhaustive"], 0),
+    (["verify", "perimeter.json", "--strong"], 0),
+    (["min-chain", "K.json", "--target", "0,1,2", "-o", "chain.json"], 0),
+    (["embed", "frechet", "s.json", "-o", "F6.json"], 0),
+    (["embed", "jl", "F6.json", "--eps", "0.5", "--seed", "1", "-o", "J.json"], 0),
+    (["embed", "l2lp", "F6.json", "--p", "1", "--eps", "0.9", "--seed", "1", "-o", "L.json"], 0),
+    *[(["eval", "F6.json", "--p", p], 0) for p in ("1", "2", "3", "inf")],
+    (["eval", "four-point-equilateral.json", "--p", "2"], 0),
+    (["volume", "P.json", "--k", "3"], 0),
+    (["volume", "P.json", "--k", "3", "--to-coboundary"], 0),
+    (["apex", "s.json"], 0),
+    (["apex", "six-point-apex-discrete.json"], 0),
+    (["hypertree", "K.json"], 0),
+    (["hypertree", "K.json", "--to-l1"], 0),
+    *[(["eval", "big.json", "--p", p], 2) for p in ("1", "2", "3", "inf")],
+    (["embed", "jl", "big.json", "--eps", "0.5", "--seed", "1", "-o", "big-J.json"], 2),
+    (["volume", "far.json", "--k", "3"], 2),
+    (["volume", "far.json", "--k", "3", "--to-coboundary"], 2),
+    (["gen", "perimeter", "--points", "far.json", "-o", "far-perimeter.json"], 0),
+    (["gen", "max-side", "--points", "far.json", "-o", "far-max-side.json"], 0),
+    (["volume", "near.json", "--k", "3"], 0),
+    (["verify", "huge.json", "--strong", "--exhaustive"], 0),
+]
+
+
+def test_no_command_warns_on_the_corpus_or_on_extreme_input(tmp_path, capsys, monkeypatch):
+    # numpy's RuntimeWarnings go to stderr before the report; the records refuse
+    # what is not finite, so every run is quiet and keeps its exit code
+    _write_inputs(tmp_path, 6, 6, 6)
+    _extreme_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for argv, code in QUIET_RUNS:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = main(argv)
+        capsys.readouterr()
+        assert (got, [str(w.message) for w in caught]) == (code, []), argv
 
 
 # --- the one-command parser --------------------------------------------------

@@ -161,3 +161,13 @@ def test_random_strong_single_tuple():
     inst = random_strong_metric(3, 3, seed=7)
     assert inst.payload.values.shape == (1,)
     assert check_strong(inst.payload).is_strong
+
+
+@pytest.mark.parametrize("make", [perimeter_metric, max_side_metric])
+def test_side_tables_scale_linearly_at_every_scale(make):
+    # squared differences overflow at 1e200 and underflow far below 1e-150
+    pts = np.random.default_rng(32).normal(size=(6, 3))
+    base = make(PointCloud(points=pts)).payload.values
+    for s in (1e-200, 1e-100, 1e-80, 1e80, 1e100, 1e200):
+        scaled = make(PointCloud(points=s * pts)).payload.values
+        assert np.allclose(scaled / s, base, rtol=1e-12, atol=0.0), s

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmetrics import fileio, jsonblocks
+from kmetrics import fileio
 from kmetrics.coboundary import ChainMatrix
 from kmetrics.fileio import (
     InputError,
@@ -197,7 +197,7 @@ def _layout(whole: dict, key: str, layout: str) -> str:
 @pytest.mark.parametrize("block", _READ_BLOCKS)
 @pytest.mark.parametrize("kind", _KINDS)
 def test_blocked_reads_equal_the_whole_object(tmp_path, monkeypatch, kind, block, layout):
-    monkeypatch.setattr(jsonblocks, "_READ_BLOCK", block)
+    monkeypatch.setattr(fileio, "_READ_BLOCK", block)
     payload, write, read, whole, same = _write_cases()[kind]
     path = tmp_path / "in.json"
     if layout == "writer":
@@ -225,7 +225,7 @@ def test_only_other_layouts_are_read_whole(tmp_path, monkeypatch, kind, layout, 
         path.write_text(_layout(obj, list(obj)[-1], layout), encoding="utf-8")
     loads = []
     load = json.load
-    monkeypatch.setattr(jsonblocks.json, "load", lambda fh: loads.append(fh) or load(fh))
+    monkeypatch.setattr(fileio.json, "load", lambda fh: loads.append(fh) or load(fh))
     assert same(read(str(path)))
     if kind != "chain":
         found, back = read_any(str(path))
@@ -327,7 +327,7 @@ def test_blocked_reads_match_a_json_load_reader(tmp_path_factory, case, block):
     path = tmp_path_factory.mktemp("mutated") / "in.json"
     path.write_text(text, encoding="utf-8")
     read = read_any if kind == "any" else globals()[f"read_{kind}"]
-    with mock.patch.object(jsonblocks, "_READ_BLOCK", block):
+    with mock.patch.object(fileio, "_READ_BLOCK", block):
         got = _outcome(read, str(path))
     assert got == _outcome(lambda p: json_load_read(p, kind), str(path))
 
@@ -346,7 +346,7 @@ def test_huge_header_counts_read_like_a_json_load_reader(tmp_path, monkeypatch, 
     path = _write_json(tmp_path / "in.json", obj)
     want = _outcome(lambda p: json_load_read(p, kind), path)
     for block in _ERROR_BLOCKS:
-        monkeypatch.setattr(jsonblocks, "_READ_BLOCK", block)
+        monkeypatch.setattr(fileio, "_READ_BLOCK", block)
         assert _outcome(globals()[f"read_{kind}"], path) == want
 
 
@@ -356,7 +356,7 @@ def test_undecodable_text_fails_like_a_json_load_reader(tmp_path, monkeypatch):
     want = _outcome(lambda p: json_load_read(p, "chain_matrix"), str(path))
     assert want[0] == "InputError" and want[1].startswith("not UTF-8 text: ")
     for block in _ERROR_BLOCKS:
-        monkeypatch.setattr(jsonblocks, "_READ_BLOCK", block)
+        monkeypatch.setattr(fileio, "_READ_BLOCK", block)
         assert _outcome(read_chain_matrix, str(path)) == want
 
 
@@ -430,7 +430,7 @@ def test_malformed_json_reports_the_line(tmp_path, monkeypatch):
     deep = tmp_path / "deep.json"  # a bad number, data[17], on line 23
     deep.write_text(json.dumps(_matrix(*range(30)), indent=1).replace("17", "1.7.", 1))
     for block in _ERROR_BLOCKS:
-        monkeypatch.setattr(jsonblocks, "_READ_BLOCK", block)
+        monkeypatch.setattr(fileio, "_READ_BLOCK", block)
         with pytest.raises(InputError) as info:
             read_kmetric(str(path))
         assert "invalid JSON" in info.value.message
@@ -478,7 +478,7 @@ def test_kmetric_duplicate_entry_named(tmp_path, monkeypatch):
                {"s": [0, 2], "d": 1.0}, {"s": [1, 2], "d": 1.0}]
     path = _write_json(tmp_path / "d.json", {"n": 3, "k": 2, "values": entries})
     for block in _ERROR_BLOCKS:
-        monkeypatch.setattr(jsonblocks, "_READ_BLOCK", block)
+        monkeypatch.setattr(fileio, "_READ_BLOCK", block)
         with pytest.raises(InputError) as info:
             read_kmetric(path)
         assert info.value.field == "values[1].s"
@@ -559,7 +559,7 @@ def test_number_too_large_for_a_float_is_an_input_error(tmp_path, monkeypatch):
         tmp_path / "F.json", {"n": 3, "k": 2, "m": 1, "data": [0.0, huge, 1.0]}
     )
     for block in _ERROR_BLOCKS:
-        monkeypatch.setattr(jsonblocks, "_READ_BLOCK", block)
+        monkeypatch.setattr(fileio, "_READ_BLOCK", block)
         with pytest.raises(InputError) as info:
             read_kmetric(path)
         assert info.value.field == "values[0].d"
@@ -610,7 +610,7 @@ def test_whole_list_reads_refuse_like_the_per_entry_check(tmp_path, monkeypatch,
                                                           field, message):
     path = _write_json(tmp_path / "x.json", obj)
     for block in _ERROR_BLOCKS:
-        monkeypatch.setattr(jsonblocks, "_READ_BLOCK", block)
+        monkeypatch.setattr(fileio, "_READ_BLOCK", block)
         with pytest.raises(InputError) as info:
             read(path)
         assert (info.value.field, info.value.line, info.value.message) == (field, None, message)
@@ -627,7 +627,7 @@ def test_first_bad_entry_wins_across_fields(tmp_path, monkeypatch):
     again = _write_json(tmp_path / "dup.json", obj)
     short = _write_json(tmp_path / "F.json", _matrix(0.0, "x"))  # the length comes first
     for block in _ERROR_BLOCKS:
-        monkeypatch.setattr(jsonblocks, "_READ_BLOCK", block)
+        monkeypatch.setattr(fileio, "_READ_BLOCK", block)
         with pytest.raises(InputError) as info:
             read_kmetric(table)
         assert info.value.field == "values[1].d"
@@ -701,7 +701,7 @@ def test_chain_matrix_float_past_the_range_is_not_finite(tmp_path, monkeypatch):
     path = tmp_path / "F.json"
     path.write_text('{"n": 3, "k": 2, "m": 1, "data": [0.0, 1e400, 1.0]}', encoding="utf-8")
     for block in _ERROR_BLOCKS:
-        monkeypatch.setattr(jsonblocks, "_READ_BLOCK", block)
+        monkeypatch.setattr(fileio, "_READ_BLOCK", block)
         with pytest.raises(InputError) as info:
             read_chain_matrix(str(path))
         assert (info.value.field, info.value.message) == ("data", "chain entries must be finite")
@@ -753,7 +753,7 @@ def test_read_any_parses_the_file_once(tmp_path, monkeypatch):
     path = str(tmp_path / "F.json")
     write_chain_matrix(ChainMatrix(n=4, k=2, data=np.ones((4, 2))), path)
     calls = []
-    monkeypatch.setattr(jsonblocks, "open", lambda p, *a, **kw: calls.append(p) or open(p, *a, **kw),
+    monkeypatch.setattr(fileio, "open", lambda p, *a, **kw: calls.append(p) or open(p, *a, **kw),
                         raising=False)
     assert read_any(path)[0] == "chain_matrix"
     assert calls == [path]
@@ -764,7 +764,7 @@ def test_read_any_builds_by_the_first_key_even_when_a_later_one_holds_the_list(
     # the blocked read meets "data": [ first, but "values" decides the builder
     path = _write_json(tmp_path / "x.json", {"values": 5, **_matrix(0.0, 1.0, 2.0)})
     for block in _ERROR_BLOCKS:
-        monkeypatch.setattr(jsonblocks, "_READ_BLOCK", block)
+        monkeypatch.setattr(fileio, "_READ_BLOCK", block)
         with pytest.raises(InputError) as info:
             read_any(path)
         assert (info.value.field, info.value.message) == ("values", "expected a list")

@@ -279,6 +279,23 @@ def test_volume_metric_scaling_power():
         assert np.allclose(scaled.values, 2.5 ** (k - 1) * base.values, rtol=1e-8)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_volume_tables_scale_as_the_power_at_every_scale(k):
+    # the Gram determinant scales as s**(2k - 2): at 1e-90 it underflowed to
+    # zero and at 1e80 it overflowed, so those tuples are redone from scaled
+    # rows.  At any scale the determinant is only good to about
+    # eps (H / det)**2, H the product of the difference rows' lengths
+    # (Hadamard's bound), so a thin tuple gets that much more than 1e-12.
+    pts = np.random.default_rng(31).normal(size=(6, 3))
+    base = volume_metric(PointCloud(points=pts), k).values
+    D = np.array([pts[list(t[1:])] - pts[t[0]] for t in combinations(range(6), k)])
+    hadamard = np.prod(np.linalg.norm(D, axis=2), axis=1) / math.factorial(k - 1)
+    tol = 1e-12 + 16 * np.finfo(float).eps * (hadamard / base) ** 2
+    for s in (1e-100, 1e-90, 1e-80, 1e80, 1e100):
+        scaled = volume_metric(PointCloud(points=s * pts), k).values
+        assert (np.abs(scaled / s ** (k - 1) / base - 1.0) <= tol).all(), s
+
+
 def test_min_max_side_bound_examples():
     s3 = math.sqrt(3.0)
     shortest, bound = min_max_side_bound_check([[0, 0], [1, 0], [0.5, s3 / 2]])
