@@ -8,6 +8,11 @@ metrics, and hypertree instances.
 Importing the package loads nothing else (PEP 562): each public name, and
 each submodule, is imported on its first use, so `python -m kmetrics`
 reaches the command line before numpy loads.
+
+One import rule keeps it so: a submodule imports `simplicial` alone at its
+top level, and reaches every other module's name at its use through this
+table (`km.KMetric`), or through the module for a name the table does not
+export (`km.lp.bounding_sweep`); so a command loads only the modules it runs.
 """
 
 import importlib

@@ -2,8 +2,9 @@
 
 entry() turns the cyclic collector off before cli loads numpy (a command leaves
 bounded garbage, argparse's parser graph), runs cli.main, flushes stdout and
-stderr and ends with os._exit, skipping interpreter teardown.  An exception
-out of main still prints its traceback and exits 1.
+stderr and ends with os._exit, skipping interpreter teardown, with the
+command's exit code even when the reader of stdout has gone (BrokenPipeError).
+An exception out of main still prints its traceback and exits 1.
 """
 
 import gc
@@ -15,7 +16,10 @@ def entry() -> None:
     gc.disable()
     from . import cli
     code = cli.main()
-    sys.stdout.flush()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader has gone; os._exit writes nothing more
+        pass
     sys.stderr.flush()
     os._exit(code)
 

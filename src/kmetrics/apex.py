@@ -13,10 +13,8 @@ from math import comb
 
 import numpy as np
 
-# ChainMatrix through the package's table, so extending a table does not load coboundary
 import kmetrics as km
 
-from .metric import KMetric
 from .simplicial import _check_bytes, simplex_index, simplex_rows
 
 
@@ -25,12 +23,12 @@ def _apex_positions(n: int, dim: int) -> np.ndarray:
     return simplex_index(n + 1, np.pad(simplex_rows(n, dim), ((0, 0), (0, 1)), constant_values=n))
 
 
-def apex_extend(d: KMetric) -> KMetric:
+def apex_extend(d: km.KMetric) -> km.KMetric:
     """Arity k+1 table on n+1 vertices; apex-free tuples get zero."""
     positions = _apex_positions(d.n, d.k - 1)  # checks the extended count before allocating
     values = np.zeros(comb(d.n + 1, d.k + 1))
     values[positions] = d.values
-    return KMetric(n=d.n + 1, k=d.k + 1, values=values)
+    return km.KMetric(n=d.n + 1, k=d.k + 1, values=values)
 
 
 def apex_extend_chain_matrix(F: km.ChainMatrix) -> km.ChainMatrix:

@@ -88,19 +88,16 @@ def _write(writer, payload, path, outputs: dict, key: str) -> None:
         outputs[key] = path
 
 
-def _simplex_list(s) -> list:
-    return [int(v) for v in s]
-
-
 def _chain_support(chain) -> list:
     """The nonzero coefficients of a chain, one entry per simplex."""
     return [
-        {"s": _simplex_list(s), "coeff": float(c)}
+        {"s": list(s), "coeff": float(c)}
         for s, c in zip(chain.support(), chain.coeffs[chain.coeffs != 0])
     ]
 
 
-# gen name -> (the options its maker reads, the maker), in the order usage messages list them
+# gen name -> (the options its maker reads, the maker), in the order usage messages list them;
+# a maker needs each option it reads but --seed, which random-strong takes as 0 when not given
 _MAKERS = {
     "subdivided-triangle": ((), lambda args, inputs: km.corpus.subdivided_triangle()),
     "discrete": (("n", "k"), lambda args, inputs: km.corpus.discrete_metric(args.n, args.k)),
@@ -110,8 +107,8 @@ _MAKERS = {
         _read(km.read_cloud, args.points, inputs))),
     "max-side": (("points",), lambda args, inputs: km.corpus.max_side_metric(
         _read(km.read_cloud, args.points, inputs))),
-    "random-strong": (("n", "k"), lambda args, inputs: km.corpus.random_strong_metric(
-        args.n, args.k, args.seed)),
+    "random-strong": (("n", "k", "seed"), lambda args, inputs: km.corpus.random_strong_metric(
+        args.n, args.k, args.seed or 0)),
 }
 
 
@@ -152,7 +149,7 @@ def _cmd_verify(args, inputs, outputs):
         "k": d.k,
         "weak": report.is_weak,
         "weak_violations": [
-            {"s": _simplex_list(s), "y": int(y)} for s, y in report.weak_violations
+            {"s": list(s), "y": int(y)} for s, y in report.weak_violations
         ],
         "pseudo": len(report.pseudo_violations) > 0,
         "pseudo_zero_tuples": len(report.pseudo_violations),
@@ -163,14 +160,14 @@ def _cmd_verify(args, inputs, outputs):
         if report.strong_witness is not None:
             w = report.strong_witness
             results["witness"] = {
-                "s": _simplex_list(w.simplex),
+                "s": list(w.simplex),
                 "value": w.value,
                 "cost": w.cost,
                 "chain_support": _chain_support(w.chain),
             }
         if args.exhaustive:
             results["margins"] = [
-                {"s": _simplex_list(s), "cost": cost, "value": value}
+                {"s": list(s), "cost": cost, "value": value}
                 for s, cost, value in report.strong_margins
             ]
         if not report.is_strong:
@@ -306,9 +303,11 @@ def _cmd_hypertree(args, inputs, outputs):
 def _cmd_gen(args, inputs, outputs):
     name = args.name
     reads, make = _MAKERS[name]
-    given = {option: getattr(args, option) not in (None, "") for option in ("n", "k", "points")}
-    if not all(given[option] for option in reads):
-        raise _UsageError(f"{name} needs " + " and ".join(f"--{option}" for option in reads))
+    given = {option: getattr(args, option) not in (None, "")
+             for option in ("n", "k", "points", "seed")}
+    needs = [option for option in reads if option != "seed"]
+    if not all(given[option] for option in needs):
+        raise _UsageError(f"{name} needs " + " and ".join(f"--{option}" for option in needs))
     ignored = [option for option, there in given.items() if there and option not in reads]
     if ignored:
         raise _UsageError(f"{name} does not read --{ignored[0]}")
@@ -359,13 +358,16 @@ _COMMANDS = {
                   [(("complex",), {}), (("--to-l1",), _FLAG), _OUT], _cmd_hypertree),
     "gen": ("write a named corpus instance", [
         (("name",), {"choices": list(_MAKERS)}), (("--n",), {"type": int}),
-        (("--k",), {"type": int}), (("--seed",), {"type": int, "default": 0}),
+        (("--k",), {"type": int}), (("--seed",), {"type": int}),
         (("--points",), {"help": "cloud file for perimeter/max-side"}), _OUT_REQUIRED], _cmd_gen),
 }
 
 
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, indent=1))
+    try:
+        print(json.dumps(obj, indent=1))
+    except BrokenPipeError:  # the reader has gone; the exit code still reports the outcome
+        pass
 
 
 def _fail(code: int, kind: str, message: str, **extra) -> int:
@@ -392,7 +394,7 @@ def main(argv=None) -> int:
         return _fail(INPUT_FAIL, "input", exc.message, file=exc.path, field=exc.field,
                      line=exc.line)
     except km.NotStrongError as exc:
-        return _fail(VERIFY_FAIL, "verification", str(exc), simplex=_simplex_list(exc.simplex),
+        return _fail(VERIFY_FAIL, "verification", str(exc), simplex=list(exc.simplex),
                      value=exc.value, achieved=exc.achieved)
     except km.NotHypertreeError as exc:
         return _fail(VERIFY_FAIL, "verification", str(exc))

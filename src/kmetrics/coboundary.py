@@ -17,15 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .lp import bounding_sweep
-from .metric import KMetric, undercuts
-from .simplicial import (
-    Chain, Record, SimplexKey, ValueRecord, _check_arity, _check_bytes, _freeze, boundary_rows,
-    coboundary_rows, face_ranks, simplex_at, simplex_index, simplex_rows,
-)
+import kmetrics as km
 
-# Entries that eval_coboundary_metric and volume_metric gather at once (0.5 MB of floats).
-_EVAL_BLOCK = 2**16
+from .simplicial import (
+    _EVAL_BLOCK, Chain, Record, SimplexKey, ValueRecord, _check_arity, _check_bytes, _freeze,
+    _redo_scaled, boundary_rows, coboundary_rows, face_ranks, simplex_at, simplex_index,
+    simplex_rows,
+)
 
 
 class NotStrongError(Exception):
@@ -39,11 +37,6 @@ class NotStrongError(Exception):
             f"input not strong: best bounding value {achieved:.9g} at "
             f"{simplex} is below the table value {value:.9g}"
         )
-
-
-def _redo_scaled(x: np.ndarray) -> np.ndarray:
-    """Where x is 0, negative, not finite or outside [2**-500, 2**500]: redo it scaled."""
-    return ~((x >= 2.0**-500) & (x <= 2.0**500))
 
 
 class NormSpec(ValueRecord):
@@ -108,7 +101,7 @@ class ChainMatrix(Record):
         return self.data.shape[1]
 
 
-def eval_coboundary_metric(F: ChainMatrix, norm: NormSpec) -> KMetric:
+def eval_coboundary_metric(F: ChainMatrix, norm: NormSpec) -> km.KMetric:
     """Arity-k table whose entry at t is the p-norm of row t of coboundary(F)."""
     faces = face_ranks(F.n, simplex_rows(F.n, F.k - 1))
     step = max(1, _EVAL_BLOCK // F.m)  # tuples whose coboundary rows are held at a time
@@ -116,18 +109,18 @@ def eval_coboundary_metric(F: ChainMatrix, norm: NormSpec) -> KMetric:
         norm.row_norms(coboundary_rows(faces[:, a : a + step], F.data))
         for a in range(0, faces.shape[1], step)
     ]
-    return KMetric(n=F.n, k=F.k, values=np.concatenate(norms))
+    return km.KMetric(n=F.n, k=F.k, values=np.concatenate(norms))
 
 
-def _strong_column(d: KMetric, idx: int, cost: float, y: np.ndarray) -> np.ndarray:
+def _strong_column(d: km.KMetric, idx: int, cost: float, y: np.ndarray) -> np.ndarray:
     """y, unless a chain of this cost bounds tuple idx below its value (NotStrongError)."""
     value = float(d.values[idx])
-    if undercuts(cost, value):
+    if km.metric.undercuts(cost, value):
         raise NotStrongError(simplex_at(d.n, d.k - 1, idx), value, cost)
     return y
 
 
-def frechet_column(d: KMetric, t: Sequence[int]):
+def frechet_column(d: km.KMetric, t: Sequence[int]):
     """One embedding column: a chain realising d(t) without expanding anywhere.
 
     The column is the dual y of the bounding-chain LP for the boundary of t
@@ -146,12 +139,12 @@ def frechet_column(d: KMetric, t: Sequence[int]):
     idx = simplex_index(d.n, t)
     faces = face_ranks(d.n, np.array([t]))  # t's column alone; simplex_index checked t
     target = boundary_rows(faces, np.ones(1), comb(d.n, d.k - 1))
-    cost, _, y = next(bounding_sweep(d.values, d.n, d.k, targets=[target]))
+    cost, _, y = next(km.lp.bounding_sweep(d.values, d.n, d.k, targets=[target]))
     y = _strong_column(d, idx, cost, y)
     return Chain(n=d.n, dim=d.k - 2, coeffs=y), float(coboundary_rows(faces, y)[0])
 
 
-def frechet_embed(d: KMetric, jobs: int = 1) -> ChainMatrix:
+def frechet_embed(d: km.KMetric, jobs: int = 1) -> ChainMatrix:
     """One column per k-tuple, in canonical order; eval at p=inf returns d.
 
     Column t is the LP dual of t's bounding-chain program, as in
@@ -161,7 +154,7 @@ def frechet_embed(d: KMetric, jobs: int = 1) -> ChainMatrix:
     bounds more cheaply than its table value.  The sweep is sequential, so
     jobs has no effect; it is kept for callers that pass it.
     """
-    sweep = bounding_sweep(d.values, d.n, d.k)
+    sweep = km.lp.bounding_sweep(d.values, d.n, d.k)
     columns = [_strong_column(d, i, cost, y) for i, (cost, _, y) in enumerate(sweep)]
     return ChainMatrix(n=d.n, k=d.k, data=np.column_stack(columns))
 
@@ -230,7 +223,7 @@ def embed_l2_to_lp(F: ChainMatrix, p: float, eps: float, seed: int) -> ChainMatr
     return random_project(F, l2_to_lp_dim(F.m, p, eps), NormSpec(p), seed)
 
 
-def max_distortion(d1: KMetric, d2: KMetric) -> float:
+def max_distortion(d1: km.KMetric, d2: km.KMetric) -> float:
     """Largest relative disagreement max(a/b, b/a) - 1 over all tuples.
 
     Entries where both tables vanish contribute zero; a zero on one side

@@ -11,11 +11,8 @@ from math import comb, sqrt
 
 import numpy as np
 
-# other modules' records through the package's table, each loaded on first use
 import kmetrics as km
 
-from .lp import bounding_sweep
-from .metric import KMetric
 from .simplicial import (
     Chain, ValueRecord, _check_arity, _check_counts, chain_from_dict, simplex_index, simplex_rows,
 )
@@ -64,7 +61,7 @@ def subdivided_triangle() -> CorpusInstance:
     values = np.full(comb(6, 3), 10.0)
     for t in SUBDIVISION_TRIANGLES:
         values[simplex_index(6, tuple(sorted(t)))] = 1.0
-    payload = KMetric(n=6, k=3, values=values)
+    payload = km.KMetric(n=6, k=3, values=values)
     return CorpusInstance(
         name="subdivided-triangle",
         payload=payload,
@@ -82,7 +79,7 @@ def subdivided_triangle() -> CorpusInstance:
 def discrete_metric(n: int, k: int) -> CorpusInstance:
     """Every distinct k-tuple at distance one; strong at all checked sizes."""
     # a read-only view: KMetric refuses a count over MAX_SIMPLICES before copying it
-    payload = KMetric(n=n, k=k, values=np.broadcast_to(1.0, comb(n, k)))
+    payload = km.KMetric(n=n, k=k, values=np.broadcast_to(1.0, comb(n, k)))
     aux = {}
     if k == 3:
         # the all-ones edge chain realises the table as a 1-norm coboundary
@@ -160,7 +157,7 @@ def perimeter_metric(cloud: km.PointCloud) -> CorpusInstance:
     """Arity-3 table summing the three pairwise distances of each triple."""
     dist = _pairwise_distances(cloud)
     a, b, c = simplex_rows(cloud.count, 2).T
-    payload = KMetric(n=cloud.count, k=3, values=dist[a, b] + dist[a, c] + dist[b, c])
+    payload = km.KMetric(n=cloud.count, k=3, values=dist[a, b] + dist[a, c] + dist[b, c])
     return CorpusInstance(
         name="perimeter", payload=payload, expected={"weak": True}
     )
@@ -171,7 +168,7 @@ def max_side_metric(cloud: km.PointCloud) -> CorpusInstance:
     dist = _pairwise_distances(cloud)
     a, b, c = simplex_rows(cloud.count, 2).T
     longest = np.maximum.reduce([dist[a, b], dist[a, c], dist[b, c]])
-    payload = KMetric(n=cloud.count, k=3, values=longest)
+    payload = km.KMetric(n=cloud.count, k=3, values=longest)
     return CorpusInstance(
         name="max-side", payload=payload, expected={"weak": True}
     )
@@ -188,10 +185,10 @@ def random_strong_metric(n: int, k: int, seed: int) -> CorpusInstance:
     _check_arity(n, k)  # before any weight is drawn
     count = _check_counts(n, k - 1)
     weights = np.random.default_rng(seed).uniform(*_WEIGHT_RANGE, size=count)
-    values = np.array([cost for cost, _, _ in bounding_sweep(weights, n, k)])
+    values = np.array([cost for cost, _, _ in km.lp.bounding_sweep(weights, n, k)])
     return CorpusInstance(
         name="random-strong",
-        payload=KMetric(n=n, k=k, values=values),
+        payload=km.KMetric(n=n, k=k, values=values),
         expected={"weak": True, "strong": True},
         aux={"weights": weights},
     )

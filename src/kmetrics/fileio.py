@@ -32,7 +32,6 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-# payload records through the package's table: a read loads only its payload's module
 import kmetrics as km
 
 from .simplicial import (

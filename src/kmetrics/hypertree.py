@@ -17,21 +17,11 @@ from math import comb
 
 import numpy as np
 
-# ChainMatrix through the package's table, so a complex read does not load coboundary
 import kmetrics as km
 
-from .lp import UnfillableBoundaryError, bounding_sweep
-from .metric import KMetric
 from .simplicial import (
-    ValueRecord,
-    WeightedComplex,
-    _check_bytes,
-    _check_counts,
-    boundary_block,
-    coboundary_rows,
-    face_ranks,
-    simplex_at,
-    simplex_rows,
+    ValueRecord, WeightedComplex, _check_bytes, _check_counts, boundary_block, boundary_rows,
+    coboundary_rows, face_ranks, simplex_at, simplex_rows,
 )
 
 RANK_TOL = 1e-9
@@ -85,7 +75,7 @@ def is_hypertree(K: WeightedComplex) -> HypertreeReport:
     )
 
 
-def mbc_metric(K: WeightedComplex, jobs: int = 1) -> KMetric:
+def mbc_metric(K: WeightedComplex, jobs: int = 1) -> km.KMetric:
     """Minimum bounding-chain cost of every k-tuple, chains on facets only.
 
     The tuples are one sequential sweep, so jobs has no effect; it is kept
@@ -94,13 +84,13 @@ def mbc_metric(K: WeightedComplex, jobs: int = 1) -> KMetric:
     weights = K.weight_table()
     values = []
     try:  # the weights are positive, so the nonzero entries are the facets, sorted
-        for cost, _, _ in bounding_sweep(weights, K.n, K.k, np.flatnonzero(weights)):
+        for cost, _, _ in km.lp.bounding_sweep(weights, K.n, K.k, np.flatnonzero(weights)):
             values.append(cost)
-    except UnfillableBoundaryError as exc:
+    except km.UnfillableBoundaryError as exc:
         unfilled = simplex_at(K.n, K.k - 1, len(values))
         msg = f"complex does not fill all boundaries: no facet chain bounds {unfilled}"
-        raise UnfillableBoundaryError(msg) from exc
-    return KMetric(n=K.n, k=K.k, values=np.array(values))
+        raise km.UnfillableBoundaryError(msg) from exc
+    return km.KMetric(n=K.n, k=K.k, values=np.array(values))
 
 
 def hypertree_to_l1(K: WeightedComplex) -> km.ChainMatrix:
@@ -169,8 +159,7 @@ def random_2hypertree(n: int, seed: int) -> WeightedComplex:
     for j in rng.permutation(faces.shape[1])[::-1]:
         if len(kept) == Q.shape[1]:
             break
-        v = np.zeros(Q.shape[0])
-        v[faces[:, j]] = (1.0, -1.0, 1.0)
+        v = boundary_rows(faces[:, [j]], np.ones(1), Q.shape[0])
         basis = Q[:, :len(kept)]  # the filled columns
         for _ in range(2):
             v -= basis @ (basis.T @ v)

@@ -21,19 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .lp import bounding_sweep
+import kmetrics as km
+
 from .simplicial import (
-    Record,
-    ValueRecord,
-    _check_arity,
-    _check_counts,
-    _freeze,
-    enumerate_simplices,
-    face_ranks,
-    simplex_at,
-    simplex_index,
-    simplex_rows,
-    validate_simplex,
+    Record, ValueRecord, _check_arity, _check_counts, _freeze, enumerate_simplices, face_ranks,
+    simplex_at, simplex_index, simplex_rows, validate_simplex,
 )
 
 # Downstream comparisons of metric values; looser than the LP pivot tolerance.
@@ -148,7 +140,7 @@ def check_strong(
     made only for the witness and the swept margins.
     """
     costs, witness = [], None
-    for i, (cost, chain, _) in enumerate(bounding_sweep(d.values, d.n, d.k)):
+    for i, (cost, chain, _) in enumerate(km.lp.bounding_sweep(d.values, d.n, d.k)):
         costs.append(cost)
         value = float(d.values[i])
         if witness is None and undercuts(cost, value):

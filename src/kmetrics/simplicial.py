@@ -41,6 +41,15 @@ def _check_bytes(what: str, needed: int) -> None:
         raise ValueError(f"{what} needs {needed:.3g} bytes, budget {MAX_LP_BYTES}")
 
 
+# Entries that eval_coboundary_metric and volume_metric gather at once (0.5 MB of floats).
+_EVAL_BLOCK = 2**16
+
+
+def _redo_scaled(x: np.ndarray) -> np.ndarray:
+    """Where x is 0, negative, not finite or outside [2**-500, 2**500]: redo it scaled."""
+    return ~((x >= 2.0**-500) & (x <= 2.0**500))
+
+
 def _check_counts(n: int, dim: int) -> int:
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")

@@ -15,9 +15,11 @@ from math import comb, factorial
 
 import numpy as np
 
-from .coboundary import _EVAL_BLOCK, ChainMatrix, _redo_scaled
-from .metric import KMetric
-from .simplicial import Record, _check_arity, _check_bytes, _freeze, simplex_rows
+import kmetrics as km
+
+from .simplicial import (
+    _EVAL_BLOCK, Record, _check_arity, _check_bytes, _freeze, _redo_scaled, simplex_rows,
+)
 
 
 class PointCloud(Record):
@@ -42,7 +44,7 @@ class PointCloud(Record):
         return self.points.shape[1]
 
 
-def volume_metric(cloud: PointCloud, k: int) -> KMetric:
+def volume_metric(cloud: PointCloud, k: int) -> km.KMetric:
     """Arity-k table of simplex volumes over all k-subsets of the cloud."""
     if cloud.count < k:
         raise ValueError(f"cloud has {cloud.count} points, needs at least {k}")
@@ -73,10 +75,10 @@ def volume_metric(cloud: PointCloud, k: int) -> KMetric:
                 root[redo] = top ** (k - 1) * np.sqrt(np.maximum(scaled, 0.0))
             roots.append(root)
     values = np.concatenate(roots) / factorial(k - 1)
-    return KMetric(n=cloud.count, k=k, values=values)
+    return km.KMetric(n=cloud.count, k=k, values=values)
 
 
-def volume_to_coboundary(cloud: PointCloud, k: int) -> ChainMatrix:
+def volume_to_coboundary(cloud: PointCloud, k: int) -> km.ChainMatrix:
     """Cone chains realising the volume table: one column per axis set.
 
     Column I assigns to a (k-2)-simplex the signed volume of the cone from
@@ -104,5 +106,5 @@ def volume_to_coboundary(cloud: PointCloud, k: int) -> ChainMatrix:
     for a in range(0, tuples.shape[0], step):
         cones = cloud.points[tuples[a : a + step]][:, :, axis_sets].transpose(0, 2, 3, 1)
         data[a : a + step] = np.linalg.det(cones) / factorial(k - 1)
-    return ChainMatrix(n=cloud.count, k=k, data=data)
+    return km.ChainMatrix(n=cloud.count, k=k, data=data)
 

@@ -273,17 +273,21 @@ def test_min_chain_and_gen_do_not_import_numpy_ma(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-MIN_CHAIN_MODULES = {"cli", "fileio", "lp", "simplicial"}
+# the modules every command loads, then each command with the others it loads
+CLI_MODULES = {"cli", "fileio", "simplicial"}
 COMMAND_MODULES = [
-    ("min-chain K.json --target 0,1,2", set()),
+    ("min-chain K.json --target 0,1,2", {"lp"}),
     ("verify d.json", {"metric"}),
-    ("verify d.json --strong", {"metric"}),
+    ("verify d.json --strong", {"lp", "metric"}),
     ("eval F.json --p inf", {"coboundary", "metric"}),
     ("embed jl F.json --eps 0.5 --seed 1 -o J.json", {"coboundary", "metric"}),
     ("gen subdivided-triangle -o g.json", {"corpus", "metric"}),
-    ("hypertree K.json --to-l1", {"coboundary", "hypertree", "metric"}),
-    ("volume P.json --k 3", {"coboundary", "metric", "volume"}),
+    ("hypertree K.json --to-l1", {"coboundary", "hypertree"}),
+    ("volume P.json --k 3", {"metric", "volume"}),
     ("apex d.json", {"apex", "metric"}),
+    ("embed frechet d.json -o F2.json", {"coboundary", "lp", "metric"}),
+    ("volume P.json --k 3 --to-coboundary", {"coboundary", "volume"}),
+    ("apex F.json", {"apex", "coboundary"}),
 ]
 
 
@@ -316,7 +320,7 @@ def test_each_command_loads_only_its_modules(inputs_dir, command, extra):
     proc = _python(["-c", script], cwd=inputs_dir)
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.splitlines()[-1].split()
-    assert loaded == sorted(f"kmetrics.{m}" for m in MIN_CHAIN_MODULES | extra)
+    assert loaded == sorted(f"kmetrics.{m}" for m in CLI_MODULES | extra)
 
 
 def test_the_garbage_of_a_command_without_gc_does_not_grow_with_its_input(tmp_path):
@@ -786,6 +790,27 @@ def test_an_option_its_mode_ignores_is_refused(inputs_dir, capsys, monkeypatch, 
     assert not (inputs_dir / "out.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "subdivided-triangle", "--seed", "5"],
+    ["gen", "discrete", "--n", "5", "--k", "3", "--seed", "9"],
+    ["gen", "perimeter", "--points", "P.json", "--seed", "0"],
+])
+def test_gen_refuses_seed_where_its_maker_reads_none(inputs_dir, capsys, monkeypatch, argv):
+    monkeypatch.chdir(inputs_dir)
+    message = f"{argv[1]} does not read --seed"
+    assert _run([*argv, "-o", "out.json"], capsys) == (
+        2, {"error": {"kind": "usage", "message": message}})
+    assert not (inputs_dir / "out.json").exists()
+
+
+def test_gen_random_strong_without_seed_draws_seed_zero(tmp_path, capsys):
+    out, zero = tmp_path / "d.json", tmp_path / "zero.json"
+    assert _run(["gen", "random-strong", "--n", "6", "--k", "3", "-o", str(out)], capsys)[0] == 0
+    argv = ["gen", "random-strong", "--n", "6", "--k", "3", "--seed", "0", "-o", str(zero)]
+    assert _run(argv, capsys)[0] == 0
+    assert out.read_bytes() == zero.read_bytes()
+
+
 def test_gen_random_strong_refuses_n_below_k_as_gen_discrete_does(tmp_path, capsys):
     out = str(tmp_path / "d.json")
     strong = _run(["gen", "random-strong", "--n", "2", "--k", "3", "-o", out], capsys)
@@ -919,6 +944,30 @@ def test_a_thread_setting_of_the_user_wins(preset, expected):
 def _kmetrics(cwd, *argv):
     """python -m kmetrics argv, with stdout block-buffered as it is by default."""
     return _python(["-m", "kmetrics", *argv], cwd=cwd, PYTHONUNBUFFERED=None)
+
+
+# spawns python -m kmetrics argv with stdout a pipe whose read end it closes at
+# once, so the report meets a broken pipe; prints the exit code and stderr
+_CLOSED_STDOUT = """
+import subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "kmetrics", *sys.argv[1:]],
+                        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+proc.stdout.close()
+print(proc.wait(timeout=120), repr(proc.stderr.read()))
+"""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+@pytest.mark.parametrize("argv, code", [
+    (["gen", "subdivided-triangle", "-o", "d.json"], 0),
+    (["gen", "subdivided-triangle", "--n", "5", "-o", "d.json"], 2),
+])
+def test_a_closed_stdout_keeps_the_exit_code(tmp_path, unbuffered, argv, code):
+    # unbuffered, print meets the broken pipe; block-buffered, the final flush does
+    proc = _python(["-c", _CLOSED_STDOUT, *argv], cwd=tmp_path, PYTHONUNBUFFERED=unbuffered)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(code), "b''"]
+    assert (tmp_path / "d.json").exists() == (code == 0)
 
 
 def test_a_report_larger_than_a_pipe_buffer_arrives_whole(tmp_path):

@@ -1,5 +1,6 @@
 """Facet complexes: bounding-chain metrics, hypertree checks, 1-norm tables."""
 
+import hashlib
 from itertools import combinations
 from math import comb
 
@@ -245,6 +246,19 @@ def test_random_2hypertree_matches_the_deletion_oracle():
             facets, weights = random_2hypertree_by_deletion(n, seed)
             assert K.facets == facets
             assert np.array_equal(K.weights, weights)
+
+
+def test_random_2hypertree_draws_what_it_drew_before():
+    # the benchmark's hypertree_l1 workload draws its complexes here: its facets
+    # and weights for n = 3..30, seeds 0..2, by one digest of their bytes
+    digest = hashlib.sha256()
+    for n in range(3, 31):
+        for seed in range(3):
+            K = random_2hypertree(n, seed)
+            digest.update(np.array(K.facets, dtype="<i8").tobytes())
+            digest.update(np.asarray(K.weights, dtype="<f8").tobytes())
+    assert digest.hexdigest() == (
+        "622dfec70181be9ed32051c7dad8718a8525ca536fcceca5d369aaefd24d2195")
 
 
 def test_random_tree_l1_round_trips():

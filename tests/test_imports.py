@@ -1,7 +1,8 @@
 """Every name a kmetrics module or a test module imports is used in that
 module, every method is called, every command-line option is read, every
 name the package exports is defined in the module its export table names, and
-every km.<name> a kmetrics module reads through the package resolves.
+every km.<name> a kmetrics module reads through the package resolves, and no
+kmetrics module imports a sibling but simplicial at its top level.
 
 A method counts as used when its name is read as an attribute anywhere in
 src/, tests/, perfbench/ or demos/.  An option counts as read when cli.py
@@ -191,3 +192,23 @@ def test_every_package_name_a_module_reads_resolves(module):
     # an except clause reads its name only when an exception reaches it, so check them here
     known = set(kmetrics.__all__) | kmetrics._SUBMODULES
     assert _unknown_package_names((SRC / module).read_text(), known) == []
+
+
+def _sibling_imports(source: str) -> list:
+    """(line, module) of each top-level relative import that does not name simplicial."""
+    return [
+        (node.lineno, node.module) for node in ast.parse(source).body
+        if isinstance(node, ast.ImportFrom) and node.level and node.module != "simplicial"
+    ]
+
+
+def test_the_check_finds_a_sibling_import():
+    source = "import kmetrics as km\nfrom .simplicial import Record\nfrom .lp import solve\n"
+    source += "from . import cli\ndef main():\n    from .metric import KMetric\n"
+    assert _sibling_imports(source) == [(3, "lp"), (4, None)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_a_module_imports_no_sibling_but_simplicial(module):
+    # every other module's name is reached at its use through the package table (km.name)
+    assert _sibling_imports((SRC / module).read_text()) == []
